@@ -1,0 +1,178 @@
+"""Closed-form Gaussian norms on the real line and Simpson-quadrature oracles.
+
+For g(x) = exp(-x^2/A):
+    ||g^||_4^4 = (1/2) (pi A)^{3/2}
+    ||g||_q^q  = (pi A / q)^{1/2}
+    ||g^||_4 / ||g||_q = ((1/4) q^{4/q} pi^{3-4/q} A^{3-4/q})^{1/8}
+The quadrature routines validate these independently by integrating the
+autoconvolution, never using the Gaussian convolution closed form.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+from mpmath import mp
+
+from .discrete_core import InvalidExponentError
+from .precision import working
+
+# Sharp constant of the L4 Fourier-norm inequality on R, attained by Gaussians.
+BECKNER_L4_POW4 = 4.0 * math.sqrt(3.0) / 9.0
+# Companion constant 3*sqrt(3)/4 = 1/BECKNER_L4_POW4; its base-n logarithm is
+# the gap between 3 and the asymptotic energy exponent.
+ASYMPTOTIC_LOG_BASE = 3.0 * math.sqrt(3.0) / 4.0
+
+
+class QuadratureError(RuntimeError):
+    """Successive quadrature refinements disagree beyond tolerance."""
+
+
+@dataclass(frozen=True)
+class GaussianSpec:
+    """Width parameter A of g(x) = exp(-x^2/A)."""
+
+    a_param: float
+
+    def __post_init__(self):
+        if not (self.a_param > 0 and math.isfinite(self.a_param)):
+            raise ValueError(f"a_param must be positive and finite, got {self.a_param}")
+
+
+def gaussian_l4hat(spec: GaussianSpec) -> float:
+    """||g^||_4 = ((1/2)(pi A)^{3/2})^{1/4}."""
+    return (0.5 * (math.pi * spec.a_param) ** 1.5) ** 0.25
+
+
+def gaussian_lq(spec: GaussianSpec, q: float) -> float:
+    """||g||_q = ((pi A / q)^{1/2})^{1/q}."""
+    if q <= 1:
+        raise InvalidExponentError(f"gaussian_lq needs q > 1, got {q}")
+    return ((math.pi * spec.a_param / q) ** 0.5) ** (1.0 / q)
+
+
+def gaussian_ratio(spec: GaussianSpec, q: float) -> float:
+    """Closed form of gaussian_l4hat(spec) / gaussian_lq(spec, q)."""
+    if q <= 1:
+        raise InvalidExponentError(f"gaussian_ratio needs q > 1, got {q}")
+    e = 3.0 - 4.0 / q
+    return (0.25 * q ** (4.0 / q) * math.pi ** e * spec.a_param ** e) ** 0.125
+
+
+def beckner_constant() -> float:
+    """(4 sqrt(3) / 9)^{1/4}, the sharp ratio at q = 4/3."""
+    return BECKNER_L4_POW4 ** 0.25
+
+
+def _simpson_weights(npoints: int) -> np.ndarray:
+    # npoints must be odd (even interval count)
+    w = np.ones(npoints)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    return w
+
+
+def _l4hat_pow4_simpson(a_param: float, truncation: float, step: float) -> float:
+    half = int(math.ceil(truncation / step))
+    half += half % 2
+    x = np.arange(-half, half + 1) * step
+    g = np.exp(-(x * x) / a_param)
+    wx = _simpson_weights(g.size) * (step / 3.0)
+    conv = np.convolve(wx * g, g)  # (g*g)(z) on the doubled grid
+    wz = _simpson_weights(conv.size) * (step / 3.0)
+    return float(np.dot(wz, conv * conv))
+
+
+def quadrature_l4hat(spec: GaussianSpec, truncation: float | None = None,
+                     step: float | None = None, rel_tol: float = 1e-9) -> float:
+    """Independent oracle for ||g^||_4^4 = ||g*g||_2^2 by composite Simpson.
+
+    Defaults scale with sqrt(A): truncation where the tail drops below 1e-18
+    of the peak, step at sqrt(A)/800.  Raises QuadratureError when halving the
+    step moves the result by more than rel_tol.
+    """
+    a = spec.a_param
+    if truncation is None:
+        truncation = math.sqrt(41.5 * a)
+    if step is None:
+        step = math.sqrt(a) / 800.0
+    if truncation <= 0 or step <= 0:
+        raise ValueError("truncation and step must be positive")
+    coarse = _l4hat_pow4_simpson(a, truncation, step)
+    fine = _l4hat_pow4_simpson(a, truncation, step / 2.0)
+    if abs(coarse - fine) > rel_tol * abs(fine):
+        raise QuadratureError(
+            f"l4hat quadrature did not converge: {coarse!r} vs {fine!r} at step {step}")
+    return fine
+
+
+def quadrature_lq_pow(spec: GaussianSpec, q: float, truncation: float | None = None,
+                      step: float | None = None, rel_tol: float = 1e-9) -> float:
+    """Independent oracle for ||g||_q^q = integral of exp(-q x^2 / A)."""
+    if q <= 1:
+        raise InvalidExponentError(f"quadrature_lq_pow needs q > 1, got {q}")
+    a = spec.a_param
+    if truncation is None:
+        truncation = math.sqrt(41.5 * a / q)
+    if step is None:
+        step = math.sqrt(a) / 2000.0
+
+    def one(h: float) -> float:
+        half = int(math.ceil(truncation / h))
+        half += half % 2
+        x = np.arange(-half, half + 1) * h
+        y = np.exp(-q * x * x / a)
+        return float(np.dot(_simpson_weights(y.size), y) * (h / 3.0))
+
+    coarse, fine = one(step), one(step / 2.0)
+    if abs(coarse - fine) > rel_tol * abs(fine):
+        raise QuadratureError(
+            f"lq quadrature did not converge: {coarse!r} vs {fine!r} at step {step}")
+    return fine
+
+
+def truncated_gaussian_l4hat_pow4(a_param: float, m_trunc: int,
+                                  samples_per_side: int = 4000,
+                                  rel_tol: float = 1e-6) -> float:
+    """||g_M^||_4^4 for the truncation of g to [-M, M], by quadrature.
+
+    Trapezoid with explicit endpoint correction: the truncated integrand jumps
+    at +-M, so grids are pinned to the truncation endpoints.
+    """
+    if m_trunc < 1:
+        raise ValueError("m_trunc must be >= 1")
+    coarse = _truncated_pow4_trapezoid(a_param, m_trunc, samples_per_side)
+    fine = _truncated_pow4_trapezoid(a_param, m_trunc, 2 * samples_per_side)
+    if abs(coarse - fine) > rel_tol * abs(fine):
+        raise QuadratureError(
+            f"truncated l4hat quadrature did not converge: {coarse!r} vs {fine!r}")
+    return fine
+
+
+def _truncated_pow4_trapezoid(a_param: float, m_trunc: int, j: int) -> float:
+    h = m_trunc / j
+    x = np.arange(-j, j + 1) * h
+    g = np.exp(-(x * x) / a_param)
+    npts = g.size
+    conv = np.convolve(g, g)
+    idx = np.arange(conv.size)
+    lo = np.maximum(0, idx - (npts - 1))
+    hi = np.minimum(idx, npts - 1)
+    first = g[lo] * g[idx - lo]
+    last = g[hi] * g[idx - hi]
+    c = h * (conv - 0.5 * (first + last))  # (g_M * g_M)(z), z on the doubled grid
+    s = c * c
+    return float(h * (s.sum() - 0.5 * (s[0] + s[-1])))
+
+
+def truncated_gaussian_lq(a_param: float, q: float, m_trunc: int) -> float:
+    """||g_M||_q via the error function: ((pi A/q)^{1/2} erf(M sqrt(q/A)))^{1/q}."""
+    if q <= 1:
+        raise InvalidExponentError(f"truncated_gaussian_lq needs q > 1, got {q}")
+    with working():
+        a = mp.mpf(a_param)
+        qm = mp.mpf(q)
+        pw = mp.sqrt(mp.pi * a / qm) * mp.erf(m_trunc * mp.sqrt(qm / a))
+        return float(pw ** (1 / qm))

@@ -1,0 +1,294 @@
+"""Bounds tables per n, the ball lattice-set energy experiment, and
+deterministic result/manifest serialization."""
+
+from __future__ import annotations
+
+import csv
+import json
+import math
+import os
+import time
+from dataclasses import dataclass
+from fractions import Fraction
+
+import numpy as np
+
+from .certificates import (GaussianScheduleParams, build_gaussian_certificate,
+                           build_perturbation_certificate)
+from .continuum import ASYMPTOTIC_LOG_BASE, BECKNER_L4_POW4
+from .discrete_core import CapExceededError, LatticeSet, energy_of_set, trivial_lower_bound
+from .optimizer import estimate_qn
+
+# Known reference values: t_2 exactly, t_3 a published lower bound.
+REFERENCE_T = {2: math.log(6.0) / math.log(2.0), 3: 2.71949}
+
+BOUNDS_CSV_COLUMNS = ("n", "trivial_lower", "perturbation_lower", "gaussian_lower",
+                      "asymptotic_target", "empirical_t", "reference")
+BALL_CSV_COLUMNS = ("d", "radius", "center", "set_size", "energy",
+                    "energy_ratio", "reference_ratio")
+
+
+@dataclass(frozen=True)
+class BoundsRow:
+    n: int
+    trivial_lower: float
+    perturbation_lower: float
+    perturbation_strict: bool
+    gaussian_lower: float | None
+    asymptotic_target: float
+    conjecture_target: float
+    conjecture_eps: float
+    empirical_t: float | None
+    reference: float | None
+
+
+@dataclass(frozen=True)
+class BallExperimentRow:
+    d: int
+    radius: float
+    center: tuple
+    set_size: int
+    energy: int
+    energy_ratio: float
+    reference_ratio: float
+
+
+def asymptotic_target(n: int) -> float:
+    """3 - log_n(3*sqrt(3)/4), the large-n target for the energy exponent."""
+    return 3.0 - math.log(ASYMPTOTIC_LOG_BASE) / math.log(n)
+
+
+def conjecture_target(n: int, eps: float) -> float:
+    """3 - (1-eps) log_n(3*sqrt(3)/4), the conjectured upper envelope."""
+    return 3.0 - (1.0 - eps) * math.log(ASYMPTOTIC_LOG_BASE) / math.log(n)
+
+
+def bounds_row(n: int, eps: float = 0.5, with_optimizer: bool = False,
+               seed: int = 0, tol: float = 1e-3) -> BoundsRow:
+    trivial = trivial_lower_bound(n)
+    if n >= 3:
+        try:
+            cert = build_perturbation_certificate(n)
+            pert, strict = cert.implied_t_bound, cert.valid
+        except Exception:
+            pert, strict = trivial, False
+    else:
+        pert, strict = trivial, False
+    gaussian_lower = None
+    if n >= 3:
+        try:
+            gcert = build_gaussian_certificate(GaussianScheduleParams.from_n_eps(n, eps))
+            if gcert.valid:
+                gaussian_lower = 4.0 / gcert.q
+        except Exception:
+            gaussian_lower = None
+    empirical = None
+    if with_optimizer:
+        try:
+            empirical = estimate_qn(n, tol=tol, seed=seed).t_hat
+        except Exception:
+            empirical = None
+    row = BoundsRow(n=n, trivial_lower=trivial, perturbation_lower=pert,
+                    perturbation_strict=strict, gaussian_lower=gaussian_lower,
+                    asymptotic_target=asymptotic_target(n),
+                    conjecture_target=conjecture_target(n, eps), conjecture_eps=eps,
+                    empirical_t=empirical, reference=REFERENCE_T.get(n))
+    if n >= 3:
+        assert row.trivial_lower <= row.perturbation_lower + 1e-12 < 3.0
+    for bound in (row.trivial_lower, row.perturbation_lower, row.gaussian_lower):
+        assert bound is None or bound <= 3.0
+    return row
+
+
+def bounds_table(n_values, eps: float = 0.5, with_optimizer: bool = False,
+                 seed: int = 0, tol: float = 1e-3) -> list[BoundsRow]:
+    return [bounds_row(int(n), eps=eps, with_optimizer=with_optimizer,
+                       seed=seed, tol=tol) for n in n_values]
+
+
+# ---------------------------------------------------------------------------
+# Ball lattice sets
+# ---------------------------------------------------------------------------
+
+def ball_lattice_set(d: int, radius: float, center=None,
+                     point_cap: int = 2_000_000, side_cap: int = 4096) -> LatticeSet:
+    """Integer points within Euclidean distance radius of center, translated
+    so all coordinates lie in [0, n-1] with n the minimal enclosing side."""
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    if not radius > 0:
+        raise ValueError("radius must be positive")
+    if center is None:
+        center = (0.0,) * d
+    center = tuple(float(c) for c in center)
+    if len(center) != d:
+        raise ValueError(f"center has {len(center)} coordinates, expected {d}")
+    r2 = radius * radius
+    for c in center:
+        width = math.floor(c + radius) - math.ceil(c - radius) + 1
+        if width > side_cap:
+            raise CapExceededError(f"bounding side {width} exceeds cap {side_cap}")
+    # build coordinates one dimension at a time, pruning on partial distance
+    pts = np.zeros((1, 0), dtype=np.int64)
+    sq = np.zeros(1)
+    for i in range(d):
+        lo = math.ceil(center[i] - radius)
+        hi = math.floor(center[i] + radius)
+        coords = np.arange(lo, hi + 1, dtype=np.int64)
+        dd = (coords.astype(np.float64) - center[i]) ** 2
+        total = sq[:, None] + dd[None, :]
+        keep_row, keep_col = np.nonzero(total <= r2)
+        if keep_row.size > point_cap * 4:
+            raise CapExceededError(f"intermediate point count {keep_row.size} exceeds cap")
+        pts = np.hstack([pts[keep_row], coords[keep_col, None]])
+        sq = total[keep_row, keep_col]
+    if pts.shape[0] > point_cap:
+        raise CapExceededError(f"{pts.shape[0]} points exceed cap {point_cap}")
+    if pts.shape[0] == 0:
+        return LatticeSet(d, 1, frozenset())
+    mins = pts.min(axis=0)
+    side = int((pts.max(axis=0) - mins).max()) + 1
+    shifted = pts - mins
+    return LatticeSet(d, side, frozenset(map(tuple, shifted.tolist())))
+
+
+def ball_energy_experiment(d_values, radius_schedule, half_integer_center: bool = True,
+                           point_cap: int = 2_000_000) -> list[BallExperimentRow]:
+    """Exact energies of ball lattice sets against the (4*sqrt(3)/9)^d line.
+
+    Centers: the lattice origin and, optionally, the half-integer offset
+    (the choice of center is otherwise arbitrary, so both are reported).
+    The trend against the reference line is reported, never asserted.
+    """
+    rows = []
+    for d in d_values:
+        d = int(d)
+        centers = [(0.0,) * d]
+        if half_integer_center:
+            centers.append((0.5,) * d)
+        for radius in radius_schedule:
+            for center in centers:
+                ball = ball_lattice_set(d, float(radius), center, point_cap=point_cap)
+                if ball.size == 0:
+                    continue
+                energy = energy_of_set(ball)
+                size = ball.size
+                assert size ** 2 <= energy <= size ** 3
+                rows.append(BallExperimentRow(
+                    d=d, radius=float(radius), center=center, set_size=size,
+                    energy=energy, energy_ratio=float(Fraction(energy, size ** 3)),
+                    reference_ratio=BECKNER_L4_POW4 ** d))
+    return rows
+
+
+# ---------------------------------------------------------------------------
+# Serialization
+# ---------------------------------------------------------------------------
+
+def _bounds_row_dict(row: BoundsRow) -> dict:
+    return {
+        "n": row.n,
+        "trivial_lower": row.trivial_lower,
+        "perturbation_lower": row.perturbation_lower,
+        "perturbation_strict": row.perturbation_strict,
+        "gaussian_lower": row.gaussian_lower,
+        "asymptotic_target": row.asymptotic_target,
+        "conjecture_target": row.conjecture_target,
+        "conjecture_eps": row.conjecture_eps,
+        "empirical_t": row.empirical_t,
+        "reference": row.reference,
+    }
+
+
+def _ball_row_dict(row: BallExperimentRow) -> dict:
+    return {
+        "d": row.d,
+        "radius": row.radius,
+        "center": list(row.center),
+        "set_size": row.set_size,
+        "energy": row.energy,
+        "energy_ratio": row.energy_ratio,
+        "reference_ratio": row.reference_ratio,
+    }
+
+
+def _fmt(v) -> str:
+    if v is None:
+        return ""
+    if isinstance(v, bool):
+        return str(v).lower()
+    if isinstance(v, float):
+        return "%.12g" % v  # 12 significant digits in CSV; JSON keeps full precision
+    if isinstance(v, tuple):
+        return ";".join("%.12g" % c for c in v)
+    return str(v)
+
+
+def write_results(rows, path, format: str = "json", kind: str | None = None) -> None:
+    """Deterministic serialization of bounds or ball rows (json or csv)."""
+    if format not in ("json", "csv"):
+        raise ValueError(f"unknown format {format!r}")
+    if kind is None:
+        if rows and isinstance(rows[0], BallExperimentRow):
+            kind = "ball"
+        else:
+            kind = "bounds"
+    if kind not in ("bounds", "ball"):
+        raise ValueError(f"unknown result kind {kind!r}")
+    if format == "json":
+        to_dict = _ball_row_dict if kind == "ball" else _bounds_row_dict
+        doc = {"kind": kind, "rows": [to_dict(r) for r in rows]}
+        with open(path, "w") as fh:
+            json.dump(doc, fh, indent=2)
+            fh.write("\n")
+        return
+    columns = BALL_CSV_COLUMNS if kind == "ball" else BOUNDS_CSV_COLUMNS
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([_fmt(getattr(row, col)) for col in columns])
+
+
+def read_results(path):
+    """Read back a JSON results file; returns (kind, rows)."""
+    with open(path) as fh:
+        doc = json.load(fh)
+    kind = doc["kind"]
+    rows = []
+    for d in doc["rows"]:
+        if kind == "ball":
+            rows.append(BallExperimentRow(d=d["d"], radius=d["radius"],
+                                          center=tuple(d["center"]), set_size=d["set_size"],
+                                          energy=d["energy"], energy_ratio=d["energy_ratio"],
+                                          reference_ratio=d["reference_ratio"]))
+        else:
+            rows.append(BoundsRow(n=d["n"], trivial_lower=d["trivial_lower"],
+                                  perturbation_lower=d["perturbation_lower"],
+                                  perturbation_strict=d["perturbation_strict"],
+                                  gaussian_lower=d["gaussian_lower"],
+                                  asymptotic_target=d["asymptotic_target"],
+                                  conjecture_target=d["conjecture_target"],
+                                  conjecture_eps=d["conjecture_eps"],
+                                  empirical_t=d["empirical_t"],
+                                  reference=d["reference"]))
+    return kind, rows
+
+
+def write_manifest(config: dict, seed: int, tool_version: str, path) -> None:
+    """Record everything needed to reproduce a run.
+
+    The timestamp honors SOURCE_DATE_EPOCH so archived runs can be
+    byte-reproducible.
+    """
+    epoch = os.environ.get("SOURCE_DATE_EPOCH")
+    stamp = time.gmtime(int(epoch)) if epoch else time.gmtime()
+    doc = {
+        "tool_version": tool_version,
+        "seed": seed,
+        "config": config,
+        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", stamp),
+    }
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")

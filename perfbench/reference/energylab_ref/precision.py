@@ -1,0 +1,44 @@
+"""Working-precision policy shared by every norm and certificate pipeline.
+
+Small supports are evaluated with mpmath at WORKING_PREC bits of mantissa;
+beyond HP_SUPPORT_CAP the pipelines fall back to float64 with compensated
+summation.  In either regime rounding-error bounds follow the same recipe,
+(op count) * u * (magnitude sums), where u is the unit roundoff of the
+precision actually used.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import mpmath
+from mpmath import mp
+
+# >= 100-bit mantissa so certificate margins dominate rounding by a wide gap.
+WORKING_PREC = 120
+
+# Support length above which O(m^2) extended-precision convolution is replaced
+# by float64 + magnitude-sum error bounds.
+HP_SUPPORT_CAP = 2048
+
+FLOAT64_EPS = 2.0 ** -52
+
+
+def working():
+    """Context manager pinning mpmath to the working precision."""
+    return mp.workprec(WORKING_PREC)
+
+
+def hp_unit() -> float:
+    """Unit roundoff of the extended-precision regime."""
+    return 2.0 ** (1 - WORKING_PREC)
+
+
+def to_mpf(x):
+    """Convert int/float/Fraction/mpf to mpf at the current precision.
+
+    ints and floats convert with at most one rounding; Fractions with two.
+    """
+    if isinstance(x, Fraction):
+        return mp.mpf(x.numerator) / mp.mpf(x.denominator)
+    return mpmath.mpmathify(x)
