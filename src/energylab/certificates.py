@@ -20,8 +20,9 @@ from mpmath import mp
 
 from .continuum import (ASYMPTOTIC_LOG_BASE, GaussianSpec, gaussian_l4hat, gaussian_lq,
                         truncated_gaussian_l4hat_pow4, truncated_gaussian_lq)
-from .discrete_core import (CapExceededError, DiscreteFunction, fourier_l4_pow4_with_error,
-                            energy_interval_formula, lq_norm, lq_norm_with_error)
+from .discrete_core import (CapExceededError, DiscreteFunction, energy_interval_formula,
+                            fourier_l4_pow4, fourier_l4_pow4_with_error, lq_norm,
+                            lq_norm_with_error)
 from . import precision
 from .precision import FLOAT64_EPS, hp_unit, to_mpf, working
 
@@ -136,17 +137,7 @@ def build_perturbation_certificate(n: int, eps=None) -> Certificate:
 
 
 def _perturbation_certificate(n: int, eps: Fraction) -> Certificate:
-    lo, hi = _centered_interval(n)
-    conv = np.convolve(np.ones(n, dtype=np.int64), np.ones(n, dtype=np.int64))
-    # ||f*f||_2^2 expanded exactly: (f*f)(s) = c(s) + 2 eps 1_I(s) + eps^2 delta_0(s)
-    acc = Fraction(0)
-    for s in range(2 * lo, 2 * hi + 1):
-        term = Fraction(int(conv[s - 2 * lo]))
-        if lo <= s <= hi:
-            term += 2 * eps
-        if s == 0:
-            term += eps * eps
-        acc += term * term
+    lo, _ = _centered_interval(n)
     values = [Fraction(1)] * n
     values[-lo] += eps
     f = DiscreteFunction(lo, tuple(values))
@@ -163,7 +154,7 @@ def _perturbation_certificate(n: int, eps: Fraction) -> Certificate:
             lhs = float(mp.mpf(energy) ** mp.mpf("0.25"))
             return Certificate(kind="perturbation", n=n, q=q, f=f, lhs=lhs, rhs=lhs,
                                margin=0.0, err=0.0, implied_t_bound=implied, valid=False)
-        lhs_mp = to_mpf(acc) ** mp.mpf("0.25")
+        lhs_mp = to_mpf(fourier_l4_pow4(f)) ** mp.mpf("0.25")
         sum_q = (n - 1) + (1 + to_mpf(eps)) ** q_mp
         rhs_mp = sum_q ** (1 / q_mp)
         margin_mp = lhs_mp - rhs_mp

@@ -42,16 +42,27 @@ class CapExceededError(RuntimeError):
     """Input larger than the configured safety cap."""
 
 
+# Largest packed operand of the exact autoconvolution, in bits.  Float64
+# values at support HP_SUPPORT_CAP pack into at most ~8.6e6 bits (exponent
+# spread 2^-1074..2^1024); only mpf or Fraction values can need more.
+_PACK_BITS_CAP = 1 << 25
+
+
 def _normalize_scalar(v):
-    if isinstance(v, bool):
+    if isinstance(v, (float, np.floating)):  # np.float64 subclasses float; coerce
+        v = float(v)
+        if math.isfinite(v):
+            return v
+    elif isinstance(v, (bool, np.integer)):
         return int(v)
-    if isinstance(v, np.integer):
-        return int(v)
-    if isinstance(v, np.floating):  # np.float64 subclasses float; coerce first
-        return float(v)
-    if isinstance(v, (int, float, Fraction, mp.mpf)):
+    elif isinstance(v, (int, Fraction)):
         return v
-    raise TypeError(f"unsupported value type {type(v)!r}")
+    elif isinstance(v, mp.mpf):
+        if mp.isfinite(v):
+            return v
+    else:
+        raise TypeError(f"unsupported value type {type(v)!r}")
+    raise ValueError(f"function values must be finite, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -60,7 +71,7 @@ class DiscreteFunction:
 
     Canonical form: values is empty (the zero function, offset 0) or has
     nonzero first and last entries.  Values may be int, float, Fraction or
-    mpf; exact types are preserved by direct convolution.
+    mpf and must be finite; exact types are preserved by direct convolution.
     """
 
     offset: int = 0
@@ -232,35 +243,85 @@ def lq_norm(f: DiscreteFunction, q: float) -> float:
     return float(value)
 
 
+def _integer_scaled(values):
+    """(ints, exp, den) with values[i] == ints[i] * 2**exp / den exactly."""
+    parts = []
+    for v in values:
+        if isinstance(v, int):
+            parts.append((v, 0, 1))
+        elif isinstance(v, Fraction):
+            parts.append((v.numerator, 0, v.denominator))
+        elif isinstance(v, float):
+            num, den = v.as_integer_ratio()  # den is a power of two
+            parts.append((num, 1 - den.bit_length(), 1))
+        else:
+            sign, man, exp, _ = v._mpf_
+            parts.append((-man if sign else man, exp, 1))
+    exp = min(e for n, e, _ in parts if n)
+    den = math.lcm(*(d for _, _, d in parts))
+    return [(n << (e - exp)) * (den // d) if n else 0 for n, e, d in parts], exp, den
+
+
+def _pow4_exact(values):
+    """sum_s (f*f)(s)^2 for nonzero values, exactly, as an int or Fraction.
+
+    Kronecker substitution: the values, scaled to integers a_i, are packed
+    into X = sum a_i 2^(w i), so X^2 holds c(s) = (a*a)(s) in its w-bit
+    slots.  |c(s)| < m 2^(2b) for b-bit a_i, so w = 2b + bit_length(m) + 2
+    leaves a sign bit and never carries into the next slot.
+    """
+    ints, exp, den = _integer_scaled(values)
+    m = len(ints)
+    width = (2 * max(abs(a) for a in ints).bit_length() + m.bit_length() + 2 + 7) // 8
+    if 8 * width * m > _PACK_BITS_CAP:
+        raise CapExceededError(
+            f"exact autoconvolution would pack {8 * width * m} bits, cap {_PACK_BITS_CAP}")
+    # a negative a_i is stored as a_i + 2^w; the borrow takes 2^w back from slot i+1
+    x = int.from_bytes(b"".join(a.to_bytes(width, "little", signed=True) for a in ints), "little")
+    borrow = bytearray(width * (m + 1))
+    for i, a in enumerate(ints):
+        if a < 0:
+            borrow[width * (i + 1)] = 1
+    x -= int.from_bytes(borrow, "little")
+    z = (x * x).to_bytes(width * (2 * m - 1), "little")
+    half, full = 1 << (8 * width - 1), 1 << (8 * width)
+    total = carry = 0
+    for s in range(0, len(z), width):
+        c = int.from_bytes(z[s:s + width], "little") + carry
+        carry = c >= half  # slot holds c(s) + 2^w: a negative coefficient
+        if carry:
+            c -= full
+        total += c * c
+    exp4 = 4 * exp
+    if den == 1 and exp4 >= 0:
+        return total << exp4
+    return Fraction(total << max(exp4, 0), den ** 4 << max(-exp4, 0))
+
+
 def fourier_l4_pow4_with_error(f: DiscreteFunction):
     """sum_s (f*f)(s)^2 with a relative rounding bound.
 
-    The bound uses the magnitude-sum envelope |f|*|f|: each convolution
-    coefficient c(s) carries |error| <= (m+6) u (|f|*|f|)(s), and the final
-    square sum adds (N+3) u of the envelope's square sum.
+    Up to support HP_SUPPORT_CAP the sum is computed exactly (_pow4_exact)
+    and rounded once to the working precision, so the bound is hp_unit().
+    Above it, float64 np.convolve is used and the bound uses the
+    magnitude-sum envelope |f|*|f|: each convolution coefficient c(s)
+    carries |error| <= (m+6) u (|f|*|f|)(s), and the final square sum adds
+    (N+3) u of the envelope's square sum.
     """
     if f.is_zero:
         return mp.mpf(0), 0.0
     m = len(f.values)
-    nonneg = all(v >= 0 for v in f.values)
     if m <= precision.HP_SUPPORT_CAP:
         with working():
-            vals = [to_mpf(v) for v in f.values]
-            conv = _convolve_object(vals, vals)
-            env = conv if nonneg else _convolve_object([abs(v) for v in vals], [abs(v) for v in vals])
-            total = mp.mpf(0)
-            mag = mp.mpf(0)
-            for c, e in zip(conv, env):
-                total += c * c
-                mag += e * e
-        u = hp_unit()
-    else:
-        arr = f.float_values()
-        conv = np.convolve(arr, arr)
-        env = conv if nonneg else np.convolve(np.abs(arr), np.abs(arr))
-        total = math.fsum(conv * conv)
-        mag = math.fsum(env * env)
-        u = FLOAT64_EPS
+            # the only rounding: int or Fraction to WORKING_PREC bits, < 1 ulp
+            return +mp.mpmathify(_pow4_exact(f.values)), hp_unit()
+    arr = f.float_values()
+    conv = np.convolve(arr, arr)
+    nonneg = bool(np.all(arr >= 0))
+    env = conv if nonneg else np.convolve(np.abs(arr), np.abs(arr))
+    total = math.fsum(conv * conv)
+    mag = math.fsum(env * env)
+    u = FLOAT64_EPS
     if total <= 0:
         return total, math.inf
     coef_rel = (m + 6.0) * u
@@ -278,8 +339,7 @@ def fourier_l4_pow4(f: DiscreteFunction):
     if f.is_zero:
         return 0
     if all(isinstance(v, _EXACT_SCALAR) for v in f.values):
-        conv = _convolve_direct(f.values, f.values)
-        return sum(c * c for c in conv)
+        return _pow4_exact(f.values)
     value, _ = fourier_l4_pow4_with_error(f)
     return float(value)
 
@@ -391,7 +451,8 @@ def energy_interval_formula(n: int) -> int:
     if n < 1:
         raise ValueError("n must be >= 1")
     num = 2 * n ** 3 + n
-    assert num % 3 == 0
+    if num % 3:
+        raise ArithmeticError(f"2n^3 + n = {num} is not divisible by 3 at n={n}")
     return num // 3
 
 

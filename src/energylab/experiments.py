@@ -93,10 +93,12 @@ def bounds_row(n: int, eps: float = 0.5, with_optimizer: bool = False,
                     asymptotic_target=asymptotic_target(n),
                     conjecture_target=conjecture_target(n, eps), conjecture_eps=eps,
                     empirical_t=empirical, reference=REFERENCE_T.get(n))
-    if n >= 3:
-        assert row.trivial_lower <= row.perturbation_lower + 1e-12 < 3.0
+    if n >= 3 and not row.trivial_lower <= row.perturbation_lower + 1e-12 < 3.0:
+        raise ArithmeticError(f"perturbation bound {row.perturbation_lower!r} is not in "
+                              f"[trivial bound {row.trivial_lower!r}, 3) at n={n}")
     for bound in (row.trivial_lower, row.perturbation_lower, row.gaussian_lower):
-        assert bound is None or bound <= 3.0
+        if bound is not None and bound > 3.0:
+            raise ArithmeticError(f"lower bound {bound!r} exceeds 3 at n={n}")
     return row
 
 
@@ -173,7 +175,8 @@ def ball_energy_experiment(d_values, radius_schedule, half_integer_center: bool 
                     continue
                 energy = energy_of_set(ball)
                 size = ball.size
-                assert size ** 2 <= energy <= size ** 3
+                if not size ** 2 <= energy <= size ** 3:
+                    raise ArithmeticError(f"E = {energy} outside [|B|^2, |B|^3] for |B| = {size}")
                 rows.append(BallExperimentRow(
                     d=d, radius=float(radius), center=center, set_size=size,
                     energy=energy, energy_ratio=float(Fraction(energy, size ** 3)),

@@ -1,10 +1,11 @@
 """Working-precision policy shared by every norm and certificate pipeline.
 
-Small supports are evaluated with mpmath at WORKING_PREC bits of mantissa;
-beyond HP_SUPPORT_CAP the pipelines fall back to float64 with compensated
-summation.  In either regime rounding-error bounds follow the same recipe,
-(op count) * u * (magnitude sums), where u is the unit roundoff of the
-precision actually used.
+Up to HP_SUPPORT_CAP, ||f^||_4^4 is summed exactly (big-integer
+autoconvolution) and rounded once to WORKING_PREC bits, so its relative
+bound is hp_unit(); lq norms are evaluated with mpmath at WORKING_PREC bits.
+Beyond the cap both fall back to float64 with compensated summation, and
+their bounds follow (op count) * u * (magnitude sums), with the magnitude
+sums of |f|*|f| for ||f^||_4^4; u is the unit roundoff of the precision used.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from mpmath import mp
 # >= 100-bit mantissa so certificate margins dominate rounding by a wide gap.
 WORKING_PREC = 120
 
-# Support length above which O(m^2) extended-precision convolution is replaced
-# by float64 + magnitude-sum error bounds.
+# Support length above which the exact autoconvolution and the extended-
+# precision lq norm are replaced by float64 + magnitude-sum error bounds.
 HP_SUPPORT_CAP = 2048
 
 FLOAT64_EPS = 2.0 ** -52

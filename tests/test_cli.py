@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from energylab.cli import main, parse_inline_set, read_function_file, read_set_file
 
 
@@ -77,6 +79,14 @@ class TestNormsCommand:
         path.write_text("{broken")
         code, _, err = run(capsys, "norms", "--f", str(path), "--q", "1.5")
         assert code == 2 and "line 1" in err
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_value(self, capsys, tmp_path, bad):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"offset": 0, "values": [1.0, bad, 2.0]}))
+        code, out, err = run(capsys, "norms", "--f", str(path), "--q", "1.5",
+                             "--format", "json")
+        assert code == 2 and out == "" and "finite" in err
 
 
 class TestCertifyCommand:

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from mpmath import mp
 
 from energylab.discrete_core import (CapExceededError, DiscreteFunction, InvalidExponentError,
                                      LatticeSet, ZeroFunctionError, add, convolution_method,
@@ -30,6 +31,12 @@ class TestDiscreteFunction:
         f = DiscreteFunction(0, (1, 0, 2))
         assert f.values == (1, 0, 2)
         assert f(1) == 0 and f(2) == 2 and f(99) == 0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64("nan"),
+                                     mp.mpf("inf"), mp.mpf("nan")])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError):
+            DiscreteFunction(0, (1.0, bad, 2.0))
 
     def test_indicator_and_support(self):
         f = indicator(-1, 0, 1)
@@ -122,6 +129,12 @@ class TestNorms:
             quad = fourier_l4_pow4_quadruple(f)
             conv = fourier_l4_pow4(f)
             assert quad == pytest.approx(conv, rel=1e-10, abs=1e-12)
+
+    def test_exact_pow4_pack_cap(self):
+        # a 2^-(10^7) spread between mpf values would pack ~4e7 bits per operand
+        f = DiscreteFunction(0, (mp.ldexp(1, -10 ** 7), mp.mpf(1)))
+        with pytest.raises(CapExceededError):
+            fourier_l4_pow4(f)
 
     def test_quadruple_cap(self):
         f = DiscreteFunction(0, tuple(float(i + 1) for i in range(70)))
