@@ -14,10 +14,10 @@ from .certificates import (BoundsContribution, Certificate, DiscretizationReport
 from .continuum import (GaussianSpec, QuadratureError, beckner_constant, gaussian_l4hat,
                         gaussian_lq, gaussian_ratio, quadrature_l4hat, quadrature_lq_pow)
 from .discrete_core import (CapExceededError, DiscreteFunction, InvalidExponentError,
-                            LatticeSet, RatioReport, ZeroFunctionError, convolve,
-                            convolution_method, energy_bruteforce, energy_interval_formula,
-                            energy_of_set, fourier_l4_pow4, fourier_l4_pow4_quadruple,
-                            lq_norm, ratio_report, tensor_power, trivial_lower_bound)
+                            LatticeSet, RatioReport, ZeroFunctionError, energy_bruteforce,
+                            energy_interval_formula, energy_of_set, fourier_l4_pow4,
+                            fourier_l4_pow4_quadruple, lq_norm, ratio_report, tensor_power,
+                            trivial_lower_bound)
 from .experiments import (BallExperimentRow, BoundsRow, asymptotic_target,
                           ball_energy_experiment, ball_lattice_set, bounds_table,
                           conjecture_target, read_results, write_manifest, write_results)
@@ -34,8 +34,8 @@ __all__ = [
     "beckner_constant", "bounds_table", "build_gaussian_certificate",
     "build_perturbation_certificate", "certificate_from_dict", "certificate_to_bound",
     "certificate_to_dict", "conjecture_target", "continuum_discretization_report",
-    "convolution_method", "convolve", "energy_bruteforce", "energy_gradient",
-    "energy_interval_formula", "energy_of_set", "estimate_qn", "evaluate_certificate",
+    "energy_bruteforce", "energy_gradient", "energy_interval_formula", "energy_of_set",
+    "estimate_qn", "evaluate_certificate",
     "fourier_l4_pow4", "fourier_l4_pow4_quadruple", "gaussian_l4hat", "gaussian_lq",
     "gaussian_ratio", "interval_overlap_sum", "lq_norm", "maximize_ratio",
     "quadrature_l4hat", "quadrature_lq_pow", "ratio_report", "read_results",

@@ -20,9 +20,8 @@ from mpmath import mp
 
 from .continuum import (ASYMPTOTIC_LOG_BASE, GaussianSpec, gaussian_l4hat, gaussian_lq,
                         truncated_gaussian_l4hat_pow4, truncated_gaussian_lq)
-from .discrete_core import (CapExceededError, DiscreteFunction, energy_interval_formula,
-                            fourier_l4_pow4, fourier_l4_pow4_with_error, lq_norm,
-                            lq_norm_with_error)
+from .discrete_core import (CapExceededError, DiscreteFunction, _norm_pair,
+                            energy_interval_formula, fourier_l4_pow4, lq_norm)
 from . import precision
 from .precision import FLOAT64_EPS, hp_unit, to_mpf, working
 
@@ -69,17 +68,12 @@ class Certificate:
 
 def evaluate_certificate(kind: str, n: int, q: float, f: DiscreteFunction) -> Certificate:
     """Evaluate both norms of a candidate witness and decide validity."""
-    pow4, rel4 = fourier_l4_pow4_with_error(f)
-    rhs_val, relq = lq_norm_with_error(f, q)
+    lhs_mp, rhs_mp, rel_lhs, rel_rhs = _norm_pair(f, q)
     with working():
-        lhs_mp = to_mpf(pow4) ** mp.mpf("0.25")
-        rhs_mp = to_mpf(rhs_val)
         margin_mp = lhs_mp - rhs_mp
         lhs_f, rhs_f = float(lhs_mp), float(rhs_mp)
-        # root + conversions on the lhs, conversions on the rhs, plus the
-        # float64 storage rounding of the fields themselves
-        err = float((rel4 / 4.0 + 4.0 * hp_unit()) * lhs_mp
-                    + (relq + 2.0 * hp_unit()) * rhs_mp) \
+        # plus the float64 storage rounding of the fields themselves
+        err = float(rel_lhs * lhs_mp + rel_rhs * rhs_mp) \
             + 4.0 * FLOAT64_EPS * (abs(lhs_f) + abs(rhs_f))
         valid = bool(margin_mp > err > 0.0)
         margin_f = float(margin_mp)
@@ -279,10 +273,8 @@ def continuum_discretization_report(params: GaussianScheduleParams) -> Discretiz
     gm_lq = truncated_gaussian_lq(a, q, m)
 
     f = _sampled_gaussian(params)
-    pow4, _ = fourier_l4_pow4_with_error(f)
-    with working():
-        f_l4 = float(to_mpf(pow4) ** mp.mpf("0.25"))
-    f_lq = lq_norm(f, q)
+    lhs_mp, rhs_mp, _, _ = _norm_pair(f, q)
+    f_l4, f_lq = float(lhs_mp), float(rhs_mp)
     # same function under the half-open truncation [-M, M): drop the +M sample
     f_half = DiscreteFunction(f.offset, f.values[:-1])
     parity_gap = abs(f_lq - lq_norm(f_half, q))

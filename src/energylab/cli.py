@@ -9,6 +9,7 @@ files carry no timestamps, so identical invocations produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -178,16 +179,7 @@ def _cmd_ball(args) -> int:
             center = tuple(float(c) for c in args.center.split(","))
         except ValueError as exc:
             raise InputError(f"--center: {exc}") from None
-    rows = experiments.ball_energy_experiment(
-        [args.d], [args.radius], half_integer_center=(center is None))
-    if center is not None:
-        ball = experiments.ball_lattice_set(args.d, args.radius, center)
-        energy = discrete_core.energy_of_set(ball)
-        rows = [experiments.BallExperimentRow(
-            d=args.d, radius=args.radius, center=center, set_size=ball.size,
-            energy=energy,
-            energy_ratio=energy / ball.size ** 3 if ball.size else 0.0,
-            reference_ratio=experiments.BECKNER_L4_POW4 ** args.d)]
+    rows = experiments.ball_energy_experiment([args.d], [args.radius], center=center)
     if args.format == "csv" or (args.out and args.format != "json"):
         if args.out:
             experiments.write_results(rows, args.out, format="csv", kind="ball")
@@ -197,7 +189,7 @@ def _cmd_ball(args) -> int:
             for row in rows:
                 print(",".join(experiments._fmt(getattr(row, c)) for c in cols))
     else:
-        doc = {"kind": "ball", "rows": [experiments._ball_row_dict(r) for r in rows]}
+        doc = {"kind": "ball", "rows": [dataclasses.asdict(r) for r in rows]}
         _emit(json.dumps(doc, indent=2), args.out)
     return 0
 

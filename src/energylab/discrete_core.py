@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -19,9 +20,6 @@ from mpmath import mp
 
 from . import precision
 from .precision import FLOAT64_EPS, hp_unit, to_mpf, working
-
-# Direct convolution at or below this support length, FFT above it.
-FFT_THRESHOLD = 4096
 
 # Largest bin table used for the dense representation-count path; sparser
 # sumsets (large dimension) go through a hash map keyed by the sum vector.
@@ -71,7 +69,7 @@ class DiscreteFunction:
 
     Canonical form: values is empty (the zero function, offset 0) or has
     nonzero first and last entries.  Values may be int, float, Fraction or
-    mpf and must be finite; exact types are preserved by direct convolution.
+    mpf and must be finite.
     """
 
     offset: int = 0
@@ -142,64 +140,6 @@ def add(f: DiscreteFunction, g: DiscreteFunction) -> DiscreteFunction:
     hi = max(f.offset + len(f.values), g.offset + len(g.values))
     vals = [f(a) + g(a) for a in range(lo, hi)]
     return DiscreteFunction(lo, tuple(vals))
-
-
-# ---------------------------------------------------------------------------
-# Convolution
-# ---------------------------------------------------------------------------
-
-def convolution_method(f: DiscreteFunction, g: DiscreteFunction) -> str:
-    """Method the automatic dispatch records: 'direct' or 'fft'."""
-    return "direct" if max(len(f.values), len(g.values)) <= FFT_THRESHOLD else "fft"
-
-
-def convolve(f: DiscreteFunction, g: DiscreteFunction, method: str = "auto") -> DiscreteFunction:
-    """(f*g)(s) = sum_a f(a) g(s-a), canonical result.
-
-    Direct summation preserves exact value types (int, Fraction, mpf); the
-    FFT path works in float64 and is used above FFT_THRESHOLD.
-    """
-    if method not in ("auto", "direct", "fft"):
-        raise ValueError(f"unknown convolution method {method!r}")
-    if f.is_zero or g.is_zero:
-        return DiscreteFunction()
-    chosen = convolution_method(f, g) if method == "auto" else method
-    if chosen == "fft":
-        vals = _convolve_fft(f.values, g.values)
-    else:
-        vals = _convolve_direct(f.values, g.values)
-    return DiscreteFunction(f.offset + g.offset, tuple(vals))
-
-
-def _convolve_direct(a, b):
-    if all(isinstance(v, float) for v in a) and all(isinstance(v, float) for v in b):
-        return list(np.convolve(np.asarray(a), np.asarray(b)))
-    if all(isinstance(v, int) for v in a) and all(isinstance(v, int) for v in b):
-        # int64 is exact as long as every coefficient stays below 2^62
-        bound = max(abs(v) for v in a) * max(abs(v) for v in b) * min(len(a), len(b))
-        if bound < 2 ** 62:
-            out = np.convolve(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
-            return [int(v) for v in out]
-    return _convolve_object(a, b)
-
-
-def _convolve_object(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def _convolve_fft(a, b):
-    fa = np.asarray([float(v) for v in a])
-    fb = np.asarray([float(v) for v in b])
-    size = fa.size + fb.size - 1
-    nfft = 1 << (size - 1).bit_length()
-    out = np.fft.irfft(np.fft.rfft(fa, nfft) * np.fft.rfft(fb, nfft), nfft)[:size]
-    return list(out)
 
 
 # ---------------------------------------------------------------------------
@@ -378,20 +318,38 @@ class RatioReport:
     err: float
 
 
+def _norm_pair(f: DiscreteFunction, q: float):
+    """(||f^||_4, ||f||_q, rel_lhs, rel_rhs) at working precision.
+
+    The one evaluation of both sides of every norm comparison.  rel_lhs is a
+    quarter of the pow4 bound plus the root and conversion roundings;
+    rel_rhs is the lq bound plus its conversions.
+    """
+    pow4, rel4 = fourier_l4_pow4_with_error(f)
+    lqv, relq = lq_norm_with_error(f, q)
+    with working():
+        lhs = to_mpf(pow4) ** mp.mpf("0.25")
+        rhs = to_mpf(lqv)
+    return lhs, rhs, rel4 / 4.0 + 4.0 * hp_unit(), relq + 2.0 * hp_unit()
+
+
+def _float64_rel(x: float) -> float:
+    """Relative bound on the rounding that produced the float64 x: the unit
+    roundoff in the normal range, the subnormal spacing over |x| below it."""
+    return FLOAT64_EPS if abs(x) >= sys.float_info.min else 2.0 ** -1074 / abs(x)
+
+
 def ratio_report(f: DiscreteFunction, q: float) -> RatioReport:
     if f.is_zero:
         raise ZeroFunctionError("ratio undefined for the zero function")
     if q < 1:
         raise InvalidExponentError(f"ratio_report needs q >= 1, got {q}")
-    pow4, rel4 = fourier_l4_pow4_with_error(f)
-    lqv, relq = lq_norm_with_error(f, q)
-    with working():
-        l4 = to_mpf(pow4) ** mp.mpf("0.25")
-    l4f, lqf = float(l4), float(lqv)
+    lhs, rhs, rel_lhs, rel_rhs = _norm_pair(f, q)
+    l4f, lqf = float(lhs), float(rhs)
     ratio = l4f / lqf
-    # quarter of the pow4 bound, the lq bound, root/div roundings, and the
-    # final float64 conversions
-    err = rel4 / 4.0 + relq + 4.0 * hp_unit() + 8.0 * FLOAT64_EPS
+    # the division and both float64 conversions, doubled for the second-order
+    # terms of the quotient (8 FLOAT64_EPS in the normal range)
+    err = rel_lhs + rel_rhs + 2.0 * (2.0 * FLOAT64_EPS + _float64_rel(l4f) + _float64_rel(lqf))
     return RatioReport(q=float(q), l4hat=l4f, lq=lqf, ratio=ratio, err=err)
 
 

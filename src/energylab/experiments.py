@@ -8,7 +8,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -66,28 +66,18 @@ def conjecture_target(n: int, eps: float) -> float:
 def bounds_row(n: int, eps: float = 0.5, with_optimizer: bool = False,
                seed: int = 0, tol: float = 1e-3) -> BoundsRow:
     trivial = trivial_lower_bound(n)
-    if n >= 3:
-        try:
-            cert = build_perturbation_certificate(n)
-            pert, strict = cert.implied_t_bound, cert.valid
-        except Exception:
-            pert, strict = trivial, False
-    else:
-        pert, strict = trivial, False
+    pert, strict = trivial, False
     gaussian_lower = None
     if n >= 3:
+        cert = build_perturbation_certificate(n)
+        pert, strict = cert.implied_t_bound, cert.valid
         try:
             gcert = build_gaussian_certificate(GaussianScheduleParams.from_n_eps(n, eps))
             if gcert.valid:
                 gaussian_lower = 4.0 / gcert.q
-        except Exception:
-            gaussian_lower = None
-    empirical = None
-    if with_optimizer:
-        try:
-            empirical = estimate_qn(n, tol=tol, seed=seed).t_hat
-        except Exception:
-            empirical = None
+        except CapExceededError:  # support beyond GAUSSIAN_SUPPORT_CAP at large n
+            pass
+    empirical = estimate_qn(n, tol=tol, seed=seed).t_hat if with_optimizer else None
     row = BoundsRow(n=n, trivial_lower=trivial, perturbation_lower=pert,
                     perturbation_strict=strict, gaussian_lower=gaussian_lower,
                     asymptotic_target=asymptotic_target(n),
@@ -154,23 +144,22 @@ def ball_lattice_set(d: int, radius: float, center=None,
     return LatticeSet(d, side, frozenset(map(tuple, shifted.tolist())))
 
 
-def ball_energy_experiment(d_values, radius_schedule, half_integer_center: bool = True,
+def ball_energy_experiment(d_values, radius_schedule, center=None,
                            point_cap: int = 2_000_000) -> list[BallExperimentRow]:
     """Exact energies of ball lattice sets against the (4*sqrt(3)/9)^d line.
 
-    Centers: the lattice origin and, optionally, the half-integer offset
-    (the choice of center is otherwise arbitrary, so both are reported).
-    The trend against the reference line is reported, never asserted.
+    Centers: the given center, or by default the lattice origin and the
+    half-integer offset (the choice of center is otherwise arbitrary, so
+    both are reported).  Empty balls are skipped.  The trend against the
+    reference line is reported, never asserted.
     """
     rows = []
     for d in d_values:
         d = int(d)
-        centers = [(0.0,) * d]
-        if half_integer_center:
-            centers.append((0.5,) * d)
+        centers = [(0.0,) * d, (0.5,) * d] if center is None else [tuple(center)]
         for radius in radius_schedule:
-            for center in centers:
-                ball = ball_lattice_set(d, float(radius), center, point_cap=point_cap)
+            for c in centers:
+                ball = ball_lattice_set(d, float(radius), c, point_cap=point_cap)
                 if ball.size == 0:
                     continue
                 energy = energy_of_set(ball)
@@ -178,7 +167,7 @@ def ball_energy_experiment(d_values, radius_schedule, half_integer_center: bool 
                 if not size ** 2 <= energy <= size ** 3:
                     raise ArithmeticError(f"E = {energy} outside [|B|^2, |B|^3] for |B| = {size}")
                 rows.append(BallExperimentRow(
-                    d=d, radius=float(radius), center=center, set_size=size,
+                    d=d, radius=float(radius), center=c, set_size=size,
                     energy=energy, energy_ratio=float(Fraction(energy, size ** 3)),
                     reference_ratio=BECKNER_L4_POW4 ** d))
     return rows
@@ -187,33 +176,6 @@ def ball_energy_experiment(d_values, radius_schedule, half_integer_center: bool 
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
-
-def _bounds_row_dict(row: BoundsRow) -> dict:
-    return {
-        "n": row.n,
-        "trivial_lower": row.trivial_lower,
-        "perturbation_lower": row.perturbation_lower,
-        "perturbation_strict": row.perturbation_strict,
-        "gaussian_lower": row.gaussian_lower,
-        "asymptotic_target": row.asymptotic_target,
-        "conjecture_target": row.conjecture_target,
-        "conjecture_eps": row.conjecture_eps,
-        "empirical_t": row.empirical_t,
-        "reference": row.reference,
-    }
-
-
-def _ball_row_dict(row: BallExperimentRow) -> dict:
-    return {
-        "d": row.d,
-        "radius": row.radius,
-        "center": list(row.center),
-        "set_size": row.set_size,
-        "energy": row.energy,
-        "energy_ratio": row.energy_ratio,
-        "reference_ratio": row.reference_ratio,
-    }
-
 
 def _fmt(v) -> str:
     if v is None:
@@ -239,8 +201,7 @@ def write_results(rows, path, format: str = "json", kind: str | None = None) -> 
     if kind not in ("bounds", "ball"):
         raise ValueError(f"unknown result kind {kind!r}")
     if format == "json":
-        to_dict = _ball_row_dict if kind == "ball" else _bounds_row_dict
-        doc = {"kind": kind, "rows": [to_dict(r) for r in rows]}
+        doc = {"kind": kind, "rows": [asdict(r) for r in rows]}
         with open(path, "w") as fh:
             json.dump(doc, fh, indent=2)
             fh.write("\n")
@@ -258,23 +219,10 @@ def read_results(path):
     with open(path) as fh:
         doc = json.load(fh)
     kind = doc["kind"]
-    rows = []
-    for d in doc["rows"]:
-        if kind == "ball":
-            rows.append(BallExperimentRow(d=d["d"], radius=d["radius"],
-                                          center=tuple(d["center"]), set_size=d["set_size"],
-                                          energy=d["energy"], energy_ratio=d["energy_ratio"],
-                                          reference_ratio=d["reference_ratio"]))
-        else:
-            rows.append(BoundsRow(n=d["n"], trivial_lower=d["trivial_lower"],
-                                  perturbation_lower=d["perturbation_lower"],
-                                  perturbation_strict=d["perturbation_strict"],
-                                  gaussian_lower=d["gaussian_lower"],
-                                  asymptotic_target=d["asymptotic_target"],
-                                  conjecture_target=d["conjecture_target"],
-                                  conjecture_eps=d["conjecture_eps"],
-                                  empirical_t=d["empirical_t"],
-                                  reference=d["reference"]))
+    if kind == "ball":
+        rows = [BallExperimentRow(**{**d, "center": tuple(d["center"])}) for d in doc["rows"]]
+    else:
+        rows = [BoundsRow(**d) for d in doc["rows"]]
     return kind, rows
 
 

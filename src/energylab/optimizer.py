@@ -11,8 +11,6 @@ are seeded draws.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +29,6 @@ class OptimizerConfig:
     q: float
     starts: int = 16
     max_iters: int = 5000
-    step_rule: str = "backtracking"
     tol: float = 1e-12
     seed: int = 0
 
@@ -44,8 +41,6 @@ class OptimizerConfig:
             raise ValueError("starts must be >= 4 (the canonical starts)")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.step_rule != "backtracking":
-            raise ValueError(f"unknown step rule {self.step_rule!r}")
         if not self.tol > 0:
             raise ValueError("tol must be positive")
 
@@ -57,13 +52,6 @@ class OptimizerResult:
     err: float
     iterations: int
     start_id: int
-
-
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("ENERGY_LAB_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def energy_pow4_array(x: np.ndarray) -> float:
@@ -172,27 +160,15 @@ def maximize_ratio(config: OptimizerConfig) -> OptimizerResult:
     while len(starts) < config.starts:
         starts.append(rng.random(n))
 
-    def run_chain(start):
-        sid, x0 = start
+    best = None
+    for sid, x0 in enumerate(starts):
         out = _ascend(x0, q, config.max_iters, config.tol)
         attempt = 0
         while out is None:  # degenerate start: restart that chain, per-chain stream
             attempt += 1
             restart = np.random.default_rng([config.seed, sid, attempt]).random(n) + 1e-6
             out = _ascend(restart, q, config.max_iters, config.tol)
-        return sid, out
-
-    jobs = list(enumerate(starts))
-    threads = _threads()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            raw = list(pool.map(run_chain, jobs))
-    else:
-        raw = [run_chain(j) for j in jobs]
-    raw.sort(key=lambda r: r[0])
-
-    best = None
-    for sid, (x, _, iters) in raw:
+        x, _, iters = out
         f = DiscreteFunction(0, tuple(x / x.max()))
         report = ratio_report(f, q)
         key = (report.ratio, -sid)

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from energylab import discrete_core, experiments
 from energylab.cli import main, parse_inline_set, read_function_file, read_set_file
+from energylab.discrete_core import energy_of_set
 
 
 def run(capsys, *argv):
@@ -80,6 +82,15 @@ class TestNormsCommand:
         code, _, err = run(capsys, "norms", "--f", str(path), "--q", "1.5")
         assert code == 2 and "line 1" in err
 
+    def test_subnormal_ratio_within_err(self, capsys, tmp_path):
+        # both norms underflow to subnormals, where float64 keeps few digits
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps({"offset": 0, "values": [1e-320, 1e-320]}))
+        code, out, _ = run(capsys, "norms", "--f", str(path), "--q", "1.5", "--format", "json")
+        doc = json.loads(out)
+        assert code == 0
+        assert abs(doc["ratio"] - 6 ** 0.25 / 2 ** (1 / 1.5)) <= doc["err"]
+
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_non_finite_value(self, capsys, tmp_path, bad):
         path = tmp_path / "bad.json"
@@ -118,6 +129,19 @@ class TestBallCommand:
         assert code == 0
         doc = json.loads(out)
         assert doc["rows"][0]["set_size"] == 5
+
+    def test_center_counts_one_energy(self, capsys, monkeypatch):
+        calls = []
+
+        def counted(lattice):
+            calls.append(lattice.size)
+            return energy_of_set(lattice)
+
+        monkeypatch.setattr(experiments, "energy_of_set", counted)
+        monkeypatch.setattr(discrete_core, "energy_of_set", counted)
+        code, out, _ = run(capsys, "ball", "--d", "2", "--radius", "1", "--center", "0,0")
+        assert code == 0 and calls == [5]
+        assert [r["set_size"] for r in json.loads(out)["rows"]] == [5]
 
     def test_both_centers_by_default(self, capsys):
         code, out, _ = run(capsys, "ball", "--d", "2", "--radius", "1.5")

@@ -1,15 +1,14 @@
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
 from mpmath import mp
 
 from energylab.discrete_core import (CapExceededError, DiscreteFunction, InvalidExponentError,
-                                     LatticeSet, ZeroFunctionError, add, convolution_method,
-                                     convolve, energy_bruteforce, energy_interval_formula,
-                                     energy_of_set, fourier_l4_pow4, fourier_l4_pow4_quadruple,
-                                     lq_norm, ratio_report, tensor_power, trivial_lower_bound)
+                                     LatticeSet, ZeroFunctionError, add, energy_bruteforce,
+                                     energy_interval_formula, energy_of_set, fourier_l4_pow4,
+                                     fourier_l4_pow4_quadruple, lq_norm, ratio_report,
+                                     tensor_power, trivial_lower_bound)
 
 
 def indicator(*pts):
@@ -42,53 +41,6 @@ class TestDiscreteFunction:
         f = indicator(-1, 0, 1)
         assert f.offset == -1 and f.values == (1, 1, 1)
         assert list(f.support()) == [-1, 0, 1]
-
-
-class TestConvolve:
-    def test_delta_identity(self):
-        d = DiscreteFunction.delta()
-        assert convolve(d, d) == d
-
-    def test_pair_indicator(self):
-        f = indicator(0, 1)
-        c = convolve(f, f)
-        assert c.offset == 0 and c.values == (1, 2, 1)
-
-    def test_symmetric_triple(self):
-        f = indicator(-1, 0, 1)
-        c = convolve(f, f)
-        assert c.offset == -2 and c.values == (1, 2, 3, 2, 1)
-
-    def test_zero_absorbs(self):
-        assert convolve(DiscreteFunction(), indicator(0, 1)).is_zero
-
-    def test_exact_types_preserved(self):
-        f = DiscreteFunction(0, (Fraction(1, 3), Fraction(2, 3)))
-        c = convolve(f, f)
-        assert c.values == (Fraction(1, 9), Fraction(4, 9), Fraction(4, 9))
-
-    def test_method_selection(self):
-        small = indicator(*range(10))
-        assert convolution_method(small, small) == "direct"
-        big = DiscreteFunction(0, tuple(float(i % 7 + 1) for i in range(5000)))
-        assert convolution_method(big, big) == "fft"
-
-    @pytest.mark.parametrize("m", [64, 1000, 2 ** 15])
-    def test_direct_fft_agree(self, m):
-        rng = np.random.default_rng(m)
-        f = DiscreteFunction(-m // 2, tuple(rng.standard_normal(m)))
-        direct = convolve(f, f, method="direct")
-        fast = convolve(f, f, method="fft")
-        a = f.float_values()
-        scale = float(np.max(np.abs(np.convolve(np.abs(a), np.abs(a)))))
-        worst = max(abs(float(x) - float(y)) for x, y in zip(direct.values, fast.values))
-        assert worst <= 1e-10 * scale
-
-    def test_offsets_compose(self):
-        f = DiscreteFunction(5, (1.0, 2.0))
-        g = DiscreteFunction(-3, (4.0,))
-        c = convolve(f, g)
-        assert c.offset == 2 and c.values == (4.0, 8.0)
 
 
 class TestNorms:

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from energylab import experiments
 from energylab.discrete_core import CapExceededError, energy_bruteforce, energy_of_set
 from energylab.experiments import (BALL_CSV_COLUMNS, BOUNDS_CSV_COLUMNS,
                                    ball_energy_experiment, ball_lattice_set, bounds_row,
@@ -55,6 +56,14 @@ class TestBoundsTable:
         assert row.empirical_t is not None
         assert row.empirical_t == pytest.approx(math.log2(6), abs=5e-3)
 
+    def test_certificate_errors_propagate(self, monkeypatch):
+        def broken(n, eps=None):
+            raise RuntimeError("perturbation certificate failed")
+
+        monkeypatch.setattr(experiments, "build_perturbation_certificate", broken)
+        with pytest.raises(RuntimeError, match="perturbation certificate failed"):
+            bounds_row(5)
+
 
 class TestBallSets:
     def test_1d_interval(self):
@@ -97,7 +106,7 @@ class TestBallExperiment:
             assert row.reference_ratio == pytest.approx((4 * math.sqrt(3) / 9) ** row.d, rel=1e-13)
 
     def test_1d_ratio_tends_to_two_thirds(self):
-        rows = ball_energy_experiment([1], [200.5], half_integer_center=False)
+        rows = ball_energy_experiment([1], [200.5], center=(0.0,))
         assert rows[0].energy_ratio == pytest.approx(2 / 3, abs=1e-4)
 
 

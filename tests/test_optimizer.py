@@ -107,8 +107,6 @@ class TestMaximize:
             OptimizerConfig(n=2, q=1.0)
         with pytest.raises(ValueError):
             OptimizerConfig(n=2, q=1.5, starts=2)
-        with pytest.raises(ValueError):
-            OptimizerConfig(n=2, q=1.5, step_rule="fixed")
 
 
 class TestEstimate:

@@ -1,7 +1,9 @@
 """Property tests: the exact ||f^||_4^4 kernel against the quadruple-sum
-oracle, and certificate JSON round trips."""
+oracle, scale invariance of the ratio report, and certificate JSON round
+trips."""
 
 import json
+import math
 from fractions import Fraction
 
 from hypothesis import example, given, settings
@@ -12,7 +14,8 @@ from energylab.certificates import (GaussianScheduleParams, build_gaussian_certi
                                     certificate_from_dict, certificate_to_dict,
                                     revalidate_certificate)
 from energylab.discrete_core import (DiscreteFunction, _pow4_exact, fourier_l4_pow4,
-                                     fourier_l4_pow4_quadruple, fourier_l4_pow4_with_error)
+                                     fourier_l4_pow4_quadruple, fourier_l4_pow4_with_error,
+                                     ratio_report)
 
 INTS = st.integers(-10 ** 9, 10 ** 9)
 FRACTIONS = st.fractions(max_denominator=10 ** 6)
@@ -52,6 +55,19 @@ def test_exact_pow4_matches_quadruple_oracle(offset, values):
     assert _pow4_exact(f.values) == oracle
     value, rel = fourier_l4_pow4_with_error(f)
     assert abs(as_fraction(value) - oracle) <= Fraction(rel) * oracle
+
+
+@settings(max_examples=100, deadline=None)
+@example(ks=[1, 1], e=-1074, q=1.5)  # both norms round to 2 * 2^-1074
+@example(ks=[1, 1], e=-1063, q=1.5)  # values near 1e-320
+@given(ks=st.lists(st.integers(1, 15), min_size=1, max_size=12),
+       e=st.integers(-1074, 1000), q=st.floats(1.0, 3.0))
+def test_ratio_report_scale_invariant(ks, e, q):
+    # k * 2^e is exact in float64, so both functions have the same true ratio
+    base = ratio_report(DiscreteFunction(0, tuple(ks)), q)
+    scaled = ratio_report(DiscreteFunction(0, tuple(math.ldexp(k, e) for k in ks)), q)
+    bound = (base.err + scaled.err) * base.ratio / (1.0 - base.err)
+    assert abs(scaled.ratio - base.ratio) <= bound
 
 
 @settings(max_examples=10, deadline=None)
