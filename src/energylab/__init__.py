@@ -21,8 +21,7 @@ from .discrete_core import (CapExceededError, DiscreteFunction, InvalidExponentE
 from .experiments import (BallExperimentRow, BoundsRow, asymptotic_target,
                           ball_energy_experiment, ball_lattice_set, bounds_table,
                           conjecture_target, read_results, write_manifest, write_results)
-from .optimizer import (OptimizerConfig, OptimizerResult, QnEstimate, energy_gradient,
-                        estimate_qn, maximize_ratio)
+from .optimizer import OptimizerConfig, OptimizerResult, QnEstimate, estimate_qn, maximize_ratio
 
 __all__ = [
     "__version__",
@@ -34,7 +33,7 @@ __all__ = [
     "beckner_constant", "bounds_table", "build_gaussian_certificate",
     "build_perturbation_certificate", "certificate_from_dict", "certificate_to_bound",
     "certificate_to_dict", "conjecture_target", "continuum_discretization_report",
-    "energy_bruteforce", "energy_gradient", "energy_interval_formula", "energy_of_set",
+    "energy_bruteforce", "energy_interval_formula", "energy_of_set",
     "estimate_qn", "evaluate_certificate",
     "fourier_l4_pow4", "fourier_l4_pow4_quadruple", "gaussian_l4hat", "gaussian_lq",
     "gaussian_ratio", "interval_overlap_sum", "lq_norm", "maximize_ratio",

@@ -232,15 +232,13 @@ def criterion_9(seed: int = DEFAULT_SEED) -> CriterionResult:
     for _ in range(100):
         m = int(rng.integers(2, 17))
         x = rng.standard_normal(m)
-        f = discrete_core.DiscreteFunction(0, tuple(float(v) for v in x))
-        grad = optimizer.energy_gradient(f)
+        analytic = optimizer.energy_gradient_window(x)
         fd = np.zeros(m)
         for i in range(m):
             xp, xm = x.copy(), x.copy()
             xp[i] += h
             xm[i] -= h
             fd[i] = (optimizer.energy_pow4_array(xp) - optimizer.energy_pow4_array(xm)) / (2 * h)
-        analytic = np.array([float(grad(i)) for i in range(m)])
         rel = float(np.max(np.abs(analytic - fd)) / max(np.max(np.abs(fd)), 1e-30))
         worst = max(worst, rel)
     return CriterionResult(9, "energy gradient vs finite differences",

@@ -21,9 +21,9 @@ from mpmath import mp
 from .continuum import (ASYMPTOTIC_LOG_BASE, GaussianSpec, gaussian_l4hat, gaussian_lq,
                         truncated_gaussian_l4hat_pow4, truncated_gaussian_lq)
 from .discrete_core import (CapExceededError, DiscreteFunction, _norm_pair,
-                            energy_interval_formula, fourier_l4_pow4, lq_norm)
+                            energy_interval_formula, lq_norm)
 from . import precision
-from .precision import FLOAT64_EPS, hp_unit, to_mpf, working
+from .precision import FLOAT64_EPS, to_mpf, working
 
 CERTIFICATE_KINDS = ("gaussian", "perturbation", "explicit")
 
@@ -107,10 +107,12 @@ def interval_overlap_sum(n: int) -> int:
 def build_perturbation_certificate(n: int, eps=None) -> Certificate:
     """Witness f = 1_I + eps*delta_0 at q = 4/log_n((2n^3+n)/3).
 
-    With eps omitted, scans eps over {2^-j : j=1..20} and keeps the
-    maximum-margin valid certificate (ties broken toward smaller eps).
-    eps = 0 is the equality boundary: margin is exactly 0 and the
-    certificate is not valid.
+    q is rounded to float64 once, and both norms, the margin and err come
+    from evaluate_certificate at that q, as for every other witness, so
+    revalidating the certificate reproduces it.  With eps omitted, scans eps
+    over {2^-j : j=1..20} and keeps the maximum-margin valid certificate
+    (ties broken toward smaller eps).  eps = 0 is the equality boundary:
+    margin is exactly 0 and the certificate is not valid.
     """
     if n < 3:
         raise ValueError("perturbation certificate needs n >= 3 "
@@ -138,29 +140,13 @@ def _perturbation_certificate(n: int, eps: Fraction) -> Certificate:
 
     energy = energy_interval_formula(n)
     with working():
-        log_e = mp.log(energy)
-        log_n = mp.log(n)
-        q_mp = 4 * log_n / log_e
-        implied = float(log_e / log_n)
-        q = float(q_mp)
+        q = float(4 * mp.log(n) / mp.log(energy))
         if eps == 0:
             # ||1_I||_q^4 = n^{4/q} = E(I) exactly at this q; equality witness
             lhs = float(mp.mpf(energy) ** mp.mpf("0.25"))
             return Certificate(kind="perturbation", n=n, q=q, f=f, lhs=lhs, rhs=lhs,
-                               margin=0.0, err=0.0, implied_t_bound=implied, valid=False)
-        lhs_mp = to_mpf(fourier_l4_pow4(f)) ** mp.mpf("0.25")
-        sum_q = (n - 1) + (1 + to_mpf(eps)) ** q_mp
-        rhs_mp = sum_q ** (1 / q_mp)
-        margin_mp = lhs_mp - rhs_mp
-        u = hp_unit()
-        # lhs: Fraction conversion + fourth root; rhs: the scalar chain
-        # log/div/power/root amplifies to ~30u, doubled for safety
-        err = float(6.0 * u * lhs_mp + 60.0 * u * rhs_mp) \
-            + 4.0 * FLOAT64_EPS * float(lhs_mp + rhs_mp)
-        valid = bool(margin_mp > err > 0.0)
-        lhs_f, rhs_f, margin_f = float(lhs_mp), float(rhs_mp), float(margin_mp)
-    return Certificate(kind="perturbation", n=n, q=q, f=f, lhs=lhs_f, rhs=rhs_f,
-                       margin=margin_f, err=err, implied_t_bound=implied, valid=valid)
+                               margin=0.0, err=0.0, implied_t_bound=4.0 / q, valid=False)
+    return evaluate_certificate("perturbation", n, q, f)
 
 
 # ---------------------------------------------------------------------------
@@ -354,9 +340,16 @@ def certificate_to_dict(cert: Certificate) -> dict:
     }
 
 
+def _value_from_str(s: str):
+    # a float written by repr comes back as that float, anything else at 120 bits
+    if repr(float(s)) == s:
+        return float(s)
+    return mp.mpf(s)
+
+
 def certificate_from_dict(d: dict) -> Certificate:
     with working():
-        vals = tuple(mp.mpf(s) for s in d["values"])
+        vals = tuple(_value_from_str(s) for s in d["values"])
     f = DiscreteFunction(int(d["offset"]), vals)
     return Certificate(kind=d["kind"], n=int(d["n"]), q=float(d["q"]), f=f,
                        lhs=float(d["lhs"]), rhs=float(d["rhs"]),

@@ -157,10 +157,11 @@ def lq_norm_with_error(f: DiscreteFunction, q: float):
         with working():
             qm = to_mpf(float(q))
             total = mp.mpf(0)
-            for v in f.values:
+            # a run of k equal values costs one power: k * |v|^q (exact for k = 1)
+            for v, run in itertools.groupby(f.values):
                 if v == 0:
                     continue
-                total += abs(to_mpf(v)) ** qm
+                total += sum(1 for _ in run) * abs(to_mpf(v)) ** qm
             value = total ** (1 / qm)
         u = hp_unit()
     else:
@@ -168,7 +169,8 @@ def lq_norm_with_error(f: DiscreteFunction, q: float):
         total = math.fsum(np.power(arr, q))
         value = total ** (1.0 / q)
         u = FLOAT64_EPS
-    # per term: input (2u) amplified by q, power 4u; nonnegative sum (n+1)u;
+    # per term: input (2u) amplified by q, power 4u; nonnegative sum (n+1)u
+    # (a run's multiply adds one rounding and saves at least one addition);
     # root divides by q and rounds twice; doubled for safety
     rel = 2.0 * ((2.0 * q + 4.0 + n + 1.0) / q + 2.0) * u
     return value, rel
@@ -346,6 +348,9 @@ def ratio_report(f: DiscreteFunction, q: float) -> RatioReport:
         raise InvalidExponentError(f"ratio_report needs q >= 1, got {q}")
     lhs, rhs, rel_lhs, rel_rhs = _norm_pair(f, q)
     l4f, lqf = float(lhs), float(rhs)
+    if l4f == 0.0 or lqf == 0.0:
+        raise ValueError(f"norms of f underflow float64 (l4hat {mp.nstr(lhs, 6)}, "
+                         f"lq {mp.nstr(rhs, 6)}); rescale f")
     ratio = l4f / lqf
     # the division and both float64 conversions, doubled for the second-order
     # terms of the quotient (8 FLOAT64_EPS in the normal range)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certificates import Certificate, certificate_to_dict, evaluate_certificate
+from .certificates import Certificate, evaluate_certificate
 from .discrete_core import DiscreteFunction, ratio_report
 
 ARMIJO_C = 1e-4
@@ -59,20 +59,9 @@ def energy_pow4_array(x: np.ndarray) -> float:
     return float(np.dot(c, c))
 
 
-def energy_gradient(f: DiscreteFunction) -> DiscreteFunction:
-    """Gradient of sum f(a)f(b)f(c)f(a+b-c): 4 * sum_b f(b) (f*f)(x+b)."""
-    if f.is_zero:
-        return DiscreteFunction()
-    x = f.float_values()
-    conv = np.convolve(x, x)
-    grad = 4.0 * np.convolve(conv, x[::-1])
-    lo = f.offset
-    hi = lo + len(x) - 1
-    return DiscreteFunction(2 * lo - hi, tuple(grad))
-
-
 def energy_gradient_window(x: np.ndarray) -> np.ndarray:
-    """Gradient restricted to the window carrying x."""
+    """Gradient of sum x(a)x(b)x(c)x(a+b-c) on the window carrying x:
+    4 * sum_b x(b) (x*x)(i+b)."""
     c = np.convolve(x, x)
     return 4.0 * np.correlate(c, x, mode="valid")
 
@@ -150,9 +139,10 @@ def _canonical_starts(n: int) -> list[np.ndarray]:
 def maximize_ratio(config: OptimizerConfig) -> OptimizerResult:
     """Multi-start search for sup ||f^||_4 / ||f||_q over f >= 0 on {0..n-1}.
 
-    The winner is re-evaluated at working precision (ratio_report), so
-    best_ratio carries a rigorous rounding bound.  Deterministic for a fixed
-    config: chains are independent and the reduction is ordered by start_id.
+    Chains are ranked by their float64 objective; only the winner is
+    evaluated at working precision (ratio_report), so best_ratio carries a
+    rigorous rounding bound.  Deterministic for a fixed config: chains are
+    independent and ties go to the smaller start_id.
     """
     n, q = config.n, config.q
     rng = np.random.default_rng(config.seed)
@@ -168,24 +158,15 @@ def maximize_ratio(config: OptimizerConfig) -> OptimizerResult:
             attempt += 1
             restart = np.random.default_rng([config.seed, sid, attempt]).random(n) + 1e-6
             out = _ascend(restart, q, config.max_iters, config.tol)
-        x, _, iters = out
-        f = DiscreteFunction(0, tuple(x / x.max()))
-        report = ratio_report(f, q)
-        key = (report.ratio, -sid)
+        x, value, iters = out
+        key = (value, -sid)
         if best is None or key > best[0]:
-            best = (key, f, report, iters, sid)
-    _, f, report, iters, sid = best
+            best = (key, x, iters, sid)
+    _, x, iters, sid = best
+    f = DiscreteFunction(0, tuple(x / x.max()))
+    report = ratio_report(f, q)
     return OptimizerResult(best_f=f, best_ratio=report.ratio, err=report.err,
                            iterations=iters, start_id=sid)
-
-
-def result_to_dict(result: OptimizerResult, q: float, seed: int) -> dict:
-    """Serialize a result as its certificate record plus the run identifiers."""
-    n = result.best_f.offset + len(result.best_f.values)
-    cert = evaluate_certificate("explicit", max(2, n), q, result.best_f)
-    doc = certificate_to_dict(cert)
-    doc.update({"iterations": result.iterations, "start_id": result.start_id, "seed": seed})
-    return doc
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,12 @@ measured numbers.  Everything else must pass.
 """
 
 import functools
+import os
 import subprocess
 import sys
 from pathlib import Path
 
+import energylab
 from energylab import acceptance
 
 SEED = 7
@@ -92,11 +94,16 @@ def test_criterion_10_ball_experiment():
 
 
 def _run_selftest(out_dir: Path):
+    # the subprocess imports the same energylab as this test, found or not on PYTHONPATH
+    package_root = str(Path(energylab.__file__).resolve().parent.parent)
+    pythonpath = os.pathsep.join(p for p in (package_root, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "energylab.cli", "selftest", "--seed", "7",
          "--out", str(out_dir)],
-        capture_output=True, text=True, timeout=1800)
+        capture_output=True, text=True, timeout=1800,
+        env={**os.environ, "PYTHONPATH": pythonpath})
     assert proc.returncode in (0, 1), proc.stderr
+    assert (out_dir / "selftest_results.json").is_file(), proc.stderr
     return proc
 
 

@@ -211,6 +211,21 @@ class TestSerialization:
         back = certificate_from_dict(certificate_to_dict(cert))
         assert revalidate_certificate(back).valid == cert.valid
 
+    @pytest.mark.parametrize("n", [3, 9, 300])
+    def test_perturbation_revalidation_reproduces(self, n):
+        cert = build_perturbation_certificate(n)
+        fresh = revalidate_certificate(certificate_from_dict(certificate_to_dict(cert)))
+        for field in ("q", "lhs", "rhs", "margin", "err", "implied_t_bound", "valid"):
+            assert getattr(fresh, field) == getattr(cert, field), field
+
+    def test_float_values_round_trip(self):
+        from energylab.optimizer import OptimizerConfig, maximize_ratio
+        res = maximize_ratio(OptimizerConfig(n=3, q=1.48, seed=7))
+        cert = evaluate_certificate("explicit", 3, 1.48, res.best_f)
+        back = certificate_from_dict(json.loads(json.dumps(certificate_to_dict(cert))))
+        assert back.f == cert.f
+        assert revalidate_certificate(back) == cert
+
     def test_dict_schema(self):
         d = certificate_to_dict(build_perturbation_certificate(3))
         assert set(d) == {"kind", "n", "q", "offset", "values", "lhs", "rhs",

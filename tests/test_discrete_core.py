@@ -7,8 +7,8 @@ from mpmath import mp
 from energylab.discrete_core import (CapExceededError, DiscreteFunction, InvalidExponentError,
                                      LatticeSet, ZeroFunctionError, add, energy_bruteforce,
                                      energy_interval_formula, energy_of_set, fourier_l4_pow4,
-                                     fourier_l4_pow4_quadruple, lq_norm, ratio_report,
-                                     tensor_power, trivial_lower_bound)
+                                     fourier_l4_pow4_quadruple, lq_norm, lq_norm_with_error,
+                                     ratio_report, tensor_power, trivial_lower_bound)
 
 
 def indicator(*pts):
@@ -60,6 +60,15 @@ class TestNorms:
 
     def test_zero_function_norm(self):
         assert lq_norm(DiscreteFunction(), 1.5) == 0.0
+
+    def test_runs_of_equal_values(self):
+        # runs are summed as k * |v|^q; the interleaved order has no runs
+        runs = DiscreteFunction(0, (1, 1, 1, 0.5, 0.5, 3, 1, 1))
+        mixed = DiscreteFunction(0, (1, 0.5, 1, 3, 1, 0.5, 1, 1.0))
+        assert len(mixed.values) == len(runs.values)
+        (a, rel_a), (b, rel_b) = lq_norm_with_error(runs, 1.7), lq_norm_with_error(mixed, 1.7)
+        assert abs(a - b) <= (rel_a + rel_b) * b
+        assert float(a) == pytest.approx((5 + 2 * 0.5 ** 1.7 + 3 ** 1.7) ** (1 / 1.7), rel=1e-15)
 
     def test_pow4_examples(self):
         assert fourier_l4_pow4(DiscreteFunction.delta()) == 1
@@ -118,6 +127,11 @@ class TestRatioReport:
     def test_zero_function_rejected(self):
         with pytest.raises(ZeroFunctionError):
             ratio_report(DiscreteFunction(), 1.5)
+
+    def test_norm_underflow_rejected(self):
+        # both norms are nonzero at 120 bits but round to float64 0.0
+        with pytest.raises(ValueError, match="underflow"):
+            ratio_report(DiscreteFunction(0, (mp.mpf("1e-400"),)), 1.5)
 
     def test_abs_monotonicity(self):
         rng = np.random.default_rng(5)
