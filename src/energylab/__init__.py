@@ -11,8 +11,8 @@ from .certificates import (BoundsContribution, Certificate, DiscretizationReport
                            continuum_discretization_report, evaluate_certificate,
                            interval_overlap_sum, revalidate_certificate,
                            smallest_valid_gaussian_n)
-from .continuum import (GaussianSpec, QuadratureError, beckner_constant, gaussian_l4hat,
-                        gaussian_lq, gaussian_ratio, quadrature_l4hat, quadrature_lq_pow)
+from .continuum import (GaussianSpec, QuadratureError, gaussian_l4hat, gaussian_lq,
+                        gaussian_ratio, quadrature_l4hat, quadrature_lq_pow)
 from .discrete_core import (CapExceededError, DiscreteFunction, InvalidExponentError,
                             LatticeSet, RatioReport, ZeroFunctionError, energy_bruteforce,
                             energy_interval_formula, energy_of_set, fourier_l4_pow4,
@@ -30,7 +30,7 @@ __all__ = [
     "GaussianSpec", "InvalidCertificateError", "InvalidExponentError", "LatticeSet",
     "OptimizerConfig", "OptimizerResult", "QnEstimate", "QuadratureError", "RatioReport",
     "ZeroFunctionError", "asymptotic_target", "ball_energy_experiment", "ball_lattice_set",
-    "beckner_constant", "bounds_table", "build_gaussian_certificate",
+    "bounds_table", "build_gaussian_certificate",
     "build_perturbation_certificate", "certificate_from_dict", "certificate_to_bound",
     "certificate_to_dict", "conjecture_target", "continuum_discretization_report",
     "energy_bruteforce", "energy_interval_formula", "energy_of_set",

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import json
 import math
+import sys
+import traceback
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -282,6 +284,8 @@ def run_all(seed: int = DEFAULT_SEED) -> list[CriterionResult]:
         try:
             results.append(fn(seed))
         except Exception as exc:  # a crash is a failed criterion, not a crash of the suite
+            # the traceback goes to stderr only: result files stay byte-reproducible
+            traceback.print_exc(file=sys.stderr)
             number = int(fn.__name__.rsplit("_", 1)[1])
             results.append(CriterionResult(number, fn.__doc__.splitlines()[0], False,
                                            {"error": repr(exc)}))

@@ -9,7 +9,6 @@ files carry no timestamps, so identical invocations produce identical bytes.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -105,6 +104,12 @@ def _emit(text: str, out: str | None) -> None:
         print(text)
 
 
+def _print_csv(rows, cols) -> None:
+    print(",".join(cols))
+    for row in rows:
+        print(",".join(experiments._fmt(getattr(row, c)) for c in cols))
+
+
 def _cmd_energy(args) -> int:
     if args.inline is not None:
         lattice = parse_inline_set(args.inline)
@@ -164,11 +169,10 @@ def _cmd_bounds_table(args) -> int:
              "eps": args.eps, "with_optimizer": args.with_optimizer,
              "format": args.format},
             args.seed, __version__, str(args.out) + ".manifest.json")
+    elif args.format == "json":
+        print(experiments._json_document(rows, "bounds"))
     else:
-        cols = experiments.BOUNDS_CSV_COLUMNS
-        print(",".join(cols))
-        for row in rows:
-            print(",".join(experiments._fmt(getattr(row, c)) for c in cols))
+        _print_csv(rows, experiments.BOUNDS_CSV_COLUMNS)
     return 0
 
 
@@ -184,13 +188,9 @@ def _cmd_ball(args) -> int:
         if args.out:
             experiments.write_results(rows, args.out, format="csv", kind="ball")
         else:
-            cols = experiments.BALL_CSV_COLUMNS
-            print(",".join(cols))
-            for row in rows:
-                print(",".join(experiments._fmt(getattr(row, c)) for c in cols))
+            _print_csv(rows, experiments.BALL_CSV_COLUMNS)
     else:
-        doc = {"kind": "ball", "rows": [dataclasses.asdict(r) for r in rows]}
-        _emit(json.dumps(doc, indent=2), args.out)
+        _emit(experiments._json_document(rows, "ball"), args.out)
     return 0
 
 

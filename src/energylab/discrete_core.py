@@ -21,9 +21,10 @@ from mpmath import mp
 from . import precision
 from .precision import FLOAT64_EPS, hp_unit, to_mpf, working
 
-# Largest bin table used for the dense representation-count path; sparser
-# sumsets (large dimension) go through a hash map keyed by the sum vector.
-_BINCOUNT_CAP = 1 << 22
+# Longest key span of the FFT energy path: its transforms then hold at most
+# 2^22 entries (32 MiB each).  Sparser sumsets (large dimension) go through a
+# hash map keyed by the sum vector.
+_FFT_SPAN_CAP = 1 << 21
 
 _EXACT_SCALAR = (int, Fraction)
 
@@ -120,26 +121,84 @@ class DiscreteFunction:
     def abs(self) -> "DiscreteFunction":
         return DiscreteFunction(self.offset, tuple(abs(v) for v in self.values))
 
-    def scaled(self, c) -> "DiscreteFunction":
-        return DiscreteFunction(self.offset, tuple(c * v for v in self.values))
 
-    def shifted(self, s: int) -> "DiscreteFunction":
-        return DiscreteFunction(self.offset + int(s), self.values)
+# ---------------------------------------------------------------------------
+# Float64 arithmetic above the precision cap
+# ---------------------------------------------------------------------------
 
-    def float_values(self) -> np.ndarray:
-        return np.array([float(v) for v in self.values], dtype=np.float64)
+def _float64_values(values):
+    """(arr, rel_in): the values as a float64 array, each within rel_in of
+    its own magnitude (0 when every value is a float, as from the CLI).
+
+    Other values round once, and a value that does not convert exactly must
+    land in float64's normal range, so that the relative bound holds; a
+    ValueError says to stay below the cap.
+    """
+    if all(type(v) is float for v in values):
+        return np.array(values, dtype=np.float64), 0.0
+    out, exact = [], True
+    for v in values:
+        try:
+            x = float(v)
+        except OverflowError:
+            x = math.inf
+        if x != v:
+            if not sys.float_info.min <= abs(x) < math.inf:
+                raise ValueError(f"value {v} rounds outside the float64 normal range, which "
+                                 f"evaluation above support {precision.HP_SUPPORT_CAP} needs")
+            exact = False
+        out.append(x)
+    return np.array(out, dtype=np.float64), 0.0 if exact else FLOAT64_EPS
 
 
-def add(f: DiscreteFunction, g: DiscreteFunction) -> DiscreteFunction:
-    """Pointwise sum."""
-    if f.is_zero:
-        return g
-    if g.is_zero:
-        return f
-    lo = min(f.offset, g.offset)
-    hi = max(f.offset + len(f.values), g.offset + len(g.values))
-    vals = [f(a) + g(a) for a in range(lo, hi)]
-    return DiscreteFunction(lo, tuple(vals))
+def _pow2_exponent(arr) -> int:
+    """e with max|arr| * 2^-e in [1, 2), so that scaling by 2^-e is exact."""
+    return math.frexp(float(np.max(np.abs(arr))))[1] - 1
+
+
+def _autoconvolve(x, rel_in: float = 0.0):
+    """FFT autoconvolution with a proved rounding bound: (c, e, delta).
+
+    y = x * 2^-e is an exact power-of-two prescale with max|y| in [1, 2), so
+    no product or sum below overflows or loses a normal value to underflow.
+    c = irfft(rfft(y, N)^2, N)[:2m-1] with N the least power of two >= 2m-1,
+    so c approximates y*y and x*x ~ c * 2^(2e).  delta >= max_s |c(s) - (y*y)(s)|.
+
+    The bound is C. Percival's (Math. Comp. 72 (2003), Theorem 5.1; cf.
+    Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 24.1)
+    for a cyclic convolution of length N = 2^L by two forward transforms, a
+    pointwise product and an inverse transform in arithmetic with unit
+    roundoff u = 2^-53:
+
+        ||c - y*y||_inf <= ||y||_2^2 ((1+u)^(3L) (1+sqrt5 u)^(3L+1) (1+beta)^(3L) - 1).
+
+    Assumptions: N is a power of two, so the 1/N of the inverse is exact and
+    the transform has L levels; numpy's pocketfft computes the same real
+    transforms with radix-4/radix-2 passes, treated here as L radix-2
+    levels; beta, the error of its precomputed twiddle factors, is taken
+    generously as 4u.  With S = 3L(u + beta) + (3L+1) sqrt5 u, the bracket is
+    at most e^S - 1 <= S(1 + S), as 1 + a <= e^a and S <= 1.  The
+    factor 1 + 2^-40 covers the float64 evaluation of the bound itself and
+    the absolute 2^-1074-sized errors of values flushed by the prescale or by
+    underflow inside the transforms (||y||_2^2 >= 1, so those are below
+    2^-1000 delta for any feasible m).  rel_in > 0 says each x_i is itself
+    within rel_in |x_i| of the true value; that adds (2 rel_in + rel_in^2)
+    ||y||_2^2, by Cauchy-Schwarz on |y|*|y|.
+    """
+    m = len(x)
+    e = _pow2_exponent(x)
+    y = np.ldexp(x, -e)
+    size = 1 << (2 * m - 2).bit_length()
+    spec = np.fft.rfft(y, size)
+    spec *= spec
+    c = np.fft.irfft(spec, size)[:2 * m - 1]
+    u = FLOAT64_EPS / 2.0
+    levels = size.bit_length() - 1
+    big_s = 3 * levels * (u + 4.0 * u) + (3 * levels + 1) * math.sqrt(5.0) * u
+    # a float64 dot of m nonnegative terms is within (m + 1) u of the exact sum
+    norm2 = float(np.dot(y, y)) * (1.0 + (m + 1) * u)
+    delta = (big_s * (1.0 + big_s) + rel_in * (2.0 + rel_in)) * norm2 * (1.0 + 2.0 ** -40)
+    return c, e, delta
 
 
 # ---------------------------------------------------------------------------
@@ -165,13 +224,17 @@ def lq_norm_with_error(f: DiscreteFunction, q: float):
             value = total ** (1 / qm)
         u = hp_unit()
     else:
-        arr = np.abs(f.float_values())
-        total = math.fsum(np.power(arr, q))
-        value = total ** (1.0 / q)
+        arr, _ = _float64_values(f.values)  # its rounding is the input term below
+        e = _pow2_exponent(arr)
+        total = math.fsum(np.power(np.abs(np.ldexp(arr, -e)), q))
+        with working():
+            value = mp.ldexp(total ** (1.0 / q), e)  # exact rescale
         u = FLOAT64_EPS
     # per term: input (2u) amplified by q, power 4u; nonnegative sum (n+1)u
     # (a run's multiply adds one rounding and saves at least one addition);
-    # root divides by q and rounds twice; doubled for safety
+    # root divides by q and rounds twice (the float64 prescale keeps
+    # 1 <= total <= n 2^q, so the rounded 1/q adds (ln n + q)u/q); doubled
+    # for safety
     rel = 2.0 * ((2.0 * q + 4.0 + n + 1.0) / q + 2.0) * u
     return value, rel
 
@@ -245,10 +308,12 @@ def fourier_l4_pow4_with_error(f: DiscreteFunction):
 
     Up to support HP_SUPPORT_CAP the sum is computed exactly (_pow4_exact)
     and rounded once to the working precision, so the bound is hp_unit().
-    Above it, float64 np.convolve is used and the bound uses the
-    magnitude-sum envelope |f|*|f|: each convolution coefficient c(s)
-    carries |error| <= (m+6) u (|f|*|f|)(s), and the final square sum adds
-    (N+3) u of the envelope's square sum.
+    Above it, c = _autoconvolve(values) is one float64 FFT autoconvolution
+    with a proved bound delta >= max_s |c(s) - (f*f)(s)| (Percival 2003,
+    stated in _autoconvolve), in units of its exact power-of-two prescale
+    2^(2e).  Then |sum c^2 - sum (f*f)^2| <= 2 delta ||c||_1 + (2m-1) delta^2,
+    and the squares and the compensated sum add a rounding each.  The
+    value is sum c^2 * 2^(4e), exact in mpf, so no scale overflows.
     """
     if f.is_zero:
         return mp.mpf(0), 0.0
@@ -257,20 +322,16 @@ def fourier_l4_pow4_with_error(f: DiscreteFunction):
         with working():
             # the only rounding: int or Fraction to WORKING_PREC bits, < 1 ulp
             return +mp.mpmathify(_pow4_exact(f.values)), hp_unit()
-    arr = f.float_values()
-    conv = np.convolve(arr, arr)
-    nonneg = bool(np.all(arr >= 0))
-    env = conv if nonneg else np.convolve(np.abs(arr), np.abs(arr))
-    total = math.fsum(conv * conv)
-    mag = math.fsum(env * env)
-    u = FLOAT64_EPS
-    if total <= 0:
-        return total, math.inf
-    coef_rel = (m + 6.0) * u
-    nterms = 2 * m - 1
-    abs_err = (coef_rel * (2.0 + coef_rel) + (nterms + 3.0) * u) * mag
-    rel = 2.0 * float(abs_err / total)
-    return total, rel
+    arr, rel_in = _float64_values(f.values)
+    c, e, delta = _autoconvolve(arr, rel_in)
+    total = math.fsum(c * c)  # >= 1: sum (y*y)^2 >= ||y||_2^4 >= max|y|^4
+    u = FLOAT64_EPS / 2.0
+    # a float64 sum of 2m-1 nonnegative terms is within 2m u of the exact sum
+    l1 = float(np.sum(np.abs(c))) * (1.0 + 2 * m * u)
+    abs_err = 2.0 * delta * l1 + (2 * m - 1) * delta * delta + 2.0 * u * total
+    with working():
+        value = mp.ldexp(total, 4 * e)
+    return value, abs_err / total * (1.0 + 2.0 ** -40)
 
 
 def fourier_l4_pow4(f: DiscreteFunction):
@@ -348,8 +409,8 @@ def ratio_report(f: DiscreteFunction, q: float) -> RatioReport:
         raise InvalidExponentError(f"ratio_report needs q >= 1, got {q}")
     lhs, rhs, rel_lhs, rel_rhs = _norm_pair(f, q)
     l4f, lqf = float(lhs), float(rhs)
-    if l4f == 0.0 or lqf == 0.0:
-        raise ValueError(f"norms of f underflow float64 (l4hat {mp.nstr(lhs, 6)}, "
+    if not (0.0 < l4f < math.inf and 0.0 < lqf < math.inf):
+        raise ValueError(f"norms of f underflow or overflow float64 (l4hat {mp.nstr(lhs, 6)}, "
                          f"lq {mp.nstr(rhs, 6)}); rescale f")
     ratio = l4f / lqf
     # the division and both float64 conversions, doubled for the second-order
@@ -420,14 +481,23 @@ def energy_interval_formula(n: int) -> int:
 
 
 def energy_of_set(A: LatticeSet) -> int:
-    """Exact E(A) = sum_s r(s)^2 over the sumset, arbitrary precision."""
+    """Exact E(A) = sum_s r(s)^2 over the sumset, arbitrary precision.
+
+    Dense sets go through one FFT autoconvolution of the indicator of their
+    keys (below); sparse ones, whose key span exceeds _FFT_SPAN_CAP or |A|^2,
+    and small ones through a hash map keyed by the sum vector.
+    """
     pts = sorted(A.points)
     if not pts:
         return 0
     d, n = A.dim, A.side
     base = 2 * n - 1
-    if len(pts) >= 64 and base ** d <= _BINCOUNT_CAP:
-        return _energy_bincount(pts, d, base)
+    if len(pts) >= 64:
+        span = (n - 1) * (base ** d - 1) // (base - 1) + 1  # largest key + 1
+        if span <= min(_FFT_SPAN_CAP, len(pts) ** 2):
+            energy = _energy_fft(pts, d, base)
+            if energy is not None:
+                return energy
     return _energy_hashmap(pts)
 
 
@@ -443,19 +513,23 @@ def _energy_hashmap(pts) -> int:
     return sum(v * v for v in counts.values())
 
 
-def _energy_bincount(pts, d, base) -> int:
-    radix = base ** np.arange(d, dtype=np.int64)
-    keys = np.asarray(pts, dtype=np.int64) @ radix
-    nbins = int(base ** d)
-    counts = np.zeros(nbins, dtype=np.int64)
-    chunk = max(1, 2_000_000 // len(keys))
-    for i0 in range(0, len(keys), chunk):
-        sums = (keys[i0:i0 + chunk, None] + keys[None, :]).ravel()
-        counts += np.bincount(sums, minlength=nbins)
-    nz = counts[counts > 0]
-    if len(keys) < (1 << 21):  # sum of squares then fits in int64
-        return int(np.dot(nz, nz))
-    return sum(int(v) ** 2 for v in nz)
+def _energy_fft(pts, d, base):
+    """E(A) from r = 1_K * 1_K, K the keys sum_i p_i base^i, or None.
+
+    Coordinate sums stay below base = 2n-1, so adding keys never carries and
+    r(s) counts the pairs with each sum vector.  The rounded FFT counts are
+    exact when the bound delta < 1/2, and they must add up to |A|^2.
+    """
+    keys = np.asarray(pts, dtype=np.int64) @ base ** np.arange(d, dtype=np.int64)
+    lo = int(keys.min())
+    indicator = np.zeros(int(keys.max()) - lo + 1)
+    indicator[keys - lo] = 1.0
+    c, _, delta = _autoconvolve(indicator)  # max 1, so the prescale is 2^0
+    r = np.rint(c, out=c).astype(np.int64)
+    if not (delta < 0.5 and int(r.sum()) == len(pts) ** 2):
+        return None
+    # sum r^2 < |A|^3 <= _FFT_SPAN_CAP^3 = 2^63: int64 holds it
+    return int(np.dot(r, r))
 
 
 def energy_bruteforce(A: LatticeSet, cap: int = 300) -> int:

@@ -189,6 +189,11 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _json_document(rows, kind: str) -> str:
+    """The JSON results document of write_results, without its final newline."""
+    return json.dumps({"kind": kind, "rows": [asdict(r) for r in rows]}, indent=2)
+
+
 def write_results(rows, path, format: str = "json", kind: str | None = None) -> None:
     """Deterministic serialization of bounds or ball rows (json or csv)."""
     if format not in ("json", "csv"):
@@ -201,10 +206,8 @@ def write_results(rows, path, format: str = "json", kind: str | None = None) -> 
     if kind not in ("bounds", "ball"):
         raise ValueError(f"unknown result kind {kind!r}")
     if format == "json":
-        doc = {"kind": kind, "rows": [asdict(r) for r in rows]}
         with open(path, "w") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+            fh.write(_json_document(rows, kind) + "\n")
         return
     columns = BALL_CSV_COLUMNS if kind == "ball" else BOUNDS_CSV_COLUMNS
     with open(path, "w", newline="") as fh:

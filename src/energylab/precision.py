@@ -3,9 +3,11 @@
 Up to HP_SUPPORT_CAP, ||f^||_4^4 is summed exactly (big-integer
 autoconvolution) and rounded once to WORKING_PREC bits, so its relative
 bound is hp_unit(); lq norms are evaluated with mpmath at WORKING_PREC bits.
-Beyond the cap both fall back to float64 with compensated summation, and
-their bounds follow (op count) * u * (magnitude sums), with the magnitude
-sums of |f|*|f| for ||f^||_4^4; u is the unit roundoff of the precision used.
+Beyond the cap both run in float64 on the values scaled by an exact power of
+two (max in [1, 2)), rescaled in mpf.  ||f^||_4^4 is one FFT
+autoconvolution whose forward error is bounded by C. Percival, Math. Comp.
+72 (2003), Theorem 5.1 (see discrete_core._autoconvolve); the lq bound is
+(op count) * u with compensated summation, u the float64 unit roundoff.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from mpmath import mp
 WORKING_PREC = 120
 
 # Support length above which the exact autoconvolution and the extended-
-# precision lq norm are replaced by float64 + magnitude-sum error bounds.
+# precision lq norm are replaced by float64 arithmetic with proved bounds.
 HP_SUPPORT_CAP = 2048
 
 FLOAT64_EPS = 2.0 ** -52

@@ -29,6 +29,21 @@ def criterion(number):
     return fn(SEED)
 
 
+def test_crash_traceback_on_stderr_only(monkeypatch, capsys, tmp_path):
+    def criterion_3(seed):
+        """A criterion that crashes."""
+        raise ZeroDivisionError("boom")
+
+    monkeypatch.setattr(acceptance, "CRITERIA", (criterion_3,))
+    results = acceptance.run_all(SEED)
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "ZeroDivisionError: boom" in err
+    assert [(r.number, r.passed, r.details) for r in results] == \
+        [(3, False, {"error": "ZeroDivisionError('boom')"})]
+    acceptance.write_report(results, SEED, tmp_path / "report.json")
+    assert "Traceback" not in (tmp_path / "report.json").read_text()
+
+
 def test_criterion_1_interval_energy():
     r = _line(criterion(1))
     assert r.passed, r.details

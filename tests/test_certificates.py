@@ -218,6 +218,15 @@ class TestSerialization:
         for field in ("q", "lhs", "rhs", "margin", "err", "implied_t_bound", "valid"):
             assert getattr(fresh, field) == getattr(cert, field), field
 
+    def test_gaussian_above_cap_revalidation_reproduces(self):
+        # support 28565: the FFT regime, whose err must come back unchanged
+        cert = build_gaussian_certificate(GaussianScheduleParams.from_n_eps(30001, 0.51))
+        assert cert.valid and len(cert.f.values) > 2048
+        fresh = revalidate_certificate(
+            certificate_from_dict(json.loads(json.dumps(certificate_to_dict(cert)))))
+        for field in ("q", "lhs", "rhs", "margin", "err", "implied_t_bound", "valid"):
+            assert getattr(fresh, field) == getattr(cert, field), field
+
     def test_float_values_round_trip(self):
         from energylab.optimizer import OptimizerConfig, maximize_ratio
         res = maximize_ratio(OptimizerConfig(n=3, q=1.48, seed=7))

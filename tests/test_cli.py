@@ -91,6 +91,19 @@ class TestNormsCommand:
         assert code == 0
         assert abs(doc["ratio"] - 6 ** 0.25 / 2 ** (1 / 1.5)) <= doc["err"]
 
+    def test_huge_values_above_cap(self, capsys, tmp_path):
+        # 3000 values of 1e200 take the float64 path; their squares overflow
+        # float64 unless the path prescales by a power of two
+        huge, unit = tmp_path / "huge.json", tmp_path / "unit.json"
+        huge.write_text(json.dumps({"offset": 0, "values": [1e200] * 3000}))
+        unit.write_text(json.dumps({"offset": 0, "values": [1.0] * 3000}))
+        code, out, _ = run(capsys, "norms", "--f", str(huge), "--q", "1.5", "--format", "json")
+        doc = json.loads(out)
+        assert code == 1 and doc["l4hat"] > 1e200 and doc["err"] < 1e-11
+        base = json.loads(run(capsys, "norms", "--f", str(unit), "--q", "1.5",
+                              "--format", "json")[1])
+        assert abs(doc["ratio"] - base["ratio"]) <= (doc["err"] + base["err"]) * base["ratio"]
+
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_non_finite_value(self, capsys, tmp_path, bad):
         path = tmp_path / "bad.json"
@@ -156,6 +169,14 @@ class TestBoundsTableCommand:
         lines = out.strip().splitlines()
         assert lines[0].startswith("n,trivial_lower")
         assert len(lines) == 3
+
+    def test_stdout_json_matches_file(self, capsys, tmp_path):
+        path = tmp_path / "rows.json"
+        argv = ("bounds-table", "--n-min", "2", "--n-max", "4", "--format", "json")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and json.loads(out)["kind"] == "bounds"
+        assert run(capsys, *argv, "--out", str(path))[0] == 0
+        assert out == path.read_text()
 
     def test_deterministic_files(self, capsys, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from energylab.continuum import (GaussianSpec, QuadratureError, beckner_constant,
+from energylab.continuum import (BECKNER_L4_POW4, GaussianSpec, QuadratureError,
                                  gaussian_l4hat, gaussian_lq, gaussian_ratio,
                                  quadrature_l4hat, quadrature_lq_pow,
                                  truncated_gaussian_l4hat_pow4, truncated_gaussian_lq)
@@ -32,7 +32,7 @@ class TestClosedForms:
         sharp = (16 / 27) ** 0.125
         for a in (1.0, 10.0, 1000.0, 3.7e6):
             assert gaussian_ratio(GaussianSpec(a), 4 / 3) == pytest.approx(sharp, abs=1e-12)
-        assert beckner_constant() == pytest.approx(sharp, abs=1e-15)
+        assert BECKNER_L4_POW4 ** 0.25 == pytest.approx(sharp, abs=1e-15)
 
     def test_ratio_at_two(self):
         assert gaussian_ratio(GaussianSpec(1.0), 2.0) == pytest.approx(math.pi ** 0.125, rel=1e-14)

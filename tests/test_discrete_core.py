@@ -5,7 +5,7 @@ import pytest
 from mpmath import mp
 
 from energylab.discrete_core import (CapExceededError, DiscreteFunction, InvalidExponentError,
-                                     LatticeSet, ZeroFunctionError, add, energy_bruteforce,
+                                     LatticeSet, ZeroFunctionError, energy_bruteforce,
                                      energy_interval_formula, energy_of_set, fourier_l4_pow4,
                                      fourier_l4_pow4_quadruple, lq_norm, lq_norm_with_error,
                                      ratio_report, tensor_power, trivial_lower_bound)
@@ -96,6 +96,16 @@ class TestNorms:
         f = DiscreteFunction(0, (mp.ldexp(1, -10 ** 7), mp.mpf(1)))
         with pytest.raises(CapExceededError):
             fourier_l4_pow4(f)
+
+    def test_float_path_needs_float64_range(self, monkeypatch):
+        # above the cap values go through float64; 1e-400 would round to 0.0
+        from energylab import precision
+        monkeypatch.setattr(precision, "HP_SUPPORT_CAP", 1)
+        f = DiscreteFunction(0, (mp.mpf("1e-400"), 1.0))
+        with pytest.raises(ValueError, match="float64 normal range"):
+            fourier_l4_pow4(f)
+        with pytest.raises(ValueError, match="float64 normal range"):
+            lq_norm(f, 1.5)
 
     def test_quadruple_cap(self):
         f = DiscreteFunction(0, tuple(float(i + 1) for i in range(70)))
@@ -203,7 +213,7 @@ class TestEnergies:
             A = LatticeSet(d, n, frozenset(all_pts[i] for i in idx))
             assert energy_of_set(A) == energy_bruteforce(A)
 
-    def test_bincount_path_matches_hashmap(self):
+    def test_fft_path_matches_hashmap(self):
         # side-n interval energies are large enough to hit the dense path
         A = LatticeSet.from_range(150)
         from energylab.discrete_core import _energy_hashmap
@@ -259,13 +269,6 @@ class TestTrivialBound:
     def test_invalid_n(self):
         with pytest.raises(ValueError):
             trivial_lower_bound(1)
-
-
-def test_add_pointwise():
-    f = indicator(0, 1)
-    g = DiscreteFunction.delta(0, 0.5)
-    h = add(f, g)
-    assert h(0) == 1.5 and h(1) == 1
 
 
 def test_float_path_matches_extended_precision(monkeypatch):

@@ -1,21 +1,29 @@
 """Property tests: the exact ||f^||_4^4 kernel against the quadruple-sum
-oracle, scale invariance of the ratio report, and certificate JSON round
-trips."""
+oracle, the FFT kernel above the precision cap against the exact one, FFT
+lattice energies against the hash map and the brute-force oracle, scale
+invariance of the ratio report, and certificate JSON round trips."""
 
 import json
 import math
+from contextlib import nullcontext
 from fractions import Fraction
+from unittest import mock
 
+import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import libmp, mp
 
-from energylab.certificates import (GaussianScheduleParams, build_gaussian_certificate,
-                                    certificate_from_dict, certificate_to_dict,
-                                    revalidate_certificate)
-from energylab.discrete_core import (DiscreteFunction, _pow4_exact, fourier_l4_pow4,
-                                     fourier_l4_pow4_quadruple, fourier_l4_pow4_with_error,
-                                     ratio_report)
+from energylab import precision
+from energylab.certificates import (GaussianScheduleParams, _sampled_gaussian,
+                                    build_gaussian_certificate, certificate_from_dict,
+                                    certificate_to_dict, revalidate_certificate)
+from energylab.discrete_core import (DiscreteFunction, LatticeSet, _autoconvolve,
+                                     _energy_fft, _energy_hashmap, _pow4_exact,
+                                     energy_bruteforce, energy_interval_formula, energy_of_set,
+                                     fourier_l4_pow4, fourier_l4_pow4_quadruple,
+                                     fourier_l4_pow4_with_error, ratio_report)
 
 INTS = st.integers(-10 ** 9, 10 ** 9)
 FRACTIONS = st.fractions(max_denominator=10 ** 6)
@@ -35,6 +43,17 @@ def as_fraction(v) -> Fraction:
 
 def values_of(scalars):
     return st.lists(scalars, min_size=1, max_size=40)
+
+
+def float_path():
+    """Every support above the precision cap: the float64 FFT regime."""
+    return mock.patch.object(precision, "HP_SUPPORT_CAP", 0)
+
+
+def assert_within_own_bound(f):
+    value, rel = fourier_l4_pow4_with_error(f)
+    exact = Fraction(_pow4_exact(f.values))
+    assert abs(as_fraction(value) - exact) <= Fraction(rel) * exact
 
 
 @settings(max_examples=100, deadline=None)
@@ -58,14 +77,17 @@ def test_exact_pow4_matches_quadruple_oracle(offset, values):
 
 
 @settings(max_examples=100, deadline=None)
-@example(ks=[1, 1], e=-1074, q=1.5)  # both norms round to 2 * 2^-1074
-@example(ks=[1, 1], e=-1063, q=1.5)  # values near 1e-320
+@example(ks=[1, 1], e=-1074, q=1.5, float_regime=False)  # both norms round to 2 * 2^-1074
+@example(ks=[1, 1], e=-1063, q=1.5, float_regime=False)  # values near 1e-320
+@example(ks=[1, 1], e=1000, q=1.0, float_regime=True)  # squares overflow unscaled
+@example(ks=[3, 1], e=-540, q=1.5, float_regime=True)  # squares underflow unscaled
 @given(ks=st.lists(st.integers(1, 15), min_size=1, max_size=12),
-       e=st.integers(-1074, 1000), q=st.floats(1.0, 3.0))
-def test_ratio_report_scale_invariant(ks, e, q):
+       e=st.integers(-1074, 1000), q=st.floats(1.0, 3.0), float_regime=st.booleans())
+def test_ratio_report_scale_invariant(ks, e, q, float_regime):
     # k * 2^e is exact in float64, so both functions have the same true ratio
-    base = ratio_report(DiscreteFunction(0, tuple(ks)), q)
-    scaled = ratio_report(DiscreteFunction(0, tuple(math.ldexp(k, e) for k in ks)), q)
+    with float_path() if float_regime else nullcontext():
+        base = ratio_report(DiscreteFunction(0, tuple(ks)), q)
+        scaled = ratio_report(DiscreteFunction(0, tuple(math.ldexp(k, e) for k in ks)), q)
     bound = (base.err + scaled.err) * base.ratio / (1.0 - base.err)
     assert abs(scaled.ratio - base.ratio) <= bound
 
@@ -76,3 +98,88 @@ def test_gaussian_certificate_round_trip(n, eps):
     cert = build_gaussian_certificate(GaussianScheduleParams.from_n_eps(n, eps))
     back = certificate_from_dict(json.loads(json.dumps(certificate_to_dict(cert))))
     assert revalidate_certificate(back).valid == cert.valid
+
+
+@settings(max_examples=150, deadline=None)
+@example(values=[1e308, -1e308, 5e-324])
+@example(values=[2.0 ** -1074] * 3)
+@given(values=st.one_of(values_of(FLOATS), values_of(st.floats(-1e3, 1e3)),
+                        values_of(st.one_of(INTS, FRACTIONS, FLOATS, MPFS))))
+def test_fft_pow4_within_its_bound(values):
+    # the tolerance is the returned bound itself
+    f = DiscreteFunction(0, tuple(values))
+    if f.is_zero:
+        return
+    with float_path():
+        assert_within_own_bound(f)
+
+
+@pytest.mark.parametrize("m", [2049, 4096])
+@pytest.mark.parametrize("kind", ["normal", "wide", "spiky"])
+def test_fft_pow4_fixed_cases(m, kind):
+    rng = np.random.default_rng([m, len(kind)])
+    x = rng.standard_normal(m)
+    if kind == "wide":
+        x *= 10.0 ** rng.integers(-30, 30, m)
+    elif kind == "spiky":
+        x *= 1e-8
+        x[rng.integers(0, m, 5)] = 1e3 * rng.standard_normal(5)
+    assert_within_own_bound(DiscreteFunction(0, tuple(float(v) for v in x)))
+
+
+def test_fft_pow4_gaussian_witness():
+    f = _sampled_gaussian(GaussianScheduleParams.from_n_eps(20001, 0.51))
+    assert len(f.values) > precision.HP_SUPPORT_CAP
+    assert_within_own_bound(f)
+
+
+def percival_delta(y) -> mp.mpf:
+    """||y||_2^2 ((1+u)^(3L) (1+sqrt5 u)^(3L+1) (1+4u)^(3L) - 1), L = log2 N."""
+    levels = (2 * len(y) - 2).bit_length()
+    with mp.workprec(200):
+        u = mp.mpf(2) ** -53
+        bracket = ((1 + u) ** (3 * levels) * (1 + mp.sqrt(5) * u) ** (3 * levels + 1)
+                   * (1 + 4 * u) ** (3 * levels) - 1)
+        return mp.fsum(mp.mpf(float(v)) ** 2 for v in y) * bracket
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=values_of(FLOATS).filter(lambda v: any(v)))
+def test_autoconvolve_bound(values):
+    x = np.array(values)
+    c, e, delta = _autoconvolve(x)
+    y = np.ldexp(x, -e)
+    assert 1.0 <= np.max(np.abs(y)) < 2.0
+    # delta is Percival's bound, and the FFT error lies within it
+    pd = percival_delta(y)
+    assert pd <= delta <= pd * (1 + 1e-9)
+    yf = [Fraction(float(v)) for v in y]
+    m = len(yf)
+    for s, cs in enumerate(c):
+        exact = sum(yf[i] * yf[s - i] for i in range(max(0, s - m + 1), min(s, m - 1) + 1))
+        assert abs(Fraction(float(cs)) - exact) <= Fraction(delta)
+
+
+def random_set(rng, d, n, size):
+    cube = np.stack(np.meshgrid(*[np.arange(n)] * d, indexing="ij"), axis=-1).reshape(-1, d)
+    idx = rng.choice(len(cube), size=size, replace=False)
+    return LatticeSet(d, n, frozenset(tuple(int(c) for c in cube[i]) for i in idx))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(1, 3), data=st.data())
+def test_fft_energy_matches_hashmap(seed, d, data):
+    n = data.draw(st.integers(5, {1: 400, 2: 20, 3: 7}[d]))
+    size = data.draw(st.integers(1, min(n ** d, 300)))
+    A = random_set(np.random.default_rng(seed), d, n, size)
+    pts = sorted(A.points)
+    want = _energy_hashmap(pts)
+    assert _energy_fft(pts, d, 2 * n - 1) == want
+    assert energy_of_set(A) == want
+    if size <= 120:
+        assert energy_bruteforce(A) == want
+
+
+@pytest.mark.parametrize("n", [64, 1000, 8191, 8192, 30000])
+def test_fft_interval_energy(n):
+    assert energy_of_set(LatticeSet.from_range(n)) == energy_interval_formula(n)
