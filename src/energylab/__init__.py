@@ -9,8 +9,7 @@ from .certificates import (BoundsContribution, Certificate, DiscretizationReport
                            build_gaussian_certificate, build_perturbation_certificate,
                            certificate_from_dict, certificate_to_bound, certificate_to_dict,
                            continuum_discretization_report, evaluate_certificate,
-                           interval_overlap_sum, revalidate_certificate,
-                           smallest_valid_gaussian_n)
+                           interval_overlap_sum, revalidate_certificate)
 from .continuum import (GaussianSpec, QuadratureError, gaussian_l4hat, gaussian_lq,
                         gaussian_ratio, quadrature_l4hat, quadrature_lq_pow)
 from .discrete_core import (CapExceededError, DiscreteFunction, InvalidExponentError,
@@ -38,6 +37,6 @@ __all__ = [
     "fourier_l4_pow4", "fourier_l4_pow4_quadruple", "gaussian_l4hat", "gaussian_lq",
     "gaussian_ratio", "interval_overlap_sum", "lq_norm", "maximize_ratio",
     "quadrature_l4hat", "quadrature_lq_pow", "ratio_report", "read_results",
-    "revalidate_certificate", "smallest_valid_gaussian_n", "tensor_power",
+    "revalidate_certificate", "tensor_power",
     "trivial_lower_bound", "write_manifest", "write_results",
 ]

@@ -22,7 +22,6 @@ from .continuum import (ASYMPTOTIC_LOG_BASE, GaussianSpec, gaussian_l4hat, gauss
                         truncated_gaussian_l4hat_pow4, truncated_gaussian_lq)
 from .discrete_core import (CapExceededError, DiscreteFunction, _norm_pair,
                             energy_interval_formula, lq_norm)
-from . import precision
 from .precision import FLOAT64_EPS, to_mpf, working
 
 CERTIFICATE_KINDS = ("gaussian", "perturbation", "explicit")
@@ -112,7 +111,9 @@ def build_perturbation_certificate(n: int, eps=None) -> Certificate:
     revalidating the certificate reproduces it.  With eps omitted, scans eps
     over {2^-j : j=1..20} and keeps the maximum-margin valid certificate
     (ties broken toward smaller eps).  eps = 0 is the equality boundary:
-    margin is exactly 0 and the certificate is not valid.
+    margin is exactly 0 and the certificate is not valid.  The values are
+    float64: 1 + eps is exact for the scanned eps, and any other eps (such
+    as 0.1) is stored, and certified, as the rounded fl(1 + eps).
     """
     if n < 3:
         raise ValueError("perturbation certificate needs n >= 3 "
@@ -134,8 +135,8 @@ def build_perturbation_certificate(n: int, eps=None) -> Certificate:
 
 def _perturbation_certificate(n: int, eps: Fraction) -> Certificate:
     lo, _ = _centered_interval(n)
-    values = [Fraction(1)] * n
-    values[-lo] += eps
+    values = [1.0] * n
+    values[-lo] = 1.0 + float(eps)  # exact for every eps in EPS_SCAN
     f = DiscreteFunction(lo, tuple(values))
 
     energy = energy_interval_formula(n)
@@ -186,15 +187,10 @@ class GaussianScheduleParams:
 
 
 def _sampled_gaussian(params: GaussianScheduleParams) -> DiscreteFunction:
+    # the stored float64 samples are the witness, so their rounding needs no bound
     m = params.m_trunc
-    if 2 * m + 1 <= precision.HP_SUPPORT_CAP:
-        with working():
-            a = to_mpf(params.a_param)
-            vals = tuple(mp.exp(-mp.mpf(i * i) / a) for i in range(-m, m + 1))
-    else:
-        grid = np.arange(-m, m + 1, dtype=np.float64)
-        vals = tuple(np.exp(-(grid * grid) / params.a_param))
-    return DiscreteFunction(-m, vals)
+    grid = np.arange(-m, m + 1, dtype=np.float64)
+    return DiscreteFunction(-m, tuple(np.exp(-(grid * grid) / params.a_param)))
 
 
 def build_gaussian_certificate(params: GaussianScheduleParams,
@@ -208,15 +204,6 @@ def build_gaussian_certificate(params: GaussianScheduleParams,
         raise CapExceededError(f"truncation {params.m_trunc} exceeds support cap {support_cap}")
     f = _sampled_gaussian(params)
     return evaluate_certificate("gaussian", params.n, params.q, f)
-
-
-def smallest_valid_gaussian_n(eps: float, n_max: int = 301) -> int | None:
-    """Scan odd n upward for the first validating Gaussian certificate."""
-    for n in range(3, n_max + 1, 2):
-        cert = build_gaussian_certificate(GaussianScheduleParams.from_n_eps(n, eps))
-        if cert.valid:
-            return n
-    return None
 
 
 @dataclass(frozen=True)

@@ -104,12 +104,6 @@ def _emit(text: str, out: str | None) -> None:
         print(text)
 
 
-def _print_csv(rows, cols) -> None:
-    print(",".join(cols))
-    for row in rows:
-        print(",".join(experiments._fmt(getattr(row, c)) for c in cols))
-
-
 def _cmd_energy(args) -> int:
     if args.inline is not None:
         lattice = parse_inline_set(args.inline)
@@ -172,7 +166,7 @@ def _cmd_bounds_table(args) -> int:
     elif args.format == "json":
         print(experiments._json_document(rows, "bounds"))
     else:
-        _print_csv(rows, experiments.BOUNDS_CSV_COLUMNS)
+        print(experiments._csv_document(rows, "bounds"))
     return 0
 
 
@@ -184,13 +178,8 @@ def _cmd_ball(args) -> int:
         except ValueError as exc:
             raise InputError(f"--center: {exc}") from None
     rows = experiments.ball_energy_experiment([args.d], [args.radius], center=center)
-    if args.format == "csv" or (args.out and args.format != "json"):
-        if args.out:
-            experiments.write_results(rows, args.out, format="csv", kind="ball")
-        else:
-            _print_csv(rows, experiments.BALL_CSV_COLUMNS)
-    else:
-        _emit(experiments._json_document(rows, "ball"), args.out)
+    document = experiments._csv_document if args.format == "csv" else experiments._json_document
+    _emit(document(rows, "ball"), args.out)
     return 0
 
 

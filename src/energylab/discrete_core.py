@@ -42,8 +42,8 @@ class CapExceededError(RuntimeError):
 
 
 # Largest packed operand of the exact autoconvolution, in bits.  Float64
-# values at support HP_SUPPORT_CAP pack into at most ~8.6e6 bits (exponent
-# spread 2^-1074..2^1024); only mpf or Fraction values can need more.
+# values at the precision cap (support 2048) pack into at most ~8.6e6 bits
+# (exponent spread 2^-1074..2^1024); only mpf or Fraction values can need more.
 _PACK_BITS_CAP = 1 << 25
 
 
@@ -118,12 +118,9 @@ class DiscreteFunction:
             return self.values[i]
         return 0
 
-    def abs(self) -> "DiscreteFunction":
-        return DiscreteFunction(self.offset, tuple(abs(v) for v in self.values))
-
 
 # ---------------------------------------------------------------------------
-# Float64 arithmetic above the precision cap
+# Float64 arithmetic
 # ---------------------------------------------------------------------------
 
 def _float64_values(values):
@@ -131,8 +128,7 @@ def _float64_values(values):
     its own magnitude (0 when every value is a float, as from the CLI).
 
     Other values round once, and a value that does not convert exactly must
-    land in float64's normal range, so that the relative bound holds; a
-    ValueError says to stay below the cap.
+    land in float64's normal range, so that the relative bound holds.
     """
     if all(type(v) is float for v in values):
         return np.array(values, dtype=np.float64), 0.0
@@ -144,8 +140,8 @@ def _float64_values(values):
             x = math.inf
         if x != v:
             if not sys.float_info.min <= abs(x) < math.inf:
-                raise ValueError(f"value {v} rounds outside the float64 normal range, which "
-                                 f"evaluation above support {precision.HP_SUPPORT_CAP} needs")
+                raise ValueError(f"value {v} would underflow or overflow: the float64 norms "
+                                 f"need every value to round into the float64 normal range")
             exact = False
         out.append(x)
     return np.array(out, dtype=np.float64), 0.0 if exact else FLOAT64_EPS
@@ -206,44 +202,47 @@ def _autoconvolve(x, rel_in: float = 0.0):
 # ---------------------------------------------------------------------------
 
 def lq_norm_with_error(f: DiscreteFunction, q: float):
-    """(sum |f(a)|^q)^(1/q) together with a relative rounding bound."""
-    if q < 1:
-        raise InvalidExponentError(f"lq norm needs q >= 1, got {q}")
+    """(sum |f(a)|^q)^(1/q) together with a relative rounding bound.
+
+    One float64 path at every support.  x = _float64_values(f.values) holds
+    each value within r = rel_in of its magnitude (r = 0 for float values);
+    y = x 2^-e is an exact power-of-two prescale with max|y| in [1, 2), so
+    no power overflows (q <= 512) and T = fsum(|y|^q) exceeds 1/2.  With u =
+    2^-53 the unit roundoff and S = sum |f 2^-e|^q the true sum, term by term:
+
+    - input: each |y_i|^q is within (1+r)^q - 1 <= expm1(q r) of its value;
+    - power: np.power is taken to be within 4 ulps, 8u;
+    - sum: math.fsum returns the exact sum of the nonnegative float64 terms
+      rounded once, u (Shewchuk, Discrete Comput. Geom. 18 (1997));
+
+    so T = S (1 + s) with |s| <= sigma = (expm1(q r) + 9u)(1 + 2^-40).  The
+    factor covers the products of these terms, the float64 evaluation of
+    sigma, and the absolute errors below 2^-1074 of values that underflow in
+    the prescale or in the power (T > 1/2, so they weigh below 2^-1000
+    relative to T at any feasible support).
+
+    - root: T^(1/q) is taken at working precision and rescaled by 2^e
+      exactly, so s contributes (1+s)^(1/q) - 1 <= sigma / (q (1 - sigma)),
+      and the 120-bit roundings of 1/q and of the power add
+      (ln T / q + 2) hp_unit(), with ln T <= ln n + q ln 2.
+
+    That last term is the only one that depends on the support n, and it is
+    below 2^-110 for any n < 2^60.
+    """
+    if not 1 <= q <= 512:
+        raise InvalidExponentError(f"lq norm needs 1 <= q <= 512, got {q}")
     if f.is_zero:
         return mp.mpf(0), 0.0
-    n = len(f.values)
-    if n <= precision.HP_SUPPORT_CAP:
-        with working():
-            qm = to_mpf(float(q))
-            total = mp.mpf(0)
-            # a run of k equal values costs one power: k * |v|^q (exact for k = 1)
-            for v, run in itertools.groupby(f.values):
-                if v == 0:
-                    continue
-                total += sum(1 for _ in run) * abs(to_mpf(v)) ** qm
-            value = total ** (1 / qm)
-        u = hp_unit()
-    else:
-        arr, _ = _float64_values(f.values)  # its rounding is the input term below
-        e = _pow2_exponent(arr)
-        total = math.fsum(np.power(np.abs(np.ldexp(arr, -e)), q))
-        with working():
-            value = mp.ldexp(total ** (1.0 / q), e)  # exact rescale
-        u = FLOAT64_EPS
-    # per term: input (2u) amplified by q, power 4u; nonnegative sum (n+1)u
-    # (a run's multiply adds one rounding and saves at least one addition);
-    # root divides by q and rounds twice (the float64 prescale keeps
-    # 1 <= total <= n 2^q, so the rounded 1/q adds (ln n + q)u/q); doubled
-    # for safety
-    rel = 2.0 * ((2.0 * q + 4.0 + n + 1.0) / q + 2.0) * u
-    return value, rel
+    arr, rel_in = _float64_values(f.values)
+    e = _pow2_exponent(arr)
+    total = math.fsum(np.power(np.abs(np.ldexp(arr, -e)), q))
+    with working():
+        value = mp.ldexp(mp.mpf(total) ** (1 / to_mpf(q)), e)
+    sigma = (math.expm1(q * rel_in) + 9.0 * FLOAT64_EPS / 2.0) * (1.0 + 2.0 ** -40)
+    return value, sigma / (q * (1.0 - sigma)) + (math.log(total) / q + 2.0) * hp_unit()
 
 
 def lq_norm(f: DiscreteFunction, q: float) -> float:
-    if q < 1:
-        raise InvalidExponentError(f"lq norm needs q >= 1, got {q}")
-    if f.is_zero:
-        return 0.0
     value, _ = lq_norm_with_error(f, q)
     return float(value)
 

@@ -3,7 +3,6 @@ deterministic result/manifest serialization."""
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
@@ -194,6 +193,17 @@ def _json_document(rows, kind: str) -> str:
     return json.dumps({"kind": kind, "rows": [asdict(r) for r in rows]}, indent=2)
 
 
+def _csv_document(rows, kind: str) -> str:
+    """The CSV results document of write_results, without its final newline.
+
+    Lines end in LF; _fmt never yields a comma or a quote, so no field is quoted.
+    """
+    columns = BALL_CSV_COLUMNS if kind == "ball" else BOUNDS_CSV_COLUMNS
+    lines = [",".join(columns)]
+    lines += [",".join(_fmt(getattr(row, col)) for col in columns) for row in rows]
+    return "\n".join(lines)
+
+
 def write_results(rows, path, format: str = "json", kind: str | None = None) -> None:
     """Deterministic serialization of bounds or ball rows (json or csv)."""
     if format not in ("json", "csv"):
@@ -205,16 +215,9 @@ def write_results(rows, path, format: str = "json", kind: str | None = None) -> 
             kind = "bounds"
     if kind not in ("bounds", "ball"):
         raise ValueError(f"unknown result kind {kind!r}")
-    if format == "json":
-        with open(path, "w") as fh:
-            fh.write(_json_document(rows, kind) + "\n")
-        return
-    columns = BALL_CSV_COLUMNS if kind == "ball" else BOUNDS_CSV_COLUMNS
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(getattr(row, col)) for col in columns])
+    document = _json_document if format == "json" else _csv_document
+    with open(path, "w") as fh:
+        fh.write(document(rows, kind) + "\n")
 
 
 def read_results(path):

@@ -9,7 +9,7 @@ from energylab.certificates import (Certificate, GaussianScheduleParams, Invalid
                                     certificate_from_dict, certificate_to_bound,
                                     certificate_to_dict, continuum_discretization_report,
                                     evaluate_certificate, interval_overlap_sum,
-                                    revalidate_certificate, smallest_valid_gaussian_n)
+                                    revalidate_certificate)
 from energylab.discrete_core import (DiscreteFunction, fourier_l4_pow4,
                                      fourier_l4_pow4_quadruple, lq_norm)
 
@@ -130,7 +130,7 @@ class TestGaussianSchedule:
     def test_validity_landscape(self):
         assert not build_gaussian_certificate(GaussianScheduleParams.from_n_eps(5, 0.5)).valid
         assert build_gaussian_certificate(GaussianScheduleParams.from_n_eps(9, 0.5)).valid
-        assert smallest_valid_gaussian_n(0.5, n_max=9) == 3
+        assert build_gaussian_certificate(GaussianScheduleParams.from_n_eps(3, 0.5)).valid
 
     def test_margin_agrees_with_norms(self):
         cert = build_gaussian_certificate(GaussianScheduleParams.from_n_eps(31, 0.5))

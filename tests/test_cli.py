@@ -162,6 +162,16 @@ class TestBallCommand:
         assert len(json.loads(out)["rows"]) == 2
 
 
+@pytest.mark.parametrize("argv", [("bounds-table", "--n-min", "2", "--n-max", "4"),
+                                  ("ball", "--d", "2", "--radius", "2.5")])
+def test_stdout_csv_bytes_match_file(capsys, tmp_path, argv):
+    path = tmp_path / "rows.csv"
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert code == 0 and out.count(",") > 6
+    assert run(capsys, *argv, "--format", "csv", "--out", str(path))[0] == 0
+    assert path.read_bytes() == out.encode()
+
+
 class TestBoundsTableCommand:
     def test_stdout_csv(self, capsys):
         code, out, _ = run(capsys, "bounds-table", "--n-min", "2", "--n-max", "3")

@@ -1,7 +1,8 @@
 """Property tests: the exact ||f^||_4^4 kernel against the quadruple-sum
-oracle, the FFT kernel above the precision cap against the exact one, FFT
-lattice energies against the hash map and the brute-force oracle, scale
-invariance of the ratio report, and certificate JSON round trips."""
+oracle, the FFT kernel above the precision cap against the exact one, the
+float64 lq norm against a 300-bit oracle, FFT lattice energies against the
+hash map and the brute-force oracle, scale invariance of the ratio report,
+and certificate JSON round trips."""
 
 import json
 import math
@@ -17,13 +18,15 @@ from mpmath import libmp, mp
 
 from energylab import precision
 from energylab.certificates import (GaussianScheduleParams, _sampled_gaussian,
-                                    build_gaussian_certificate, certificate_from_dict,
-                                    certificate_to_dict, revalidate_certificate)
+                                    build_gaussian_certificate, build_perturbation_certificate,
+                                    certificate_from_dict, certificate_to_dict,
+                                    revalidate_certificate)
 from energylab.discrete_core import (DiscreteFunction, LatticeSet, _autoconvolve,
                                      _energy_fft, _energy_hashmap, _pow4_exact,
                                      energy_bruteforce, energy_interval_formula, energy_of_set,
                                      fourier_l4_pow4, fourier_l4_pow4_quadruple,
-                                     fourier_l4_pow4_with_error, ratio_report)
+                                     fourier_l4_pow4_with_error, lq_norm_with_error,
+                                     ratio_report)
 
 INTS = st.integers(-10 ** 9, 10 ** 9)
 FRACTIONS = st.fractions(max_denominator=10 ** 6)
@@ -74,6 +77,52 @@ def test_exact_pow4_matches_quadruple_oracle(offset, values):
     assert _pow4_exact(f.values) == oracle
     value, rel = fourier_l4_pow4_with_error(f)
     assert abs(as_fraction(value) - oracle) <= Fraction(rel) * oracle
+
+
+def assert_lq_within_own_bound(f, q):
+    value, rel = lq_norm_with_error(f, q)
+    with mp.workprec(300):
+        qm = mp.mpf(q)
+        exact = (abs(mp.mpf(a.numerator) / a.denominator) ** qm
+                 for a in map(as_fraction, f.values) if a)
+        oracle = mp.fsum(exact) ** (1 / qm)
+        assert abs(mp.mpf(value) - oracle) <= mp.mpf(rel) * oracle
+
+
+@settings(max_examples=150, deadline=None)
+@example(values=[1e308, -1e308, 5e-324], q=1.0)
+@example(values=[2.0 ** -1074] * 3, q=3.0)
+@example(values=[1.0] * 20 + [1.5] + [1.0] * 19, q=1.4)  # the perturbed indicator
+@given(values=st.one_of(values_of(FLOATS), values_of(INTS), values_of(FRACTIONS),
+                        values_of(MPFS), values_of(st.one_of(INTS, FRACTIONS, FLOATS, MPFS))),
+       q=st.floats(1.0, 3.0))
+def test_lq_within_its_bound(values, q):
+    # the tolerance is the returned bound itself
+    f = DiscreteFunction(0, tuple(values))
+    if not f.is_zero:
+        assert_lq_within_own_bound(f, q)
+
+
+@pytest.mark.parametrize("m", [2048, 2049, 30001])
+def test_lq_fixed_cases(m):
+    rng = np.random.default_rng(m)
+    x = rng.standard_normal(m) * 10.0 ** rng.integers(-30, 30, m)
+    assert_lq_within_own_bound(DiscreteFunction(0, tuple(float(v) for v in x)), 1.0 + rng.random())
+
+
+@pytest.mark.parametrize("n,eps", [(3, 0.5), (301, 2.0 ** -20), (3000, 0.1)])
+def test_lq_perturbed_indicator(n, eps):
+    cert = build_perturbation_certificate(n, eps)
+    assert_lq_within_own_bound(cert.f, cert.q)
+
+
+def test_lq_bound_does_not_grow_with_support():
+    f = _sampled_gaussian(GaussianScheduleParams.from_n_eps(30001, 0.5))
+    assert len(f.values) > precision.HP_SUPPORT_CAP
+    _, rel = lq_norm_with_error(f, 1.5)
+    _, rel_small = lq_norm_with_error(DiscreteFunction(0, (1.0, 0.5, 0.25)), 1.5)
+    assert rel < 1e-13
+    assert rel == pytest.approx(rel_small, rel=1e-9)
 
 
 @settings(max_examples=100, deadline=None)
