@@ -4,10 +4,9 @@ exponent t_n (with t_n = 4/q_n duality)."""
 
 __version__ = "0.1.0"
 
-from .certificates import (BoundsContribution, Certificate, DiscretizationReport,
-                           GaussianScheduleParams, InvalidCertificateError,
+from .certificates import (Certificate, DiscretizationReport, GaussianScheduleParams,
                            build_gaussian_certificate, build_perturbation_certificate,
-                           certificate_from_dict, certificate_to_bound, certificate_to_dict,
+                           certificate_from_dict, certificate_to_dict,
                            continuum_discretization_report, evaluate_certificate,
                            interval_overlap_sum, revalidate_certificate)
 from .continuum import (GaussianSpec, QuadratureError, gaussian_l4hat, gaussian_lq,
@@ -24,13 +23,13 @@ from .optimizer import OptimizerConfig, OptimizerResult, QnEstimate, estimate_qn
 
 __all__ = [
     "__version__",
-    "BallExperimentRow", "BoundsContribution", "BoundsRow", "CapExceededError",
+    "BallExperimentRow", "BoundsRow", "CapExceededError",
     "Certificate", "DiscreteFunction", "DiscretizationReport", "GaussianScheduleParams",
-    "GaussianSpec", "InvalidCertificateError", "InvalidExponentError", "LatticeSet",
+    "GaussianSpec", "InvalidExponentError", "LatticeSet",
     "OptimizerConfig", "OptimizerResult", "QnEstimate", "QuadratureError", "RatioReport",
     "ZeroFunctionError", "asymptotic_target", "ball_energy_experiment", "ball_lattice_set",
     "bounds_table", "build_gaussian_certificate",
-    "build_perturbation_certificate", "certificate_from_dict", "certificate_to_bound",
+    "build_perturbation_certificate", "certificate_from_dict",
     "certificate_to_dict", "conjecture_target", "continuum_discretization_report",
     "energy_bruteforce", "energy_interval_formula", "energy_of_set",
     "estimate_qn", "evaluate_certificate",

@@ -211,30 +211,31 @@ def criterion_8(seed: int = DEFAULT_SEED) -> CriterionResult:
     witness_ok = est.witness is not None and est.witness.valid \
         and certificates.revalidate_certificate(est.witness).valid
 
-    res3 = optimizer.maximize_ratio(optimizer.OptimizerConfig(n=3, q=1.48, seed=seed))
-    fired3 = res3.best_ratio > 1.0 + 3.0 * res3.err
-    cert3 = certificates.evaluate_certificate("explicit", 3, 1.48, res3.best_f)
+    cert3 = optimizer.maximize_ratio(optimizer.OptimizerConfig(n=3, q=1.48, seed=seed)).certificate
+    fired3 = cert3.valid  # the firing rule of estimate_qn's probes
     # cross-check the winning witness against the O(m^3) quadruple-sum oracle
-    quad = discrete_core.fourier_l4_pow4_quadruple(res3.best_f)
-    conv_based = discrete_core.fourier_l4_pow4(res3.best_f)
+    quad = discrete_core.fourier_l4_pow4_quadruple(cert3.f)
+    conv_based = discrete_core.fourier_l4_pow4(cert3.f)
     oracle_ok = abs(quad - conv_based) <= 1e-9 * abs(conv_based)
-    passed = q2_ok and witness_ok and fired3 and cert3.valid and oracle_ok
+    passed = q2_ok and witness_ok and fired3 and oracle_ok
     return CriterionResult(8, "optimizer calibration (q_2 bisection, n=3 violation)",
                            passed, {"q2_hat": est.q_hat, "t2_hat": est.t_hat,
                                     "q2_ok": q2_ok, "witness_ok": witness_ok,
-                                    "n3_ratio": res3.best_ratio, "n3_fired": fired3,
+                                    "n3_ratio": cert3.lhs / cert3.rhs, "n3_fired": fired3,
                                     "n3_cert_valid": cert3.valid, "oracle_ok": oracle_ok})
 
 
 def criterion_9(seed: int = DEFAULT_SEED) -> CriterionResult:
-    """Analytic energy gradient vs central finite differences, 100 seeded f."""
+    """Analytic energy gradient vs central finite differences, 100 seeded f.
+
+    The gradient checked is the energy term of the optimizer ascent's gradient."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     h = 1e-5
     for _ in range(100):
         m = int(rng.integers(2, 17))
         x = rng.standard_normal(m)
-        analytic = optimizer.energy_gradient_window(x)
+        _, analytic = optimizer._pow4_and_gradient(x)
         fd = np.zeros(m)
         for i in range(m):
             xp, xm = x.copy(), x.copy()

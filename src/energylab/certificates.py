@@ -32,10 +32,6 @@ EPS_SCAN = tuple(Fraction(1, 2 ** j) for j in range(1, 21))
 GAUSSIAN_SUPPORT_CAP = 1 << 22
 
 
-class InvalidCertificateError(RuntimeError):
-    """Certificate does not establish margin > err > 0."""
-
-
 @dataclass(frozen=True)
 class Certificate:
     """Witness record: lhs = ||f^||_4, rhs = ||f||_q, margin = lhs - rhs.
@@ -119,10 +115,9 @@ def build_perturbation_certificate(n: int, eps=None) -> Certificate:
         raise ValueError("perturbation certificate needs n >= 3 "
                          "(the gap 3n^2 - (4/3)(2n^2+1) closes below that)")
     if eps is not None:
-        e = Fraction(eps)
-        if not 0 <= e <= 1:
+        if not (math.isfinite(eps) and 0 <= eps <= 1):
             raise ValueError(f"eps must lie in [0, 1], got {eps}")
-        return _perturbation_certificate(n, e)
+        return _perturbation_certificate(n, Fraction(eps))
     best = None
     best_key = None
     for e in EPS_SCAN:
@@ -193,15 +188,15 @@ def _sampled_gaussian(params: GaussianScheduleParams) -> DiscreteFunction:
     return DiscreteFunction(-m, tuple(np.exp(-(grid * grid) / params.a_param)))
 
 
-def build_gaussian_certificate(params: GaussianScheduleParams,
-                               support_cap: int = GAUSSIAN_SUPPORT_CAP) -> Certificate:
+def build_gaussian_certificate(params: GaussianScheduleParams) -> Certificate:
     """Witness f(m) = exp(-m^2/A) on |m| <= M at the schedule's q.
 
     Validity is not guaranteed at small n; the certificate records margin and
     err either way.
     """
-    if params.m_trunc > support_cap:
-        raise CapExceededError(f"truncation {params.m_trunc} exceeds support cap {support_cap}")
+    if params.m_trunc > GAUSSIAN_SUPPORT_CAP:
+        raise CapExceededError(
+            f"truncation {params.m_trunc} exceeds support cap {GAUSSIAN_SUPPORT_CAP}")
     f = _sampled_gaussian(params)
     return evaluate_certificate("gaussian", params.n, params.q, f)
 
@@ -279,28 +274,8 @@ def continuum_discretization_report(params: GaussianScheduleParams) -> Discretiz
 
 
 # ---------------------------------------------------------------------------
-# Bounds and serialization
+# Serialization
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BoundsContribution:
-    """A certified strict lower bound t_n > t_lower."""
-
-    n: int
-    t_lower: float
-    strict: bool
-    source: str
-
-
-def certificate_to_bound(cert: Certificate) -> BoundsContribution:
-    if not cert.valid:
-        raise InvalidCertificateError(
-            f"certificate margin {cert.margin!r} does not exceed err {cert.err!r}")
-    if cert.q <= 4.0 / 3.0:
-        raise InvalidCertificateError(
-            f"q = {cert.q} <= 4/3 would imply t_n > 3, impossible")
-    return BoundsContribution(n=cert.n, t_lower=4.0 / cert.q, strict=True, source=cert.kind)
-
 
 def _value_to_str(v) -> str:
     if isinstance(v, int):

@@ -107,13 +107,15 @@ def ball_lattice_set(d: int, radius: float, center=None,
     so all coordinates lie in [0, n-1] with n the minimal enclosing side."""
     if d < 1:
         raise ValueError("d must be >= 1")
-    if not radius > 0:
-        raise ValueError("radius must be positive")
+    if not 0 < radius < math.inf:
+        raise ValueError(f"radius must be positive and finite, got {radius}")
     if center is None:
         center = (0.0,) * d
     center = tuple(float(c) for c in center)
     if len(center) != d:
         raise ValueError(f"center has {len(center)} coordinates, expected {d}")
+    if not all(math.isfinite(c) for c in center):
+        raise ValueError(f"center must be finite, got {center}")
     r2 = radius * radius
     for c in center:
         width = math.floor(c + radius) - math.ceil(c - radius) + 1

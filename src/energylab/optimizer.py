@@ -16,9 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certificates import Certificate, evaluate_certificate
-from .discrete_core import DiscreteFunction, ratio_report
+from .discrete_core import DiscreteFunction
 
 ARMIJO_C = 1e-4
+ASCENT_TOL = 1e-12  # relative objective gain below which a chain stops
 BACKTRACK_SHRINK = 0.5
 STEP_GROW = 1.3
 
@@ -29,27 +30,26 @@ class OptimizerConfig:
     q: float
     starts: int = 16
     max_iters: int = 5000
-    tol: float = 1e-12
     seed: int = 0
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
+        if self.n < 2:
+            raise ValueError("n must be >= 2 (t_n is defined from n = 2 on)")
         if self.q <= 1:
             raise ValueError("q must exceed 1")
         if self.starts < 4:
             raise ValueError("starts must be >= 4 (the canonical starts)")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
 
 
 @dataclass(frozen=True)
 class OptimizerResult:
-    best_f: DiscreteFunction
-    best_ratio: float
-    err: float
+    """The winning chain: its explicit certificate (the winner f, both norms,
+    margin, err and validity from one evaluation), its iteration count and
+    its start index.  The certified ratio is certificate.lhs / certificate.rhs."""
+
+    certificate: Certificate
     iterations: int
     start_id: int
 
@@ -59,11 +59,11 @@ def energy_pow4_array(x: np.ndarray) -> float:
     return float(np.dot(c, c))
 
 
-def energy_gradient_window(x: np.ndarray) -> np.ndarray:
-    """Gradient of sum x(a)x(b)x(c)x(a+b-c) on the window carrying x:
-    4 * sum_b x(b) (x*x)(i+b)."""
+def _pow4_and_gradient(x: np.ndarray) -> tuple[float, np.ndarray]:
+    """sum (x*x)^2 and its gradient 4 * sum_b x(b) (x*x)(i+b) on the window
+    carrying x, from one autoconvolution."""
     c = np.convolve(x, x)
-    return 4.0 * np.correlate(c, x, mode="valid")
+    return float(np.dot(c, c)), 4.0 * np.correlate(c, x, mode="valid")
 
 
 def objective(x: np.ndarray, q: float) -> float:
@@ -75,24 +75,29 @@ def objective(x: np.ndarray, q: float) -> float:
     return 0.25 * math.log(e4) - math.log(s) / q
 
 
-def _objective_gradient(x: np.ndarray, q: float) -> np.ndarray:
-    return energy_gradient_window(x) / (4.0 * energy_pow4_array(x)) \
-        - x ** (q - 1.0) / float(np.sum(x ** q))
+def _objective_and_gradient(x: np.ndarray, q: float) -> tuple[float, np.ndarray]:
+    """objective(x, q) and its gradient at an x with max(x) > 0, from one
+    autoconvolution and one sum x^q (the same float operations as objective)."""
+    e4, grad4 = _pow4_and_gradient(x)
+    s = float(np.sum(x ** q))
+    value = 0.25 * math.log(e4) - math.log(s) / q
+    return value, grad4 / (4.0 * e4) - x ** (q - 1.0) / s
 
 
-def _ascend(x0: np.ndarray, q: float, max_iters: int, tol: float,
-            return_history: bool = False):
-    """Projected gradient ascent with backtracking; returns (x, value, iters)."""
+def _ascend(x0: np.ndarray, q: float, max_iters: int, tol: float):
+    """Projected gradient ascent with backtracking; returns (x, value, iters).
+
+    Each accepted iterate is normalized to max 1 and evaluated once, value
+    and gradient together; each trial point costs one objective call.
+    """
     x = np.maximum(np.asarray(x0, dtype=np.float64), 0.0)
     if x.max() <= 0 or not np.all(np.isfinite(x)):
         return None
     x = x / x.max()
-    value = objective(x, q)
-    history = [value]
+    value, g = _objective_and_gradient(x, q)
     eta = 0.1
     iters = 0
     for iters in range(1, max_iters + 1):
-        g = _objective_gradient(x, q)
         accepted = False
         while eta > 1e-18:
             y = np.maximum(x + eta * g, 0.0)
@@ -107,13 +112,10 @@ def _ascend(x0: np.ndarray, q: float, max_iters: int, tol: float,
             break
         gain = fy - value
         x = y / y.max()
-        value = objective(x, q)
-        history.append(value)
+        value, g = _objective_and_gradient(x, q)
         eta *= STEP_GROW
         if gain < tol * max(1.0, abs(value)) and iters > 8:
             break
-    if return_history:
-        return x, value, iters, history
     return x, value, iters
 
 
@@ -140,9 +142,10 @@ def maximize_ratio(config: OptimizerConfig) -> OptimizerResult:
     """Multi-start search for sup ||f^||_4 / ||f||_q over f >= 0 on {0..n-1}.
 
     Chains are ranked by their float64 objective; only the winner is
-    evaluated at working precision (ratio_report), so best_ratio carries a
-    rigorous rounding bound.  Deterministic for a fixed config: chains are
-    independent and ties go to the smaller start_id.
+    evaluated at working precision, once, by evaluate_certificate, so the
+    result carries its explicit certificate with a rigorous err.
+    Deterministic for a fixed config: chains are independent and ties go to
+    the smaller start_id.
     """
     n, q = config.n, config.q
     rng = np.random.default_rng(config.seed)
@@ -152,20 +155,19 @@ def maximize_ratio(config: OptimizerConfig) -> OptimizerResult:
 
     best = None
     for sid, x0 in enumerate(starts):
-        out = _ascend(x0, q, config.max_iters, config.tol)
+        out = _ascend(x0, q, config.max_iters, ASCENT_TOL)
         attempt = 0
         while out is None:  # degenerate start: restart that chain, per-chain stream
             attempt += 1
             restart = np.random.default_rng([config.seed, sid, attempt]).random(n) + 1e-6
-            out = _ascend(restart, q, config.max_iters, config.tol)
+            out = _ascend(restart, q, config.max_iters, ASCENT_TOL)
         x, value, iters = out
         key = (value, -sid)
         if best is None or key > best[0]:
             best = (key, x, iters, sid)
     _, x, iters, sid = best
     f = DiscreteFunction(0, tuple(x / x.max()))
-    report = ratio_report(f, q)
-    return OptimizerResult(best_f=f, best_ratio=report.ratio, err=report.err,
+    return OptimizerResult(certificate=evaluate_certificate("explicit", n, q, f),
                            iterations=iters, start_id=sid)
 
 
@@ -182,24 +184,22 @@ class QnEstimate:
     empirical_c: float
 
 
-def estimate_qn(n: int, tol: float = 1e-3, seed: int = 0, starts: int = 16,
-                max_iters: int = 5000) -> QnEstimate:
-    """Bisect q in [4/3, 2] on the predicate "a violation was found".
+def estimate_qn(n: int, tol: float = 1e-3, seed: int = 0, starts: int = 16) -> QnEstimate:
+    """Bisect q in [4/3, 2] on the predicate "a valid witness was found".
 
-    The predicate at q asks maximize_ratio for best_ratio > 1 + 3*err; each
-    firing q yields an explicit Certificate, and the witness returned is the
-    one from the smallest firing q.  If the predicate never fires, q_hat = 2
-    and witness is None.
+    A probe at q runs maximize_ratio and fires exactly when the winner's
+    certificate is valid (margin > err); that certificate is the probe's
+    witness, so each probe evaluates one function at working precision once.
+    The witness returned is the one from the smallest firing q.  If the
+    predicate never fires, q_hat = 2 and witness is None.  tol must lie in
+    [1e-4, 2/3), below the width of [4/3, 2].
     """
-    if tol < 1e-4:
-        raise ValueError("bisection tol must be >= 1e-4")
+    if not 1e-4 <= tol < 2.0 / 3.0:
+        raise ValueError(f"bisection tol must lie in [1e-4, 2/3), got {tol}")
 
-    def probe(q: float):
-        res = maximize_ratio(OptimizerConfig(n=n, q=q, starts=starts,
-                                             max_iters=max_iters, seed=seed))
-        if res.best_ratio > 1.0 + 3.0 * res.err:
-            return evaluate_certificate("explicit", n, q, res.best_f)
-        return None
+    def probe(q: float) -> Certificate | None:
+        cert = maximize_ratio(OptimizerConfig(n=n, q=q, starts=starts, seed=seed)).certificate
+        return cert if cert.valid else None
 
     lo, hi = 4.0 / 3.0, 2.0
     witness = probe(hi)

@@ -4,10 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from energylab.certificates import (Certificate, GaussianScheduleParams, InvalidCertificateError,
+from energylab.certificates import (GaussianScheduleParams,
                                     build_gaussian_certificate, build_perturbation_certificate,
-                                    certificate_from_dict, certificate_to_bound,
-                                    certificate_to_dict, continuum_discretization_report,
+                                    certificate_from_dict, certificate_to_dict, continuum_discretization_report,
                                     evaluate_certificate, interval_overlap_sum,
                                     revalidate_certificate)
 from energylab.discrete_core import (DiscreteFunction, fourier_l4_pow4,
@@ -169,25 +168,6 @@ class TestValidityRules:
             cert = evaluate_certificate("explicit", max(2, m), 4 / 3, f)
             assert not cert.valid
 
-    def test_bound_conversion(self):
-        cert = build_perturbation_certificate(3)
-        bound = certificate_to_bound(cert)
-        assert bound.n == 3 and bound.strict
-        assert bound.t_lower == pytest.approx(math.log(19) / math.log(3), abs=1e-12)
-
-    def test_invalid_rejected(self):
-        cert = build_perturbation_certificate(5, 0)
-        with pytest.raises(InvalidCertificateError):
-            certificate_to_bound(cert)
-
-    def test_q_at_four_thirds_rejected(self):
-        cert = build_perturbation_certificate(3)
-        doctored = Certificate(kind=cert.kind, n=cert.n, q=4 / 3, f=cert.f, lhs=cert.lhs,
-                               rhs=cert.rhs, margin=cert.margin, err=cert.err,
-                               implied_t_bound=3.0, valid=True)
-        with pytest.raises(InvalidCertificateError):
-            certificate_to_bound(doctored)
-
     def test_support_must_fit_window(self):
         f = DiscreteFunction(0, (1.0, 1.0, 1.0))
         with pytest.raises(ValueError):
@@ -229,8 +209,7 @@ class TestSerialization:
 
     def test_float_values_round_trip(self):
         from energylab.optimizer import OptimizerConfig, maximize_ratio
-        res = maximize_ratio(OptimizerConfig(n=3, q=1.48, seed=7))
-        cert = evaluate_certificate("explicit", 3, 1.48, res.best_f)
+        cert = maximize_ratio(OptimizerConfig(n=3, q=1.48, seed=7)).certificate
         back = certificate_from_dict(json.loads(json.dumps(certificate_to_dict(cert))))
         assert back.f == cert.f
         assert revalidate_certificate(back) == cert

@@ -208,6 +208,22 @@ class TestEstimateCommand:
         assert doc["witness"]["valid"] is True
 
 
+@pytest.mark.parametrize("argv", [
+    ("certify", "perturbation", "--n", "5", "--eps", "inf"),
+    ("certify", "perturbation", "--n", "5", "--eps", "1e400"),
+    ("ball", "--d", "2", "--radius", "inf"),
+    ("ball", "--d", "2", "--radius", "2", "--center", "inf,0"),
+    ("estimate", "--n", "2", "--tol", "nan"),
+    ("estimate", "--n", "2", "--tol", "inf"),
+    ("estimate", "--n", "1"),
+], ids=["eps-inf", "eps-1e400", "radius-inf", "center-inf", "tol-nan", "tol-inf", "n-1"])
+def test_bad_input_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_read_function_round_trip(tmp_path):
     path = tmp_path / "f.json"
     path.write_text(json.dumps({"offset": -2, "values": ["1.5", 2, 0.25]}))
