@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+import time
 import traceback
 from dataclasses import dataclass, field
 
@@ -280,16 +281,19 @@ CRITERIA = (criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
 
 
 def run_all(seed: int = DEFAULT_SEED) -> list[CriterionResult]:
+    """Every criterion in order.  Tracebacks and each criterion's wall time
+    go to stderr only, so result files stay byte-reproducible."""
     results = []
     for fn in CRITERIA:
+        number = int(fn.__name__.rsplit("_", 1)[1])
+        start = time.perf_counter()
         try:
             results.append(fn(seed))
         except Exception as exc:  # a crash is a failed criterion, not a crash of the suite
-            # the traceback goes to stderr only: result files stay byte-reproducible
             traceback.print_exc(file=sys.stderr)
-            number = int(fn.__name__.rsplit("_", 1)[1])
             results.append(CriterionResult(number, fn.__doc__.splitlines()[0], False,
                                            {"error": repr(exc)}))
+        print(f"criterion {number:2d}: {time.perf_counter() - start:.3f} s", file=sys.stderr)
     return results
 
 

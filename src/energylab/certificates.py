@@ -149,6 +149,11 @@ def _perturbation_certificate(n: int, eps: Fraction) -> Certificate:
 # Sampled truncated Gaussian
 # ---------------------------------------------------------------------------
 
+def _check_eps(eps: float) -> None:
+    if not 0 < eps <= 1:
+        raise ValueError(f"eps must lie in (0, 1], got {eps}")
+
+
 @dataclass(frozen=True)
 class GaussianScheduleParams:
     """Schedule eps -> (k, A, M, q) for the Gaussian witness at window length n."""
@@ -161,8 +166,7 @@ class GaussianScheduleParams:
     q: float
 
     def __post_init__(self):
-        if not 0 < self.eps <= 1:
-            raise ValueError(f"eps must lie in (0, 1], got {self.eps}")
+        _check_eps(self.eps)
         if self.k < 1:
             raise ValueError("k must be >= 1 (n >= 3)")
         if self.m_trunc > self.k:
@@ -174,6 +178,7 @@ class GaussianScheduleParams:
     def from_n_eps(cls, n: int, eps: float) -> "GaussianScheduleParams":
         if n < 3:
             raise ValueError("n must be >= 3")
+        _check_eps(eps)  # before the schedule: NaN must not reach math.floor
         k = (n - 1) // 2  # schedule assumes n = 2k+1 odd; even n floors k
         a_param = float(k) ** (2.0 - eps / 10.0)
         m_trunc = min(int(math.floor(float(k) ** (1.0 - eps / 100.0))), k)

@@ -22,9 +22,11 @@ from . import precision
 from .precision import FLOAT64_EPS, hp_unit, to_mpf, working
 
 # Longest key span of the FFT energy path: its transforms then hold at most
-# 2^22 entries (32 MiB each).  Sparser sumsets (large dimension) go through a
-# hash map keyed by the sum vector.
+# 2^22 entries (32 MiB each).  Sparser sets (large dimension) and sets of
+# fewer than 64 points sort and count their pair sums instead, in blocks of at
+# most _SORT_BLOCK sums (32 MiB of int64).
 _FFT_SPAN_CAP = 1 << 21
+_SORT_BLOCK = 1 << 22
 
 _EXACT_SCALAR = (int, Fraction)
 
@@ -482,52 +484,102 @@ def energy_interval_formula(n: int) -> int:
 def energy_of_set(A: LatticeSet) -> int:
     """Exact E(A) = sum_s r(s)^2 over the sumset, arbitrary precision.
 
-    Dense sets go through one FFT autoconvolution of the indicator of their
-    keys (below); sparse ones, whose key span exceeds _FFT_SPAN_CAP or |A|^2,
-    and small ones through a hash map keyed by the sum vector.
+    Both paths count the pair sums of the keys sum_i p_i (2n-1)^i: no
+    coordinate sum reaches 2n-1, so adding keys never carries, and r(s)
+    counts the pairs with each sum vector.  Dense sets of at least 64 points
+    go through one FFT autoconvolution of the indicator of their keys; sparse
+    ones, whose key span exceeds _FFT_SPAN_CAP or |A|^2, and small ones sort
+    and count the pair sums.
     """
-    pts = sorted(A.points)
-    if not pts:
+    if not A.points:
         return 0
-    d, n = A.dim, A.side
-    base = 2 * n - 1
-    if len(pts) >= 64:
-        span = (n - 1) * (base ** d - 1) // (base - 1) + 1  # largest key + 1
-        if span <= min(_FFT_SPAN_CAP, len(pts) ** 2):
-            energy = _energy_fft(pts, d, base)
+    keys = _lattice_keys(A)
+    d, n, m = A.dim, A.side, len(keys)
+    if m >= 64:
+        span = (n - 1) * ((2 * n - 1) ** d - 1) // (2 * n - 2) + 1  # largest key + 1
+        if span <= min(_FFT_SPAN_CAP, m * m):
+            energy = _energy_fft(keys)
             if energy is not None:
                 return energy
-    return _energy_hashmap(pts)
+    return _energy_sorted(keys)
 
 
-def _energy_hashmap(pts) -> int:
-    counts: dict = {}
-    npts = len(pts)
-    for i in range(npts):
-        a = pts[i]
-        for j in range(i, npts):
-            b = pts[j]
-            s = tuple(x + y for x, y in zip(a, b))
-            counts[s] = counts.get(s, 0) + (1 if i == j else 2)
-    return sum(v * v for v in counts.values())
+def _lattice_keys(A: LatticeSet):
+    """The keys sum_i p_i (2n-1)^i of the points of A, as an int64 array
+    when every pair sum fits (keys < (2n-1)^d / 2 <= 2^61), else as Python
+    ints in an object array."""
+    base, d = 2 * A.side - 1, A.dim
+    dtype = np.int64 if base ** d <= 1 << 62 else object
+    radix = np.array([base ** i for i in range(d)], dtype=dtype)
+    return np.array(list(A.points), dtype=dtype) @ radix
 
 
-def _energy_fft(pts, d, base):
-    """E(A) from r = 1_K * 1_K, K the keys sum_i p_i base^i, or None.
+def _energy_fft(keys):
+    """E(A) from r = 1_K * 1_K, K the int64 keys of A, or None.
 
-    Coordinate sums stay below base = 2n-1, so adding keys never carries and
-    r(s) counts the pairs with each sum vector.  The rounded FFT counts are
-    exact when the bound delta < 1/2, and they must add up to |A|^2.
+    The rounded FFT counts are exact when the bound delta < 1/2, and they
+    must add up to |A|^2.
     """
-    keys = np.asarray(pts, dtype=np.int64) @ base ** np.arange(d, dtype=np.int64)
     lo = int(keys.min())
     indicator = np.zeros(int(keys.max()) - lo + 1)
     indicator[keys - lo] = 1.0
     c, _, delta = _autoconvolve(indicator)  # max 1, so the prescale is 2^0
     r = np.rint(c, out=c).astype(np.int64)
-    if not (delta < 0.5 and int(r.sum()) == len(pts) ** 2):
+    if not (delta < 0.5 and int(r.sum()) == len(keys) ** 2):
         return None
     # sum r^2 < |A|^3 <= _FFT_SPAN_CAP^3 = 2^63: int64 holds it
+    return int(np.dot(r, r))
+
+
+def _distinct_counts(sorted_sums, weights=None):
+    """(distinct values, total weight of each) of a sorted array; each
+    entry weighs 1 when weights is None."""
+    starts = np.flatnonzero(np.concatenate(([True], sorted_sums[1:] != sorted_sums[:-1])))
+    if weights is None:
+        counts = np.diff(np.append(starts, sorted_sums.size))
+    else:
+        counts = np.add.reduceat(weights, starts)
+    return sorted_sums[starts], counts
+
+
+def _merge_counts(parts):
+    """One (distinct values, counts) pair for a list of them.  It empties
+    the list, and each input is freed once it is no longer needed."""
+    if len(parts) == 1:
+        return parts.pop()
+    sums = np.concatenate([s for s, _ in parts])
+    counts = np.concatenate([c for _, c in parts])
+    parts.clear()
+    order = np.argsort(sums, kind="stable")  # merges the sorted runs
+    sums = sums[order]
+    counts = counts[order]
+    del order
+    return _distinct_counts(sums, counts)
+
+
+def _energy_sorted(keys) -> int:
+    """E(A) = sum_s r(s)^2 from the keys of A, by sorting their pair sums.
+
+    The sums keys[i] + keys[j] over all ordered pairs are formed in row
+    blocks of at most max(_SORT_BLOCK, |A|) entries, and each block is
+    sorted and reduced to its distinct sums and their counts.  The reduced
+    blocks are merged whenever they hold _SORT_BLOCK more entries than the
+    last merge left, so memory stays O(_SORT_BLOCK + |A+A|).  Object keys
+    (Python ints) go through the same code.
+    """
+    m = len(keys)
+    rows = max(1, _SORT_BLOCK // m)
+    parts, held, merged = [], 0, 0
+    for i in range(0, m, rows):
+        block = (keys[i:i + rows, None] + keys[None, :]).ravel()
+        block.sort()
+        parts.append(_distinct_counts(block))
+        held += parts[-1][0].size
+        if held > merged + _SORT_BLOCK:
+            parts = [_merge_counts(parts)]
+            held = merged = parts[0][0].size
+    r = _merge_counts(parts)[1]
+    # E(A) <= |A|^3 < 2^63 below 2^21 points (2^42 pair sums): int64 holds it
     return int(np.dot(r, r))
 
 

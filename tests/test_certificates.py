@@ -112,6 +112,9 @@ class TestGaussianSchedule:
             GaussianScheduleParams.from_n_eps(21, 0.0)
         with pytest.raises(ValueError):
             GaussianScheduleParams.from_n_eps(2, 0.5)
+        for eps in (math.nan, math.inf, 1.5):
+            with pytest.raises(ValueError, match=r"eps must lie in \(0, 1\]"):
+                GaussianScheduleParams.from_n_eps(9, eps)
 
     def test_certificate_fits_window(self):
         p = GaussianScheduleParams.from_n_eps(41, 0.5)

@@ -1,8 +1,9 @@
 import json
+import re
 
 import pytest
 
-from energylab import discrete_core, experiments
+from energylab import acceptance, discrete_core, experiments
 from energylab.cli import main, parse_inline_set, read_function_file, read_set_file
 from energylab.discrete_core import energy_of_set
 
@@ -211,17 +212,32 @@ class TestEstimateCommand:
 @pytest.mark.parametrize("argv", [
     ("certify", "perturbation", "--n", "5", "--eps", "inf"),
     ("certify", "perturbation", "--n", "5", "--eps", "1e400"),
+    ("certify", "gaussian", "--n", "9", "--eps", "nan"),
     ("ball", "--d", "2", "--radius", "inf"),
     ("ball", "--d", "2", "--radius", "2", "--center", "inf,0"),
     ("estimate", "--n", "2", "--tol", "nan"),
     ("estimate", "--n", "2", "--tol", "inf"),
     ("estimate", "--n", "1"),
-], ids=["eps-inf", "eps-1e400", "radius-inf", "center-inf", "tol-nan", "tol-inf", "n-1"])
+], ids=["eps-inf", "eps-1e400", "eps-nan", "radius-inf", "center-inf", "tol-nan", "tol-inf", "n-1"])
 def test_bad_input_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_selftest_times_only_on_stderr(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(acceptance, "CRITERIA", acceptance.CRITERIA[:2])
+    code, out, err = run(capsys, "selftest", "--out", str(tmp_path / "cli"))
+    assert code == 0
+    assert re.fullmatch(r"(criterion  [12]: \d+\.\d{3} s\n){2}", err)
+    # stdout and the result file are what the untimed results give
+    results = acceptance.run_all(acceptance.DEFAULT_SEED)
+    capsys.readouterr()
+    assert out == "".join(r.line() + "\n" for r in results)
+    acceptance.write_report(results, acceptance.DEFAULT_SEED, tmp_path / "direct.json")
+    assert ((tmp_path / "cli" / "selftest_results.json").read_bytes()
+            == (tmp_path / "direct.json").read_bytes())
 
 
 def test_read_function_round_trip(tmp_path):

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from mpmath import mp
 
+from energylab import discrete_core
 from energylab.discrete_core import (CapExceededError, DiscreteFunction, InvalidExponentError,
-                                     LatticeSet, ZeroFunctionError, energy_bruteforce,
+                                     LatticeSet, ZeroFunctionError, _energy_fft, _energy_sorted,
+                                     _lattice_keys, energy_bruteforce,
                                      energy_interval_formula, energy_of_set, fourier_l4_pow4,
                                      fourier_l4_pow4_quadruple, lq_norm, lq_norm_with_error,
                                      ratio_report, tensor_power, trivial_lower_bound)
@@ -216,11 +218,40 @@ class TestEnergies:
             A = LatticeSet(d, n, frozenset(all_pts[i] for i in idx))
             assert energy_of_set(A) == energy_bruteforce(A)
 
-    def test_fft_path_matches_hashmap(self):
+    def test_fft_path_matches_sorted(self):
         # side-n interval energies are large enough to hit the dense path
         A = LatticeSet.from_range(150)
-        from energylab.discrete_core import _energy_hashmap
-        assert energy_of_set(A) == _energy_hashmap(sorted(A.points))
+        keys = _lattice_keys(A)
+        assert _energy_fft(keys) == _energy_sorted(keys) == energy_interval_formula(150)
+
+    def test_object_keys(self):
+        # 25^20 > 2^62, so the keys are Python ints in an object array
+        diagonal = LatticeSet(20, 13, frozenset((a,) * 20 for a in range(13)))
+        assert _lattice_keys(diagonal).dtype == object
+        assert energy_of_set(diagonal) == energy_interval_formula(13)
+        # {0, 2, 3}^3 padded with constant coordinates: E = E({0, 2, 3})^3
+        cube = tensor_power(LatticeSet.from_values([0, 2, 3]), 3)
+        padded = LatticeSet(20, 13, frozenset(p + (12,) * 17 for p in cube.points))
+        assert energy_of_set(padded) == 15 ** 3
+        rng = np.random.default_rng(20)
+        for size in (1, 2, 30):
+            A = LatticeSet(20, 13, frozenset(tuple(int(c) for c in rng.integers(0, 13, 20))
+                                             for _ in range(size)))
+            assert energy_of_set(A) == energy_bruteforce(A)
+
+    @pytest.mark.parametrize("pad", [0, 16], ids=["int64", "object"])
+    def test_sorted_blocks_merge(self, monkeypatch, pad):
+        # {0, 1, 3}^4, padded to 20 coordinates in a side-13 cube for object keys
+        base = LatticeSet.from_values([0, 1, 3])
+        cube = tensor_power(base, 4)
+        A = LatticeSet(4 + pad, 13, frozenset(p + (0,) * pad for p in cube.points))
+        keys = _lattice_keys(A)
+        assert (keys.dtype == object) == (pad > 0)
+        want = energy_of_set(base) ** 4
+        assert _energy_sorted(keys) == want
+        # one key per row block, and a merge after every second block
+        monkeypatch.setattr(discrete_core, "_SORT_BLOCK", 3 * len(keys) // 2)
+        assert _energy_sorted(keys) == want
 
     def test_bruteforce_cap(self):
         with pytest.raises(CapExceededError):
@@ -255,6 +286,13 @@ class TestEnergies:
             e = energy_of_set(A)
             for d in (2, 3):
                 assert energy_of_set(tensor_power(A, d)) == e ** d
+
+    def test_tensor_sixth_power_on_sorted_path(self, monkeypatch):
+        A = LatticeSet.from_values([0, 5, 12])
+        e = energy_of_set(A)
+        # 729 points whose key span 25^6/2 exceeds the FFT cap
+        monkeypatch.setattr(discrete_core, "_energy_fft", None)
+        assert energy_of_set(tensor_power(A, 6)) == e ** 6 == 15 ** 6
 
     def test_lattice_validation(self):
         with pytest.raises(ValueError):

@@ -1,8 +1,8 @@
 """Property tests: the exact ||f^||_4^4 kernel against the quadruple-sum
 oracle, the FFT kernel above the precision cap against the exact one, the
 float64 lq norm against a 300-bit oracle, FFT lattice energies against the
-hash map and the brute-force oracle, scale invariance of the ratio report,
-and certificate JSON round trips."""
+sorted pair-sum count and both against the brute-force oracle, scale
+invariance of the ratio report, and certificate JSON round trips."""
 
 import json
 import math
@@ -22,7 +22,7 @@ from energylab.certificates import (GaussianScheduleParams, _sampled_gaussian,
                                     certificate_from_dict, certificate_to_dict,
                                     revalidate_certificate)
 from energylab.discrete_core import (DiscreteFunction, LatticeSet, _autoconvolve,
-                                     _energy_fft, _energy_hashmap, _pow4_exact,
+                                     _energy_fft, _energy_sorted, _lattice_keys, _pow4_exact,
                                      energy_bruteforce, energy_interval_formula, energy_of_set,
                                      fourier_l4_pow4, fourier_l4_pow4_quadruple,
                                      fourier_l4_pow4_with_error, lq_norm_with_error,
@@ -217,16 +217,25 @@ def random_set(rng, d, n, size):
 
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(1, 3), data=st.data())
-def test_fft_energy_matches_hashmap(seed, d, data):
+def test_fft_energy_matches_sorted(seed, d, data):
     n = data.draw(st.integers(5, {1: 400, 2: 20, 3: 7}[d]))
     size = data.draw(st.integers(1, min(n ** d, 300)))
     A = random_set(np.random.default_rng(seed), d, n, size)
-    pts = sorted(A.points)
-    want = _energy_hashmap(pts)
-    assert _energy_fft(pts, d, 2 * n - 1) == want
+    keys = _lattice_keys(A)
+    want = _energy_sorted(keys)
+    assert _energy_fft(keys) == want
     assert energy_of_set(A) == want
     if size <= 120:
         assert energy_bruteforce(A) == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(1, 6), data=st.data())
+def test_sorted_energy_matches_bruteforce(seed, d, data):
+    n = data.draw(st.integers(1, {1: 60, 2: 12, 3: 6, 4: 4, 5: 3, 6: 3}[d]))
+    size = data.draw(st.integers(1, min(n ** d, 60)))
+    A = random_set(np.random.default_rng(seed), d, n, size)
+    assert _energy_sorted(_lattice_keys(A)) == energy_bruteforce(A)
 
 
 @pytest.mark.parametrize("n", [64, 1000, 8191, 8192, 30000])
