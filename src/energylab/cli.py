@@ -22,7 +22,7 @@ class InputError(Exception):
 
 def _parse_int_list(text: str, where: str) -> list[int]:
     try:
-        return [int(tok.strip()) for tok in text.split(",") if tok.strip() != ""]
+        return [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
         raise InputError(f"{where}: {exc}") from None
 
@@ -38,14 +38,14 @@ def parse_inline_set(text: str) -> discrete_core.LatticeSet:
         vals = _parse_int_list(text, "inline set")
         if not vals:
             raise InputError("inline set: no points given")
-        points = [(v,) for v in vals]
+        points = [[v] for v in vals]
     else:
         points = []
         for i, tok in enumerate(t for t in text.split(";") if t.strip() != ""):
             coords = _parse_int_list(tok, f"inline set, point {i + 1}")
             if not coords:
                 raise InputError(f"inline set, point {i + 1}: empty point")
-            points.append(tuple(coords))
+            points.append(coords)
     return _points_to_set(points, "inline set")
 
 
@@ -60,7 +60,7 @@ def read_set_file(path: str) -> discrete_core.LatticeSet:
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         coords = _parse_int_list(line, f"{path}, line {lineno}")
-        points.append(tuple(coords))
+        points.append(coords)
     if not points:
         raise InputError(f"{path}: no points found")
     return _points_to_set(points, path)
@@ -72,10 +72,9 @@ def _points_to_set(points, where: str) -> discrete_core.LatticeSet:
         raise InputError(f"{where}: inconsistent point dimensions {sorted(dims)}")
     d = dims.pop()
     # energy is translation invariant; shift into [0, n-1]^d
-    mins = [min(p[i] for p in points) for i in range(d)]
-    shifted = [tuple(c - m for c, m in zip(p, mins)) for p in points]
-    side = max(max(p) for p in shifted) + 1
-    return discrete_core.LatticeSet(d, side, frozenset(shifted))
+    arr = discrete_core._int_array(points)
+    shifted = arr - arr.min(axis=0)
+    return discrete_core.LatticeSet(d, int(shifted.max()) + 1, shifted)
 
 
 def read_function_file(path: str) -> discrete_core.DiscreteFunction:
@@ -140,6 +139,9 @@ def _cmd_certify(args) -> int:
 def _cmd_estimate(args) -> int:
     est = optimizer.estimate_qn(args.n, tol=args.tol, seed=args.seed,
                                 starts=args.starts)
+    for p in est.probes:  # the per-probe trace goes to stderr, never into the result
+        print(f"probe q={p.q!r} ratio={p.ratio!r} err={p.err:.3e} fired={int(p.fired)} "
+              f"start={p.start_id} agreeing={p.agreeing}/{args.starts}", file=sys.stderr)
     doc = {
         "n": est.n,
         "q_hat": est.q_hat,

@@ -424,9 +424,22 @@ def ratio_report(f: DiscreteFunction, q: float) -> RatioReport:
 # Lattice sets and exact energies
 # ---------------------------------------------------------------------------
 
+def _int_array(rows) -> np.ndarray:
+    """Integer rows as an int64 array, or as Python ints in an object array
+    when some value does not fit in int64."""
+    try:
+        return np.array(rows, dtype=np.int64)
+    except OverflowError:
+        return np.array(rows, dtype=object)
+
+
 @dataclass(frozen=True)
 class LatticeSet:
-    """Finite set of d-dimensional integer points inside a side-n cube."""
+    """Finite set of d-dimensional integer points inside a side-n cube.
+
+    points may be any iterable of length-d integer sequences or a (k, d)
+    integer array; it is range-checked as one array and stored as a
+    frozenset of tuples of Python ints."""
 
     dim: int
     side: int
@@ -437,12 +450,22 @@ class LatticeSet:
             raise ValueError("dim must be >= 1")
         if self.side < 1:
             raise ValueError("side must be >= 1")
-        object.__setattr__(self, "points", frozenset(tuple(int(c) for c in p) for p in self.points))
-        for p in self.points:
-            if len(p) != self.dim:
-                raise ValueError(f"point {p} has wrong dimension (expected {self.dim})")
-            if any(c < 0 or c >= self.side for c in p):
-                raise ValueError(f"point {p} outside [0, {self.side - 1}]^{self.dim}")
+        if isinstance(self.points, np.ndarray):
+            arr = self.points
+            if arr.ndim != 2 or arr.shape[1] != self.dim:
+                raise ValueError(f"point array of shape {arr.shape} has wrong dimension "
+                                 f"(expected {self.dim})")
+        else:
+            rows = list(self.points)
+            wrong = next((p for p in rows if len(p) != self.dim), None)
+            if wrong is not None:
+                raise ValueError(f"point {tuple(wrong)} has wrong dimension (expected {self.dim})")
+            arr = _int_array(rows).reshape(len(rows), self.dim)
+        outside = np.flatnonzero((arr < 0).any(axis=1) | (arr >= self.side).any(axis=1))
+        if outside.size:
+            raise ValueError(f"point {tuple(arr[outside[0]].tolist())} outside "
+                             f"[0, {self.side - 1}]^{self.dim}")
+        object.__setattr__(self, "points", frozenset(zip(*arr.T.tolist())))
 
     @classmethod
     def from_points(cls, points, side: int | None = None) -> "LatticeSet":
@@ -531,14 +554,15 @@ def _energy_fft(keys):
     return int(np.dot(r, r))
 
 
-def _distinct_counts(sorted_sums, weights=None):
-    """(distinct values, total weight of each) of a sorted array; each
-    entry weighs 1 when weights is None."""
+def _distinct_counts(sorted_sums, weights):
+    """(distinct values, total weight of each) of a sorted array; weights
+    is one weight per entry, or one weight for every entry."""
     starts = np.flatnonzero(np.concatenate(([True], sorted_sums[1:] != sorted_sums[:-1])))
-    if weights is None:
-        counts = np.diff(np.append(starts, sorted_sums.size))
-    else:
+    if np.ndim(weights):
         counts = np.add.reduceat(weights, starts)
+    else:
+        counts = np.diff(np.append(starts, sorted_sums.size))
+        counts *= weights
     return sorted_sums[starts], counts
 
 
@@ -558,26 +582,36 @@ def _merge_counts(parts):
 
 
 def _energy_sorted(keys) -> int:
-    """E(A) = sum_s r(s)^2 from the keys of A, by sorting their pair sums.
+    """E(A) = sum_s r(s)^2 from the distinct keys K of A, by sorting their
+    pair sums.
 
-    The sums keys[i] + keys[j] over all ordered pairs are formed in row
-    blocks of at most max(_SORT_BLOCK, |A|) entries, and each block is
-    sorted and reduced to its distinct sums and their counts.  The reduced
-    blocks are merged whenever they hold _SORT_BLOCK more entries than the
-    last merge left, so memory stays O(_SORT_BLOCK + |A+A|).  Object keys
-    (Python ints) go through the same code.
+    r(s) = 2c(s) + [s in 2K], where c(s) counts the pairs i < j with
+    keys[i] + keys[j] = s.  Those sums are written row by row into one
+    buffer of at most max(_SORT_BLOCK, |A|) entries; whenever the next row
+    does not fit, the buffer is sorted in place and reduced to its distinct
+    sums with twice their counts.  The doubled keys enter once each.  The
+    reduced blocks are merged whenever they hold _SORT_BLOCK more entries
+    than the last merge left, so memory stays O(_SORT_BLOCK + |A+A|).
+    Object keys (Python ints) go through the same code.
     """
     m = len(keys)
-    rows = max(1, _SORT_BLOCK // m)
-    parts, held, merged = [], 0, 0
-    for i in range(0, m, rows):
-        block = (keys[i:i + rows, None] + keys[None, :]).ravel()
-        block.sort()
-        parts.append(_distinct_counts(block))
-        held += parts[-1][0].size
-        if held > merged + _SORT_BLOCK:
-            parts = [_merge_counts(parts)]
-            held = merged = parts[0][0].size
+    parts = [(np.sort(2 * keys), np.ones(m, dtype=np.int64))]
+    held, merged = m, 0
+    buf = np.empty(min(max(_SORT_BLOCK, m), m * (m - 1) // 2), dtype=keys.dtype)
+    pos = 0
+    for i in range(m):
+        row = m - 1 - i  # the sums keys[i] + keys[j], j > i; none in the last row
+        if pos and (row == 0 or pos + row > buf.size):
+            block = buf[:pos]
+            block.sort()
+            parts.append(_distinct_counts(block, 2))
+            held += parts[-1][0].size
+            pos = 0
+            if held > merged + _SORT_BLOCK:
+                parts = [_merge_counts(parts)]
+                held = merged = parts[0][0].size
+        np.add(keys[i], keys[i + 1:], out=buf[pos:pos + row])
+        pos += row
     r = _merge_counts(parts)[1]
     # E(A) <= |A|^3 < 2^63 below 2^21 points (2^42 pair sums): int64 holds it
     return int(np.dot(r, r))

@@ -142,7 +142,7 @@ def ball_lattice_set(d: int, radius: float, center=None,
     mins = pts.min(axis=0)
     side = int((pts.max(axis=0) - mins).max()) + 1
     shifted = pts - mins
-    return LatticeSet(d, side, frozenset(map(tuple, shifted.tolist())))
+    return LatticeSet(d, side, shifted)
 
 
 def ball_energy_experiment(d_values, radius_schedule, center=None,

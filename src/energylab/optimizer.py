@@ -3,9 +3,10 @@ bisection on q that estimates the critical exponent q_n (hence t_n = 4/q_n).
 
 The objective log||f^||_4 - log||f||_q is scale invariant and smooth away
 from zero, so each chain runs projected gradient ascent with Armijo
-backtracking.  Canonical starts cover the known extremizer families (delta,
-full indicator, sampled Gaussian, perturbed indicator); the remaining starts
-are seeded draws.
+backtracking; all chains run in lockstep as the rows of one (starts x n)
+array.  Canonical starts cover the known extremizer families (delta, full
+indicator, sampled Gaussian, perturbed indicator); the remaining starts are
+seeded draws.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ ARMIJO_C = 1e-4
 ASCENT_TOL = 1e-12  # relative objective gain below which a chain stops
 BACKTRACK_SHRINK = 0.5
 STEP_GROW = 1.3
+AGREE_TOL = 1e-9  # starts whose final value is this close to the best agree with it
 
 
 @dataclass(frozen=True)
@@ -47,76 +49,85 @@ class OptimizerConfig:
 class OptimizerResult:
     """The winning chain: its explicit certificate (the winner f, both norms,
     margin, err and validity from one evaluation), its iteration count and
-    its start index.  The certified ratio is certificate.lhs / certificate.rhs."""
+    its start index, and how many starts ended as high as it.  The certified
+    ratio is certificate.lhs / certificate.rhs."""
 
     certificate: Certificate
     iterations: int
     start_id: int
+    agreeing: int  # starts whose float64 value lies within AGREE_TOL of the winner's
 
 
-def energy_pow4_array(x: np.ndarray) -> float:
-    c = np.convolve(x, x)
-    return float(np.dot(c, c))
+def _pow4_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sum (x*x)^2 of each row x of X and its gradient 4 sum_b x(b) (x*x)(i+b),
+    from one rfft along the rows.
 
-
-def _pow4_and_gradient(x: np.ndarray) -> tuple[float, np.ndarray]:
-    """sum (x*x)^2 and its gradient 4 * sum_b x(b) (x*x)(i+b) on the window
-    carrying x, from one autoconvolution."""
-    c = np.convolve(x, x)
-    return float(np.dot(c, c)), 4.0 * np.correlate(c, x, mode="valid")
-
-
-def objective(x: np.ndarray, q: float) -> float:
-    """log ||x^||_4 - log ||x||_q; -inf on the zero vector."""
-    e4 = energy_pow4_array(x)
-    s = float(np.sum(x ** q))
-    if e4 <= 0 or s <= 0:
-        return -math.inf
-    return 0.25 * math.log(e4) - math.log(s) / q
-
-
-def _objective_and_gradient(x: np.ndarray, q: float) -> tuple[float, np.ndarray]:
-    """objective(x, q) and its gradient at an x with max(x) > 0, from one
-    autoconvolution and one sum x^q (the same float operations as objective)."""
-    e4, grad4 = _pow4_and_gradient(x)
-    s = float(np.sum(x ** q))
-    value = 0.25 * math.log(e4) - math.log(s) / q
-    return value, grad4 / (4.0 * e4) - x ** (q - 1.0) / s
-
-
-def _ascend(x0: np.ndarray, q: float, max_iters: int, tol: float):
-    """Projected gradient ascent with backtracking; returns (x, value, iters).
-
-    Each accepted iterate is normalized to max 1 and evaluated once, value
-    and gradient together; each trial point costs one objective call.
+    With F = rfft(x, N), c = irfft(F^2) is x*x and irfft(F^2 conj F) is the
+    correlation of c with x; at N, the least power of two >= 2n-1, neither
+    wraps around.  Rows never mix, so a row's result does not depend on the
+    others.
     """
-    x = np.maximum(np.asarray(x0, dtype=np.float64), 0.0)
-    if x.max() <= 0 or not np.all(np.isfinite(x)):
-        return None
-    x = x / x.max()
-    value, g = _objective_and_gradient(x, q)
-    eta = 0.1
-    iters = 0
-    for iters in range(1, max_iters + 1):
-        accepted = False
-        while eta > 1e-18:
-            y = np.maximum(x + eta * g, 0.0)
-            if y.max() > 0:
-                fy = objective(y, q)
-                if math.isfinite(fy) and fy >= value + ARMIJO_C * eta * float(np.dot(g, y - x)) \
-                        and fy >= value:
-                    accepted = True
-                    break
-            eta *= BACKTRACK_SHRINK
-        if not accepted:
-            break
-        gain = fy - value
-        x = y / y.max()
-        value, g = _objective_and_gradient(x, q)
-        eta *= STEP_GROW
-        if gain < tol * max(1.0, abs(value)) and iters > 8:
-            break
-    return x, value, iters
+    n = X.shape[1]
+    N = 1 << (2 * n - 2).bit_length()
+    F = np.fft.rfft(X, N, axis=1)
+    F2 = F * F
+    c = np.fft.irfft(F2, N, axis=1)[:, :2 * n - 1]
+    grad = 4.0 * np.fft.irfft(F2 * F.conj(), N, axis=1)[:, :n]
+    return np.sum(c * c, axis=1), grad
+
+
+def _objective_rows(X: np.ndarray, q: float) -> tuple[np.ndarray, np.ndarray]:
+    """log ||x^||_4 - log ||x||_q of each row x of X and its gradient, for
+    rows x >= 0 with max(x) = 1; sum x^q shares x^(q-1) with the gradient."""
+    e4, grad4 = _pow4_rows(X)
+    xq1 = X ** (q - 1.0)
+    s = np.sum(xq1 * X, axis=1)
+    values = 0.25 * np.log(e4) - np.log(s) / q
+    return values, grad4 / (4.0 * e4[:, None]) - xq1 / s[:, None]
+
+
+def _ascend_rows(X0: np.ndarray, q: float, max_iters: int, tol: float):
+    """Projected gradient ascent with Armijo backtracking on every row of X0
+    (rows >= 0, each with a positive maximum) at once; returns (X, values,
+    iters), one row or entry per chain.
+
+    The chains run in lockstep rounds.  In a round every running chain takes
+    one trial step y = max(x + eta g, 0) with its own eta; one row-wise
+    evaluation at y / max(y) serves all of them (the objective is scale
+    invariant), so an accepted trial's value and gradient are the next
+    iterate's.  An accepted chain grows eta and moves on to its next
+    iteration, a rejected one halves eta and retries; a chain stops when
+    eta falls to 1e-18, when its gain drops below tol (after 8 iterations)
+    or at max_iters.  Chains never read each other's rows.
+    """
+    X = X0 / X0.max(axis=1, keepdims=True)
+    values, G = _objective_rows(X, q)
+    eta = np.full(len(X), 0.1)
+    iters = np.ones(len(X), dtype=np.int64)
+    running = np.ones(len(X), dtype=bool)
+    while running.any():
+        rows = np.flatnonzero(running)
+        x, g, step = X[rows], G[rows], eta[rows]
+        y = np.maximum(x + step[:, None] * g, 0.0)
+        top = y.max(axis=1)
+        tried = np.flatnonzero(np.isfinite(top) & (top > 0))
+        z = y[tried] / top[tried, None]
+        fz, gz = _objective_rows(z, q)
+        v = values[rows[tried]]
+        slope = np.sum(g[tried] * (y[tried] - x[tried]), axis=1)
+        ok = np.isfinite(fz) & (fz >= v + ARMIJO_C * step[tried] * slope) & (fz >= v)
+        accepted = np.zeros(rows.size, dtype=bool)
+        accepted[tried[ok]] = True
+        won, lost = rows[accepted], rows[~accepted]
+        X[won], values[won], G[won] = z[ok], fz[ok], gz[ok]
+        eta[won] *= STEP_GROW
+        stop = ((fz[ok] - v[ok] < tol * np.maximum(1.0, np.abs(fz[ok]))) & (iters[won] > 8)) \
+            | (iters[won] == max_iters)
+        running[won[stop]] = False
+        iters[won[~stop]] += 1
+        eta[lost] *= BACKTRACK_SHRINK
+        running[lost[eta[lost] <= 1e-18]] = False
+    return X, values, iters
 
 
 def _canonical_starts(n: int) -> list[np.ndarray]:
@@ -138,6 +149,27 @@ def _canonical_starts(n: int) -> list[np.ndarray]:
     return [delta, ones, gauss, perturbed]
 
 
+def _start_rows(config: OptimizerConfig) -> np.ndarray:
+    """The (starts x n) array of chain starts: the canonical starts, then
+    seeded draws, each clipped at 0.  A degenerate start (no positive or a
+    non-finite entry) is redrawn from its own stream [seed, start_id,
+    attempt]."""
+    n = config.n
+    rng = np.random.default_rng(config.seed)
+    starts = _canonical_starts(n)
+    while len(starts) < config.starts:
+        starts.append(rng.random(n))
+    rows = []
+    for sid, x0 in enumerate(starts):
+        x = np.maximum(np.asarray(x0, dtype=np.float64), 0.0)
+        attempt = 0
+        while x.max() <= 0 or not np.all(np.isfinite(x)):
+            attempt += 1
+            x = np.random.default_rng([config.seed, sid, attempt]).random(n) + 1e-6
+        rows.append(x)
+    return np.array(rows)
+
+
 def maximize_ratio(config: OptimizerConfig) -> OptimizerResult:
     """Multi-start search for sup ||f^||_4 / ||f||_q over f >= 0 on {0..n-1}.
 
@@ -148,40 +180,40 @@ def maximize_ratio(config: OptimizerConfig) -> OptimizerResult:
     the smaller start_id.
     """
     n, q = config.n, config.q
-    rng = np.random.default_rng(config.seed)
-    starts = _canonical_starts(n)
-    while len(starts) < config.starts:
-        starts.append(rng.random(n))
-
-    best = None
-    for sid, x0 in enumerate(starts):
-        out = _ascend(x0, q, config.max_iters, ASCENT_TOL)
-        attempt = 0
-        while out is None:  # degenerate start: restart that chain, per-chain stream
-            attempt += 1
-            restart = np.random.default_rng([config.seed, sid, attempt]).random(n) + 1e-6
-            out = _ascend(restart, q, config.max_iters, ASCENT_TOL)
-        x, value, iters = out
-        key = (value, -sid)
-        if best is None or key > best[0]:
-            best = (key, x, iters, sid)
-    _, x, iters, sid = best
-    f = DiscreteFunction(0, tuple(x / x.max()))
+    X, values, iters = _ascend_rows(_start_rows(config), q, config.max_iters, ASCENT_TOL)
+    sid = int(np.argmax(values))  # the first maximum: ties go to the smaller start_id
+    f = DiscreteFunction(0, tuple(X[sid]))
     return OptimizerResult(certificate=evaluate_certificate("explicit", n, q, f),
-                           iterations=iters, start_id=sid)
+                           iterations=int(iters[sid]), start_id=sid,
+                           agreeing=int(np.count_nonzero(values >= values[sid] - AGREE_TOL)))
+
+
+@dataclass(frozen=True)
+class ProbeRecord:
+    """What one bisection probe saw: its q, the winner's certified ratio
+    lhs/rhs and err, whether it fired, the winning start and how many starts
+    agreed with it."""
+
+    q: float
+    ratio: float
+    err: float
+    fired: bool
+    start_id: int
+    agreeing: int
 
 
 @dataclass(frozen=True)
 class QnEstimate:
     """Bisection output: q_hat estimates q_n from above (up to optimizer
     incompleteness) and t_hat = 4/q_hat estimates t_n from below whenever the
-    witness validates."""
+    witness validates.  probes records each probe in the order run."""
 
     n: int
     q_hat: float
     t_hat: float
     witness: Certificate | None
     empirical_c: float
+    probes: tuple[ProbeRecord, ...]
 
 
 def estimate_qn(n: int, tol: float = 1e-3, seed: int = 0, starts: int = 16) -> QnEstimate:
@@ -196,16 +228,21 @@ def estimate_qn(n: int, tol: float = 1e-3, seed: int = 0, starts: int = 16) -> Q
     """
     if not 1e-4 <= tol < 2.0 / 3.0:
         raise ValueError(f"bisection tol must lie in [1e-4, 2/3), got {tol}")
+    probes = []
 
     def probe(q: float) -> Certificate | None:
-        cert = maximize_ratio(OptimizerConfig(n=n, q=q, starts=starts, seed=seed)).certificate
+        res = maximize_ratio(OptimizerConfig(n=n, q=q, starts=starts, seed=seed))
+        cert = res.certificate
+        probes.append(ProbeRecord(q=q, ratio=cert.lhs / cert.rhs, err=cert.err,
+                                  fired=cert.valid, start_id=res.start_id,
+                                  agreeing=res.agreeing))
         return cert if cert.valid else None
 
     lo, hi = 4.0 / 3.0, 2.0
     witness = probe(hi)
     if witness is None:
         return QnEstimate(n=n, q_hat=2.0, t_hat=2.0, witness=None,
-                          empirical_c=float(n) ** 1.0 - 1.0)
+                          empirical_c=float(n) ** 1.0 - 1.0, probes=tuple(probes))
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         cert = probe(mid)
@@ -216,4 +253,4 @@ def estimate_qn(n: int, tol: float = 1e-3, seed: int = 0, starts: int = 16) -> Q
     q_hat = 0.5 * (lo + hi)
     t_hat = 4.0 / q_hat
     return QnEstimate(n=n, q_hat=q_hat, t_hat=t_hat, witness=witness,
-                      empirical_c=float(n) ** (3.0 - t_hat) - 1.0)
+                      empirical_c=float(n) ** (3.0 - t_hat) - 1.0, probes=tuple(probes))

@@ -31,6 +31,11 @@ class TestInlineParsing:
         lattice = parse_inline_set("-1,0,1")
         assert lattice.points == frozenset({(0,), (1,), (2,)})
 
+    def test_coordinates_beyond_int64_translated(self):
+        lattice = parse_inline_set(f"{10 ** 30},{10 ** 30 + 2};{-10 ** 30},{10 ** 30}")
+        assert lattice.points == frozenset({(2 * 10 ** 30, 2), (0, 0)})
+        assert lattice.side == 2 * 10 ** 30 + 1
+
 
 class TestEnergyCommand:
     def test_inline_pair(self, capsys):
@@ -207,6 +212,17 @@ class TestEstimateCommand:
         doc = json.loads(out)
         assert 1.546 <= doc["q_hat"] <= 1.549
         assert doc["witness"]["valid"] is True
+
+    def test_probe_trace_on_stderr_only(self, capsys):
+        code, out, err = run(capsys, "estimate", "--n", "3", "--seed", "7", "--starts", "6")
+        assert code == 0
+        assert sorted(json.loads(out)) == ["empirical_c", "n", "q_hat", "t_hat", "witness"]
+        lines = err.splitlines()
+        assert len(lines) > 1
+        pattern = (r"probe q=\S+ ratio=\S+ err=\S+ fired=[01] start=[0-5] agreeing=[1-6]/6")
+        assert all(re.fullmatch(pattern, line) for line in lines)
+        assert lines[0].startswith("probe q=2.0 ") and "fired=1" in lines[0]
+        assert "probe" not in out
 
 
 @pytest.mark.parametrize("argv", [

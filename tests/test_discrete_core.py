@@ -299,6 +299,29 @@ class TestEnergies:
             LatticeSet(2, 3, frozenset({(0, 3)}))
         with pytest.raises(ValueError):
             LatticeSet(2, 3, frozenset({(0,)}))
+        with pytest.raises(ValueError, match="outside"):
+            LatticeSet(1, 3, frozenset({(-1,)}))
+        with pytest.raises(ValueError, match="wrong dimension"):
+            LatticeSet(2, 3, [(0, 1), (1, 1, 1)])
+
+    def test_lattice_from_array(self):
+        arr = np.array([[0, 2], [1, 1], [0, 2]])
+        A = LatticeSet(2, 3, arr)
+        assert A == LatticeSet(2, 3, frozenset({(0, 2), (1, 1)}))
+        assert all(type(c) is int for p in A.points for c in p)
+        with pytest.raises(ValueError, match="outside"):
+            LatticeSet(2, 2, arr)
+        with pytest.raises(ValueError, match="wrong dimension"):
+            LatticeSet(3, 3, arr)
+        with pytest.raises(ValueError, match="wrong dimension"):
+            LatticeSet(1, 3, np.arange(3))
+
+    def test_lattice_points_beyond_int64(self):
+        big = 2 ** 70
+        A = LatticeSet(1, big + 1, frozenset({(0,), (big,)}))
+        assert A.points == frozenset({(0,), (big,)}) and energy_of_set(A) == 6
+        with pytest.raises(ValueError, match="outside"):
+            LatticeSet(1, big, frozenset({(0,), (big,)}))
 
 
 class TestTrivialBound:

@@ -6,22 +6,46 @@ import pytest
 from energylab import certificates, discrete_core, optimizer
 from energylab.certificates import revalidate_certificate
 from energylab.discrete_core import DiscreteFunction, ratio_report
-from energylab.optimizer import (OptimizerConfig, energy_pow4_array, estimate_qn,
-                                 maximize_ratio, objective, _ascend, _objective_and_gradient,
-                                 _pow4_and_gradient)
+from energylab.optimizer import (OptimizerConfig, estimate_qn, maximize_ratio, _ascend_rows,
+                                 _objective_rows, _pow4_rows, _start_rows)
 
 
 def _ratio(res):
     return res.certificate.lhs / res.certificate.rhs
 
 
+def _pow4_convolve(x):
+    """Independent oracle: sum (x*x)^2 by np.convolve."""
+    c = np.convolve(x, x)
+    return float(np.dot(c, c))
+
+
+def _objective_convolve(x, q):
+    return 0.25 * math.log(_pow4_convolve(x)) - math.log(float(np.sum(x ** q))) / q
+
+
+def _finite_differences(fn, x, h):
+    fd = np.empty(len(x))
+    for i in range(len(x)):
+        xp, xm = x.copy(), x.copy()
+        xp[i] += h
+        xm[i] -= h
+        fd[i] = (fn(xp) - fn(xm)) / (2 * h)
+    return fd
+
+
+def _one_row(kernel, x, *args):
+    value, grad = kernel(x[None, :], *args)
+    return value[0], grad[0]
+
+
 class TestGradient:
     def test_delta(self):
-        e4, g = _pow4_and_gradient(np.array([1.0]))
+        e4, g = _one_row(_pow4_rows, np.array([1.0]))
         assert e4 == 1.0 and g.tolist() == [4.0]
 
     def test_pair_indicator(self):
-        e4, g = _pow4_and_gradient(np.array([1.0, 1.0]))
+        e4, g = _one_row(_pow4_rows, np.array([1.0, 1.0]))
         assert e4 == 6.0
         assert g[0] == pytest.approx(12.0, rel=1e-13)
         assert g[1] == pytest.approx(12.0, rel=1e-13)
@@ -30,36 +54,23 @@ class TestGradient:
 
     def test_finite_differences(self):
         rng = np.random.default_rng(0)
-        h = 1e-5
         for _ in range(30):
-            m = int(rng.integers(2, 17))
-            x = rng.standard_normal(m)
-            e4, got = _pow4_and_gradient(x)
-            assert e4 == energy_pow4_array(x)
-            fd = np.empty(m)
-            for i in range(m):
-                xp, xm = x.copy(), x.copy()
-                xp[i] += h
-                xm[i] -= h
-                fd[i] = (energy_pow4_array(xp) - energy_pow4_array(xm)) / (2 * h)
+            x = rng.standard_normal(int(rng.integers(2, 17)))
+            e4, got = _one_row(_pow4_rows, x)
+            assert e4 == pytest.approx(_pow4_convolve(x), rel=1e-12)
+            fd = _finite_differences(_pow4_convolve, x, 1e-5)
             assert np.max(np.abs(got - fd)) <= 1e-6 * max(np.max(np.abs(fd)), 1e-30)
 
     def test_objective_gradient_finite_differences(self):
         # the value and gradient the ascent steps with, on its normalized iterates
         rng = np.random.default_rng(5)
-        h = 1e-6
         for _ in range(30):
             x = rng.random(int(rng.integers(2, 17))) + 0.05
             x /= x.max()
             q = float(rng.uniform(4 / 3, 2))
-            value, got = _objective_and_gradient(x, q)
-            assert value == objective(x, q)
-            fd = np.empty(len(x))
-            for i in range(len(x)):
-                xp, xm = x.copy(), x.copy()
-                xp[i] += h
-                xm[i] -= h
-                fd[i] = (objective(xp, q) - objective(xm, q)) / (2 * h)
+            value, got = _one_row(_objective_rows, x, q)
+            assert value == pytest.approx(_objective_convolve(x, q), abs=1e-14)
+            fd = _finite_differences(lambda y: _objective_convolve(y, q), x, 1e-6)
             assert np.max(np.abs(got - fd)) <= 1e-6 * max(np.max(np.abs(fd)), 1e-30)
 
 
@@ -69,46 +80,65 @@ class TestObjective:
         for _ in range(20):
             x = rng.random(int(rng.integers(2, 12))) + 0.01
             q = float(rng.uniform(4 / 3, 2))
-            base = objective(x, q)
-            for c in (1e-3, 7.0, 1e4):
-                assert objective(c * x, q) == pytest.approx(base, abs=1e-12)
+            values, _ = _objective_rows(np.array([c * x for c in (1.0, 1e-3, 7.0, 1e4)]), q)
+            assert values[1:] == pytest.approx(values[0], abs=1e-12)
 
-    def test_zero_vector(self):
-        assert objective(np.zeros(4), 1.5) == -math.inf
+    def test_zero_vector(self, monkeypatch):
+        # a start with no positive or a non-finite entry never enters the
+        # ascent: it is redrawn from its own stream [seed, start_id, attempt]
+        n = 5
+        starts = [np.zeros(n), np.array([1.0, np.nan, 0, 0, 0]), -np.ones(n), np.ones(n)]
+        monkeypatch.setattr(optimizer, "_canonical_starts", lambda _: [s.copy() for s in starts])
+        X0 = _start_rows(OptimizerConfig(n=n, q=1.5, starts=4, seed=9))
+        for sid in range(3):
+            assert np.array_equal(X0[sid], np.random.default_rng([9, sid, 1]).random(n) + 1e-6)
+        assert np.array_equal(X0[3], np.ones(n))
+        assert maximize_ratio(OptimizerConfig(n=n, q=1.5, starts=4, seed=9)).certificate.valid
 
     def test_ascent_monotone(self):
         # the ascent is deterministic, so the run capped at k iterations is the
         # full run's k-th iterate
         rng = np.random.default_rng(2)
         for _ in range(5):
-            x0 = rng.random(6) + 1e-3
-            _, final, iters = _ascend(x0, 1.5, 300, 1e-12)
-            values = [_ascend(x0, 1.5, k, 1e-12)[1] for k in range(1, iters + 1)]
+            x0 = rng.random((1, 6)) + 1e-3
+            _, final, iters = _ascend_rows(x0, 1.5, 300, 1e-12)
+            values = [_ascend_rows(x0, 1.5, k, 1e-12)[1][0] for k in range(1, iters[0] + 1)]
             assert all(b >= a - 1e-14 for a, b in zip(values, values[1:]))
-            assert values[-1] == final
+            assert values[-1] == final[0]
 
-    def test_one_autoconvolution_per_iterate(self, monkeypatch):
-        # every np.convolve is either a trial point's objective call or the
-        # one evaluation of an accepted iterate (plus the start)
-        counts = {"convolve": 0, "objective": 0}
-        convolve, objective_fn = np.convolve, optimizer.objective
+    @pytest.mark.parametrize("n", [2, 3, 8, 16, 33])
+    def test_batch_independence(self, n):
+        # each chain run alone ends where it ends inside the 16-row batch, bit for bit
+        X0 = _start_rows(OptimizerConfig(n=n, q=1.45, seed=3))
+        assert X0.shape == (16, n)
+        X, values, iters = _ascend_rows(X0, 1.45, 5000, 1e-12)
+        for sid in range(16):
+            x, value, it = _ascend_rows(X0[sid:sid + 1], 1.45, 5000, 1e-12)
+            assert np.array_equal(x[0], X[sid])
+            assert value[0] == values[sid] and it[0] == iters[sid]
 
-        def counting_convolve(*args, **kwargs):
-            counts["convolve"] += 1
-            return convolve(*args, **kwargs)
+    def test_one_fft_evaluation_per_round(self, monkeypatch):
+        # one row-wise rfft for the starts, then one per round; a batch runs
+        # as many rounds as its longest chain makes trial steps
+        calls = []
+        rfft = np.fft.rfft
 
-        def counting_objective(*args, **kwargs):
-            counts["objective"] += 1
-            return objective_fn(*args, **kwargs)
+        def counting_rfft(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return rfft(a, *args, **kwargs)
 
-        monkeypatch.setattr(np, "convolve", counting_convolve)
-        monkeypatch.setattr(optimizer, "objective", counting_objective)
-        rng = np.random.default_rng(3)
-        for n in (3, 8):
-            counts.update(convolve=0, objective=0)
-            _, _, iters = _ascend(rng.random(n) + 1e-3, 1.6, 500, 1e-12)
-            assert iters > 1
-            assert counts["convolve"] - counts["objective"] <= iters + 1
+        monkeypatch.setattr(np.fft, "rfft", counting_rfft)
+        X0 = np.random.default_rng(3).random((6, 8)) + 1e-3
+        alone = []
+        for row in X0:
+            calls.clear()
+            _ascend_rows(row[None, :], 1.6, 500, 1e-12)
+            alone.append(len(calls))
+        calls.clear()
+        _ascend_rows(X0, 1.6, 500, 1e-12)
+        assert len(calls) == max(alone) > 2
+        assert calls[0] == (6, 8)
+        assert all(len(shape) == 2 for shape in calls)
 
 
 class TestMaximize:
@@ -206,6 +236,31 @@ class TestEstimate:
         assert len(calls) == len(probes)
         assert est.witness.valid
         assert any(est.witness is res.certificate for res in probes)
+
+    @pytest.mark.parametrize("n, q_hat", [(2, 1.5472005208333333), (3, 1.4703776041666665),
+                                          (8, 1.4020182291666665), (16, 1.3831380208333333)])
+    def test_q_hat_pinned(self, n, q_hat):
+        # the values of the per-chain np.convolve ascent this one replaced
+        assert estimate_qn(n, tol=1e-3, seed=0).q_hat == q_hat
+
+    def test_probe_records(self, monkeypatch):
+        results = []
+        maximize = optimizer.maximize_ratio
+
+        def recording_maximize(config):
+            results.append((config.q, maximize(config)))
+            return results[-1][1]
+
+        monkeypatch.setattr(optimizer, "maximize_ratio", recording_maximize)
+        est = estimate_qn(3, seed=7)
+        assert len(est.probes) == len(results)
+        for rec, (q, res) in zip(est.probes, results):
+            cert = res.certificate
+            assert (rec.q, rec.ratio, rec.err, rec.fired) == (q, cert.lhs / cert.rhs, cert.err,
+                                                              cert.valid)
+            assert (rec.start_id, rec.agreeing) == (res.start_id, res.agreeing)
+            assert 1 <= rec.agreeing <= 16
+        assert est.q_hat == pytest.approx(min(r.q for r in est.probes if r.fired), abs=1e-3)
 
     def test_tol_validation(self):
         # tol must lie in [1e-4, 2/3), below the width of [4/3, 2]

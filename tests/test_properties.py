@@ -2,7 +2,9 @@
 oracle, the FFT kernel above the precision cap against the exact one, the
 float64 lq norm against a 300-bit oracle, FFT lattice energies against the
 sorted pair-sum count and both against the brute-force oracle, scale
-invariance of the ratio report, and certificate JSON round trips."""
+invariance of the ratio report, certificate JSON round trips, and the
+optimizer's row-wise FFT energy and gradient against np.convolve and finite
+differences."""
 
 import json
 import math
@@ -12,11 +14,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath import libmp, mp
 
 from energylab import precision
+from energylab.optimizer import _pow4_rows
 from energylab.certificates import (GaussianScheduleParams, _sampled_gaussian,
                                     build_gaussian_certificate, build_perturbation_certificate,
                                     certificate_from_dict, certificate_to_dict,
@@ -241,3 +244,32 @@ def test_sorted_energy_matches_bruteforce(seed, d, data):
 @pytest.mark.parametrize("n", [64, 1000, 8191, 8192, 30000])
 def test_fft_interval_energy(n):
     assert energy_of_set(LatticeSet.from_range(n)) == energy_interval_formula(n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), m=st.integers(1, 64), rows=st.integers(1, 4))
+def test_row_kernel_matches_convolve(data, m, rows):
+    # signed rows, each scaled to max |x| = 1 so one step h suits every row
+    X = np.array(data.draw(st.lists(st.lists(st.floats(-1.0, 1.0), min_size=m, max_size=m),
+                                    min_size=rows, max_size=rows)))
+    top = np.max(np.abs(X), axis=1)
+    assume(np.all(top > 0))
+    X /= top[:, None]
+    e4, grad = _pow4_rows(X)
+
+    def pow4(x):
+        c = np.convolve(x, x)
+        return float(np.dot(c, c))
+
+    h = 1e-5
+    for x, e, g in zip(X, e4, grad):
+        assert e == pytest.approx(pow4(x), rel=1e-12)
+        want = 4.0 * np.correlate(np.convolve(x, x), x, mode="valid")
+        assert np.max(np.abs(g - want)) <= 1e-6 * np.max(np.abs(want))
+        fd = np.empty(m)
+        for i in range(m):
+            xp, xm = x.copy(), x.copy()
+            xp[i] += h
+            xm[i] -= h
+            fd[i] = (pow4(xp) - pow4(xm)) / (2 * h)
+        assert np.max(np.abs(g - fd)) <= 1e-6 * np.max(np.abs(fd))
