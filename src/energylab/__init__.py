@@ -18,7 +18,7 @@ from .discrete_core import (CapExceededError, DiscreteFunction, InvalidExponentE
                             trivial_lower_bound)
 from .experiments import (BallExperimentRow, BoundsRow, asymptotic_target,
                           ball_energy_experiment, ball_lattice_set, bounds_table,
-                          conjecture_target, read_results, write_manifest, write_results)
+                          conjecture_target, write_manifest, write_results)
 from .optimizer import OptimizerConfig, OptimizerResult, QnEstimate, estimate_qn, maximize_ratio
 
 __all__ = [
@@ -35,7 +35,7 @@ __all__ = [
     "estimate_qn", "evaluate_certificate",
     "fourier_l4_pow4", "fourier_l4_pow4_quadruple", "gaussian_l4hat", "gaussian_lq",
     "gaussian_ratio", "interval_overlap_sum", "lq_norm", "maximize_ratio",
-    "quadrature_l4hat", "quadrature_lq_pow", "ratio_report", "read_results",
+    "quadrature_l4hat", "quadrature_lq_pow", "ratio_report",
     "revalidate_certificate", "tensor_power",
     "trivial_lower_bound", "write_manifest", "write_results",
 ]

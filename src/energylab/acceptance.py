@@ -44,7 +44,7 @@ def _random_function(rng, max_support: int, offset_range: int = 40):
         if np.any(vals != 0.0):
             break
     offset = int(rng.integers(-offset_range, offset_range + 1))
-    return discrete_core.DiscreteFunction(offset, tuple(float(v) for v in vals))
+    return discrete_core.DiscreteFunction(offset, vals)
 
 
 def criterion_1(seed: int = DEFAULT_SEED) -> CriterionResult:

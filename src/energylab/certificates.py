@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 from mpmath import mp
 
@@ -22,7 +22,7 @@ from .continuum import (ASYMPTOTIC_LOG_BASE, GaussianSpec, gaussian_l4hat, gauss
                         truncated_gaussian_l4hat_pow4, truncated_gaussian_lq)
 from .discrete_core import (CapExceededError, DiscreteFunction, _norm_pair,
                             energy_interval_formula, lq_norm)
-from .precision import FLOAT64_EPS, to_mpf, working
+from .precision import FLOAT64_EPS, working
 
 CERTIFICATE_KINDS = ("gaussian", "perturbation", "explicit")
 
@@ -132,7 +132,7 @@ def _perturbation_certificate(n: int, eps: Fraction) -> Certificate:
     lo, _ = _centered_interval(n)
     values = [1.0] * n
     values[-lo] = 1.0 + float(eps)  # exact for every eps in EPS_SCAN
-    f = DiscreteFunction(lo, tuple(values))
+    f = DiscreteFunction(lo, values)
 
     energy = energy_interval_formula(n)
     with working():
@@ -190,7 +190,7 @@ def _sampled_gaussian(params: GaussianScheduleParams) -> DiscreteFunction:
     # the stored float64 samples are the witness, so their rounding needs no bound
     m = params.m_trunc
     grid = np.arange(-m, m + 1, dtype=np.float64)
-    return DiscreteFunction(-m, tuple(np.exp(-(grid * grid) / params.a_param)))
+    return DiscreteFunction(-m, np.exp(-(grid * grid) / params.a_param))
 
 
 def build_gaussian_certificate(params: GaussianScheduleParams) -> Certificate:
@@ -282,22 +282,13 @@ def continuum_discretization_report(params: GaussianScheduleParams) -> Discretiz
 # Serialization
 # ---------------------------------------------------------------------------
 
-def _value_to_str(v) -> str:
-    if isinstance(v, int):
-        return str(v)
-    if isinstance(v, float):
-        return repr(v)
-    with working():
-        return mpmath.nstr(to_mpf(v), 40)
-
-
 def certificate_to_dict(cert: Certificate) -> dict:
     return {
         "kind": cert.kind,
         "n": cert.n,
         "q": cert.q,
         "offset": cert.f.offset,
-        "values": [_value_to_str(v) for v in cert.f.values],
+        "values": [repr(v) for v in cert.f.values.tolist()],
         "lhs": cert.lhs,
         "rhs": cert.rhs,
         "margin": cert.margin,
@@ -307,16 +298,20 @@ def certificate_to_dict(cert: Certificate) -> dict:
     }
 
 
-def _value_from_str(s: str):
-    # a float written by repr comes back as that float, anything else at 120 bits
-    if repr(float(s)) == s:
-        return float(s)
-    return mp.mpf(s)
+def _exact_float(i: int, s) -> float:
+    """The float64 number that s (value i) names: the number whose shortest
+    repr s is, or s's exact decimal value if that is a float64 number.
+    Anything else would be rounded, and the certificate revalidated against
+    another function, so it raises.  Decimal compares exactly without
+    expanding a huge exponent such as 1e-999999999."""
+    x = float(s)
+    if not (math.isfinite(x) and (repr(x) == s or Decimal(s) == Decimal(x))):
+        raise ValueError(f"certificate value {i} ({s!r}) is not a finite float64 number")
+    return x
 
 
 def certificate_from_dict(d: dict) -> Certificate:
-    with working():
-        vals = tuple(_value_from_str(s) for s in d["values"])
+    vals = np.array([_exact_float(i, s) for i, s in enumerate(d["values"])])
     f = DiscreteFunction(int(d["offset"]), vals)
     return Certificate(kind=d["kind"], n=int(d["n"]), q=float(d["q"]), f=f,
                        lhs=float(d["lhs"]), rhs=float(d["rhs"]),

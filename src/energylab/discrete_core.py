@@ -1,5 +1,7 @@
 """Finitely supported functions on Z and exact additive energies of lattice sets.
 
+A function holds its values as one read-only float64 array, so every norm
+starts from exact inputs and its bound covers only the arithmetic done.
 The L4 norm of the Fourier transform is always evaluated through the
 autoconvolution identity  ||f^||_4^4 = ||f*f||_2^2 = sum_s (f*f)(s)^2,
 which for an indicator function 1_A reduces to the additive energy E(A).
@@ -16,10 +18,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from mpmath import mp
+from mpmath import mp, mpmathify
 
 from . import precision
-from .precision import FLOAT64_EPS, hp_unit, to_mpf, working
+from .precision import FLOAT64_EPS, hp_unit, working
 
 # Longest key span of the FFT energy path: its transforms then hold at most
 # 2^22 entries (32 MiB each).  Sparser sets (large dimension) and sets of
@@ -27,8 +29,6 @@ from .precision import FLOAT64_EPS, hp_unit, to_mpf, working
 # most _SORT_BLOCK sums (32 MiB of int64).
 _FFT_SPAN_CAP = 1 << 21
 _SORT_BLOCK = 1 << 22
-
-_EXACT_SCALAR = (int, Fraction)
 
 
 class InvalidExponentError(ValueError):
@@ -45,116 +45,69 @@ class CapExceededError(RuntimeError):
 
 # Largest packed operand of the exact autoconvolution, in bits.  Float64
 # values at the precision cap (support 2048) pack into at most ~8.6e6 bits
-# (exponent spread 2^-1074..2^1024); only mpf or Fraction values can need more.
+# (exponent spread 2^-1074..2^1024); only integer-valued input above the cap,
+# which fourier_l4_pow4 still sums exactly, can need more.
 _PACK_BITS_CAP = 1 << 25
 
 
-def _normalize_scalar(v):
-    if isinstance(v, (float, np.floating)):  # np.float64 subclasses float; coerce
-        v = float(v)
-        if math.isfinite(v):
-            return v
-    elif isinstance(v, (bool, np.integer)):
-        return int(v)
-    elif isinstance(v, (int, Fraction)):
-        return v
-    elif isinstance(v, mp.mpf):
-        if mp.isfinite(v):
-            return v
-    else:
-        raise TypeError(f"unsupported value type {type(v)!r}")
-    raise ValueError(f"function values must be finite, got {v!r}")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteFunction:
     """Real-valued function on Z carried as (offset, values).
 
-    Canonical form: values is empty (the zero function, offset 0) or has
-    nonzero first and last entries.  Values may be int, float, Fraction or
-    mpf and must be finite.
+    values is the constructor's input copied into one read-only C-contiguous
+    float64 array; every value must be finite.  Canonical form: values is
+    empty (the zero function, offset 0) or has nonzero first and last
+    entries.  Equal when offset and values are; not hashable.
     """
 
     offset: int = 0
-    values: tuple = ()
+    values: np.ndarray = ()
 
     def __post_init__(self):
-        vals = [_normalize_scalar(v) for v in self.values]
-        lo, hi = 0, len(vals)
-        while lo < hi and vals[lo] == 0:
-            lo += 1
-        while hi > lo and vals[hi - 1] == 0:
-            hi -= 1
-        if lo == hi:
-            object.__setattr__(self, "offset", 0)
-            object.__setattr__(self, "values", ())
-        else:
-            object.__setattr__(self, "offset", int(self.offset) + lo)
-            object.__setattr__(self, "values", tuple(vals[lo:hi]))
+        arr = np.asarray(self.values, dtype=np.float64)
+        if arr.ndim != 1:
+            raise ValueError(f"function values must be one-dimensional, got shape {arr.shape}")
+        bad = np.flatnonzero(~np.isfinite(arr))
+        if bad.size:
+            raise ValueError(f"function values must be finite, got {float(arr[bad[0]])!r}")
+        nonzero = np.flatnonzero(arr)
+        lo, hi = (int(nonzero[0]), int(nonzero[-1]) + 1) if nonzero.size else (0, 0)
+        vals = arr[lo:hi].copy()  # later changes to the input do not reach f
+        vals.flags.writeable = False
+        object.__setattr__(self, "offset", int(self.offset) + lo if hi else 0)
+        object.__setattr__(self, "values", vals)
 
-    @classmethod
-    def delta(cls, at: int = 0, height=1) -> "DiscreteFunction":
-        return cls(at, (height,))
+    def __eq__(self, other):
+        if not isinstance(other, DiscreteFunction):
+            return NotImplemented
+        return self.offset == other.offset and np.array_equal(self.values, other.values)
+
+    __hash__ = None
 
     @classmethod
     def indicator(cls, support) -> "DiscreteFunction":
-        pts = sorted(set(int(a) for a in support))
-        if not pts:
+        pts = np.unique(np.array([int(a) for a in support], dtype=np.int64))
+        if not pts.size:
             return cls()
-        lo, hi = pts[0], pts[-1]
-        vals = [0] * (hi - lo + 1)
-        for a in pts:
-            vals[a - lo] = 1
-        return cls(lo, tuple(vals))
+        vals = np.zeros(int(pts[-1] - pts[0]) + 1)
+        vals[pts - pts[0]] = 1.0
+        return cls(int(pts[0]), vals)
 
     @property
     def is_zero(self) -> bool:
-        return not self.values
-
-    def support(self) -> range:
-        return range(self.offset, self.offset + len(self.values))
-
-    def __call__(self, a: int):
-        i = a - self.offset
-        if 0 <= i < len(self.values):
-            return self.values[i]
-        return 0
+        return not self.values.size
 
 
 # ---------------------------------------------------------------------------
 # Float64 arithmetic
 # ---------------------------------------------------------------------------
 
-def _float64_values(values):
-    """(arr, rel_in): the values as a float64 array, each within rel_in of
-    its own magnitude (0 when every value is a float, as from the CLI).
-
-    Other values round once, and a value that does not convert exactly must
-    land in float64's normal range, so that the relative bound holds.
-    """
-    if all(type(v) is float for v in values):
-        return np.array(values, dtype=np.float64), 0.0
-    out, exact = [], True
-    for v in values:
-        try:
-            x = float(v)
-        except OverflowError:
-            x = math.inf
-        if x != v:
-            if not sys.float_info.min <= abs(x) < math.inf:
-                raise ValueError(f"value {v} would underflow or overflow: the float64 norms "
-                                 f"need every value to round into the float64 normal range")
-            exact = False
-        out.append(x)
-    return np.array(out, dtype=np.float64), 0.0 if exact else FLOAT64_EPS
-
-
 def _pow2_exponent(arr) -> int:
     """e with max|arr| * 2^-e in [1, 2), so that scaling by 2^-e is exact."""
     return math.frexp(float(np.max(np.abs(arr))))[1] - 1
 
 
-def _autoconvolve(x, rel_in: float = 0.0):
+def _autoconvolve(x):
     """FFT autoconvolution with a proved rounding bound: (c, e, delta).
 
     y = x * 2^-e is an exact power-of-two prescale with max|y| in [1, 2), so
@@ -179,9 +132,8 @@ def _autoconvolve(x, rel_in: float = 0.0):
     factor 1 + 2^-40 covers the float64 evaluation of the bound itself and
     the absolute 2^-1074-sized errors of values flushed by the prescale or by
     underflow inside the transforms (||y||_2^2 >= 1, so those are below
-    2^-1000 delta for any feasible m).  rel_in > 0 says each x_i is itself
-    within rel_in |x_i| of the true value; that adds (2 rel_in + rel_in^2)
-    ||y||_2^2, by Cauchy-Schwarz on |y|*|y|.
+    2^-1000 delta for any feasible m).  x is taken as exact: it is the
+    function's own float64 values (or a 0/1 indicator).
     """
     m = len(x)
     e = _pow2_exponent(x)
@@ -195,7 +147,7 @@ def _autoconvolve(x, rel_in: float = 0.0):
     big_s = 3 * levels * (u + 4.0 * u) + (3 * levels + 1) * math.sqrt(5.0) * u
     # a float64 dot of m nonnegative terms is within (m + 1) u of the exact sum
     norm2 = float(np.dot(y, y)) * (1.0 + (m + 1) * u)
-    delta = (big_s * (1.0 + big_s) + rel_in * (2.0 + rel_in)) * norm2 * (1.0 + 2.0 ** -40)
+    delta = big_s * (1.0 + big_s) * norm2 * (1.0 + 2.0 ** -40)
     return c, e, delta
 
 
@@ -206,18 +158,16 @@ def _autoconvolve(x, rel_in: float = 0.0):
 def lq_norm_with_error(f: DiscreteFunction, q: float):
     """(sum |f(a)|^q)^(1/q) together with a relative rounding bound.
 
-    One float64 path at every support.  x = _float64_values(f.values) holds
-    each value within r = rel_in of its magnitude (r = 0 for float values);
+    One float64 path at every support, on the exact float64 values x of f.
     y = x 2^-e is an exact power-of-two prescale with max|y| in [1, 2), so
     no power overflows (q <= 512) and T = fsum(|y|^q) exceeds 1/2.  With u =
-    2^-53 the unit roundoff and S = sum |f 2^-e|^q the true sum, term by term:
+    2^-53 the unit roundoff and S = sum |y|^q the true sum, term by term:
 
-    - input: each |y_i|^q is within (1+r)^q - 1 <= expm1(q r) of its value;
     - power: np.power is taken to be within 4 ulps, 8u;
     - sum: math.fsum returns the exact sum of the nonnegative float64 terms
       rounded once, u (Shewchuk, Discrete Comput. Geom. 18 (1997));
 
-    so T = S (1 + s) with |s| <= sigma = (expm1(q r) + 9u)(1 + 2^-40).  The
+    so T = S (1 + s) with |s| <= sigma = 9u (1 + 2^-40).  The
     factor covers the products of these terms, the float64 evaluation of
     sigma, and the absolute errors below 2^-1074 of values that underflow in
     the prescale or in the power (T > 1/2, so they weigh below 2^-1000
@@ -235,12 +185,11 @@ def lq_norm_with_error(f: DiscreteFunction, q: float):
         raise InvalidExponentError(f"lq norm needs 1 <= q <= 512, got {q}")
     if f.is_zero:
         return mp.mpf(0), 0.0
-    arr, rel_in = _float64_values(f.values)
-    e = _pow2_exponent(arr)
-    total = math.fsum(np.power(np.abs(np.ldexp(arr, -e)), q))
+    e = _pow2_exponent(f.values)
+    total = math.fsum(np.power(np.abs(np.ldexp(f.values, -e)), q))
     with working():
-        value = mp.ldexp(mp.mpf(total) ** (1 / to_mpf(q)), e)
-    sigma = (math.expm1(q * rel_in) + 9.0 * FLOAT64_EPS / 2.0) * (1.0 + 2.0 ** -40)
+        value = mp.ldexp(mp.mpf(total) ** (1 / mpmathify(q)), e)
+    sigma = 9.0 * FLOAT64_EPS / 2.0 * (1.0 + 2.0 ** -40)
     return value, sigma / (q * (1.0 - sigma)) + (math.log(total) / q + 2.0) * hp_unit()
 
 
@@ -250,33 +199,25 @@ def lq_norm(f: DiscreteFunction, q: float) -> float:
 
 
 def _integer_scaled(values):
-    """(ints, exp, den) with values[i] == ints[i] * 2**exp / den exactly."""
+    """(ints, exp) with values[i] == ints[i] * 2**exp exactly."""
     parts = []
-    for v in values:
-        if isinstance(v, int):
-            parts.append((v, 0, 1))
-        elif isinstance(v, Fraction):
-            parts.append((v.numerator, 0, v.denominator))
-        elif isinstance(v, float):
-            num, den = v.as_integer_ratio()  # den is a power of two
-            parts.append((num, 1 - den.bit_length(), 1))
-        else:
-            sign, man, exp, _ = v._mpf_
-            parts.append((-man if sign else man, exp, 1))
-    exp = min(e for n, e, _ in parts if n)
-    den = math.lcm(*(d for _, _, d in parts))
-    return [(n << (e - exp)) * (den // d) if n else 0 for n, e, d in parts], exp, den
+    for v in values.tolist():
+        num, den = v.as_integer_ratio()  # den is a power of two
+        parts.append((num, 1 - den.bit_length()))
+    exp = min(e for n, e in parts if n)
+    return [n << (e - exp) if n else 0 for n, e in parts], exp
 
 
 def _pow4_exact(values):
-    """sum_s (f*f)(s)^2 for nonzero values, exactly, as an int or Fraction.
+    """sum_s (f*f)(s)^2 for a nonzero float64 array, exactly, as an int or
+    Fraction.
 
     Kronecker substitution: the values, scaled to integers a_i, are packed
     into X = sum a_i 2^(w i), so X^2 holds c(s) = (a*a)(s) in its w-bit
     slots.  |c(s)| < m 2^(2b) for b-bit a_i, so w = 2b + bit_length(m) + 2
     leaves a sign bit and never carries into the next slot.
     """
-    ints, exp, den = _integer_scaled(values)
+    ints, exp = _integer_scaled(values)
     m = len(ints)
     width = (2 * max(abs(a) for a in ints).bit_length() + m.bit_length() + 2 + 7) // 8
     if 8 * width * m > _PACK_BITS_CAP:
@@ -298,10 +239,9 @@ def _pow4_exact(values):
         if carry:
             c -= full
         total += c * c
-    exp4 = 4 * exp
-    if den == 1 and exp4 >= 0:
-        return total << exp4
-    return Fraction(total << max(exp4, 0), den ** 4 << max(-exp4, 0))
+    if exp >= 0:
+        return total << 4 * exp
+    return Fraction(total, 1 << -4 * exp)
 
 
 def fourier_l4_pow4_with_error(f: DiscreteFunction):
@@ -322,9 +262,8 @@ def fourier_l4_pow4_with_error(f: DiscreteFunction):
     if m <= precision.HP_SUPPORT_CAP:
         with working():
             # the only rounding: int or Fraction to WORKING_PREC bits, < 1 ulp
-            return +mp.mpmathify(_pow4_exact(f.values)), hp_unit()
-    arr, rel_in = _float64_values(f.values)
-    c, e, delta = _autoconvolve(arr, rel_in)
+            return +mpmathify(_pow4_exact(f.values)), hp_unit()
+    c, e, delta = _autoconvolve(f.values)
     total = math.fsum(c * c)  # >= 1: sum (y*y)^2 >= ||y||_2^4 >= max|y|^4
     u = FLOAT64_EPS / 2.0
     # a float64 sum of 2m-1 nonnegative terms is within 2m u of the exact sum
@@ -338,24 +277,29 @@ def fourier_l4_pow4_with_error(f: DiscreteFunction):
 def fourier_l4_pow4(f: DiscreteFunction):
     """||f^||_4^4 via the autoconvolution identity.
 
-    Returns an exact int/Fraction when f has exact values, a float otherwise.
+    Returns the exact int when every value is an integer (an indicator 1_A
+    gives its energy E(A)), the float of fourier_l4_pow4_with_error otherwise.
     """
     if f.is_zero:
         return 0
-    if all(isinstance(v, _EXACT_SCALAR) for v in f.values):
+    if np.array_equal(np.trunc(f.values), f.values):
         return _pow4_exact(f.values)
     value, _ = fourier_l4_pow4_with_error(f)
     return float(value)
 
 
 def fourier_l4_pow4_quadruple(f: DiscreteFunction, cap: int = 64):
-    """O(m^3) quadruple-sum oracle: sum f(a)f(b)f(c)f(a+b-c)."""
+    """O(m^3) quadruple-sum oracle: sum f(a)f(b)f(c)f(a+b-c), exactly, as a
+    Fraction.  Each value is taken as its exact Fraction and the products are
+    summed over their common denominator."""
     m = len(f.values)
     if m > cap:
         raise CapExceededError(f"quadruple-sum oracle capped at support {cap}, got {m}")
     if m == 0:
-        return 0
-    v = f.values
+        return Fraction(0)
+    exact = [Fraction(x) for x in f.values.tolist()]
+    den = math.lcm(*(x.denominator for x in exact))
+    v = [int(x * den) for x in exact]
     total = 0
     for a in range(m):
         if v[a] == 0:
@@ -368,7 +312,7 @@ def fourier_l4_pow4_quadruple(f: DiscreteFunction, cap: int = 64):
                 d = a + b - c
                 if 0 <= d < m:
                     total += fab * v[c] * v[d]
-    return total
+    return Fraction(total, den ** 4)
 
 
 @dataclass(frozen=True)
@@ -392,9 +336,8 @@ def _norm_pair(f: DiscreteFunction, q: float):
     pow4, rel4 = fourier_l4_pow4_with_error(f)
     lqv, relq = lq_norm_with_error(f, q)
     with working():
-        lhs = to_mpf(pow4) ** mp.mpf("0.25")
-        rhs = to_mpf(lqv)
-    return lhs, rhs, rel4 / 4.0 + 4.0 * hp_unit(), relq + 2.0 * hp_unit()
+        lhs = pow4 ** mp.mpf("0.25")
+    return lhs, lqv, rel4 / 4.0 + 4.0 * hp_unit(), relq + 2.0 * hp_unit()
 
 
 def _float64_rel(x: float) -> float:

@@ -222,18 +222,6 @@ def write_results(rows, path, format: str = "json", kind: str | None = None) -> 
         fh.write(document(rows, kind) + "\n")
 
 
-def read_results(path):
-    """Read back a JSON results file; returns (kind, rows)."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    kind = doc["kind"]
-    if kind == "ball":
-        rows = [BallExperimentRow(**{**d, "center": tuple(d["center"])}) for d in doc["rows"]]
-    else:
-        rows = [BoundsRow(**d) for d in doc["rows"]]
-    return kind, rows
-
-
 def write_manifest(config: dict, seed: int, tool_version: str, path) -> None:
     """Record everything needed to reproduce a run.
 

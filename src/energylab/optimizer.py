@@ -182,7 +182,7 @@ def maximize_ratio(config: OptimizerConfig) -> OptimizerResult:
     n, q = config.n, config.q
     X, values, iters = _ascend_rows(_start_rows(config), q, config.max_iters, ASCENT_TOL)
     sid = int(np.argmax(values))  # the first maximum: ties go to the smaller start_id
-    f = DiscreteFunction(0, tuple(X[sid]))
+    f = DiscreteFunction(0, X[sid])
     return OptimizerResult(certificate=evaluate_certificate("explicit", n, q, f),
                            iterations=int(iters[sid]), start_id=sid,
                            agreeing=int(np.count_nonzero(values >= values[sid] - AGREE_TOL)))

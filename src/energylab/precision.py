@@ -1,22 +1,20 @@
 """Working-precision policy shared by every norm and certificate pipeline.
 
-HP_SUPPORT_CAP decides only how ||f^||_4^4 is evaluated.  Up to the cap it
-is summed exactly (big-integer autoconvolution) and rounded once to
-WORKING_PREC bits, so its relative bound is hp_unit().  Beyond the cap it is
-one float64 FFT autoconvolution of the values scaled by an exact power of
-two (max in [1, 2)), rescaled in mpf, whose forward error is bounded by
-C. Percival, Math. Comp. 72 (2003), Theorem 5.1 (see
-discrete_core._autoconvolve).  lq norms take one float64 path at every
-support: the same prescale, a correctly rounded sum (math.fsum) and the root
-at WORKING_PREC bits, with a bound that does not grow with the support
-(see discrete_core.lq_norm_with_error).
+Every function value is a float64 number (see discrete_core.DiscreteFunction),
+so no input rounding enters any bound.  HP_SUPPORT_CAP decides only how
+||f^||_4^4 is evaluated.  Up to the cap it is summed exactly (big-integer
+autoconvolution) and rounded once to WORKING_PREC bits, so its relative
+bound is hp_unit().  Beyond the cap it is one float64 FFT autoconvolution of
+the values scaled by an exact power of two (max in [1, 2)), rescaled in mpf,
+whose forward error is bounded by C. Percival, Math. Comp. 72 (2003),
+Theorem 5.1 (see discrete_core._autoconvolve).  lq norms take one float64
+path at every support: the same prescale, a correctly rounded sum
+(math.fsum) and the root at WORKING_PREC bits, with a bound that does not
+grow with the support (see discrete_core.lq_norm_with_error).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-import mpmath
 from mpmath import mp
 
 # >= 100-bit mantissa so certificate margins dominate rounding by a wide gap.
@@ -37,13 +35,3 @@ def working():
 def hp_unit() -> float:
     """Unit roundoff of the extended-precision regime."""
     return 2.0 ** (1 - WORKING_PREC)
-
-
-def to_mpf(x):
-    """Convert int/float/Fraction/mpf to mpf at the current precision.
-
-    ints and floats convert with at most one rounding; Fractions with two.
-    """
-    if isinstance(x, Fraction):
-        return mp.mpf(x.numerator) / mp.mpf(x.denominator)
-    return mpmath.mpmathify(x)

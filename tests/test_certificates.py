@@ -217,6 +217,22 @@ class TestSerialization:
         assert back.f == cert.f
         assert revalidate_certificate(back) == cert
 
+    @pytest.mark.parametrize("bad", ["0.1000000000000000000001", "1e-400", "nan"])
+    def test_from_dict_rejects_values_it_would_round(self, bad):
+        # each would read back as another float (0.1, 0.0) or as no number at all
+        d = certificate_to_dict(build_perturbation_certificate(3))
+        d["values"][1] = bad
+        with pytest.raises(ValueError, match="value 1 "):
+            certificate_from_dict(d)
+
+    def test_from_dict_reads_exact_values(self):
+        # a float's shortest repr, and any decimal whose value is a float64 number
+        d = certificate_to_dict(build_perturbation_certificate(3))
+        d["values"] = ["0.1", "1.50", "2", "1e-323"]
+        d["n"] = 4
+        back = certificate_from_dict(d)
+        assert back.f.values.tolist() == [0.1, 1.5, 2.0, 1e-323]
+
     def test_dict_schema(self):
         d = certificate_to_dict(build_perturbation_certificate(3))
         assert set(d) == {"kind", "n", "q", "offset", "values", "lhs", "rhs",

@@ -260,7 +260,7 @@ def test_read_function_round_trip(tmp_path):
     path = tmp_path / "f.json"
     path.write_text(json.dumps({"offset": -2, "values": ["1.5", 2, 0.25]}))
     f = read_function_file(str(path))
-    assert f.offset == -2 and f.values == (1.5, 2.0, 0.25)
+    assert f.offset == -2 and f.values.tolist() == [1.5, 2.0, 0.25]
 
 
 def test_read_set_skips_comments(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -7,7 +8,7 @@ from energylab import experiments
 from energylab.discrete_core import CapExceededError, energy_bruteforce, energy_of_set
 from energylab.experiments import (BALL_CSV_COLUMNS, BOUNDS_CSV_COLUMNS,
                                    ball_energy_experiment, ball_lattice_set, bounds_row,
-                                   bounds_table, read_results, write_manifest, write_results)
+                                   bounds_table, write_manifest, write_results)
 
 
 class TestBoundsTable:
@@ -115,17 +116,20 @@ class TestSerialization:
         rows = bounds_table([2, 3])
         path = tmp_path / "bounds.json"
         write_results(rows, path, format="json")
-        kind, back = read_results(path)
-        assert kind == "bounds"
-        assert back == rows
+        with open(path) as fh:
+            doc = json.load(fh)
+        assert doc == {"kind": "bounds", "rows": [dataclasses.asdict(r) for r in rows]}
 
     def test_ball_round_trip(self, tmp_path):
         rows = ball_energy_experiment([2], [1.5])
         path = tmp_path / "ball.json"
         write_results(rows, path, format="json")
-        kind, back = read_results(path)
-        assert kind == "ball"
-        assert back == rows
+        with open(path) as fh:
+            doc = json.load(fh)
+        assert doc["kind"] == "ball"
+        # JSON has no tuples: the center comes back as a list
+        back = [{**d, "center": tuple(d["center"])} for d in doc["rows"]]
+        assert back == [dataclasses.asdict(r) for r in rows]
 
     def test_csv_golden(self, tmp_path):
         rows = bounds_table([2, 3])

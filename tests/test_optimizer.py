@@ -171,7 +171,7 @@ class TestMaximize:
     def test_beats_canonical_starts(self):
         cfg = OptimizerConfig(n=6, q=1.5, seed=4)
         res = maximize_ratio(cfg)
-        for start in (DiscreteFunction.delta(), DiscreteFunction.indicator(range(6))):
+        for start in (DiscreteFunction.indicator([0]), DiscreteFunction.indicator(range(6))):
             assert _ratio(res) >= ratio_report(start, 1.5).ratio - 1e-12
 
     def test_ratio_matches_ratio_report(self):
