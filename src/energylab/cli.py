@@ -92,7 +92,7 @@ def read_function_file(path: str) -> discrete_core.DiscreteFunction:
     try:
         vals = tuple(float(v) for v in doc["values"])
         return discrete_core.DiscreteFunction(int(doc["offset"]), vals)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{path}: {exc}") from None
 
 
@@ -141,7 +141,8 @@ def _cmd_estimate(args) -> int:
                                 starts=args.starts)
     for p in est.probes:  # the per-probe trace goes to stderr, never into the result
         print(f"probe q={p.q!r} ratio={p.ratio!r} err={p.err:.3e} fired={int(p.fired)} "
-              f"start={p.start_id} agreeing={p.agreeing}/{args.starts}", file=sys.stderr)
+              f"start={p.start_id} agreeing={p.agreeing}/{args.starts} iters={p.iterations}",
+              file=sys.stderr)
     doc = {
         "n": est.n,
         "q_hat": est.q_hat,

@@ -64,7 +64,10 @@ class DiscreteFunction:
     values: np.ndarray = ()
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.float64)
+        try:
+            arr = np.asarray(self.values, dtype=np.float64)
+        except OverflowError as exc:  # an int beyond float64 range, such as 10**400
+            raise ValueError(f"function values must be finite: {exc}") from None
         if arr.ndim != 1:
             raise ValueError(f"function values must be one-dimensional, got shape {arr.shape}")
         bad = np.flatnonzero(~np.isfinite(arr))

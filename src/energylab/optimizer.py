@@ -6,13 +6,14 @@ from zero, so each chain runs projected gradient ascent with Armijo
 backtracking; all chains run in lockstep as the rows of one (starts x n)
 array.  Canonical starts cover the known extremizer families (delta, full
 indicator, sampled Gaussian, perturbed indicator); the remaining starts are
-seeded draws.
+seeded draws.  The bisection on q warm-starts each probe after the first
+from the previous probe's final rows.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,12 +51,14 @@ class OptimizerResult:
     """The winning chain: its explicit certificate (the winner f, both norms,
     margin, err and validity from one evaluation), its iteration count and
     its start index, and how many starts ended as high as it.  The certified
-    ratio is certificate.lhs / certificate.rhs."""
+    ratio is certificate.lhs / certificate.rhs.  rows holds every chain's
+    final iterate (read-only), one row per start, each scaled to maximum 1."""
 
     certificate: Certificate
     iterations: int
     start_id: int
     agreeing: int  # starts whose float64 value lies within AGREE_TOL of the winner's
+    rows: np.ndarray = field(compare=False, repr=False)
 
 
 def _pow4_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -170,29 +173,45 @@ def _start_rows(config: OptimizerConfig) -> np.ndarray:
     return np.array(rows)
 
 
-def maximize_ratio(config: OptimizerConfig) -> OptimizerResult:
+def maximize_ratio(config: OptimizerConfig,
+                   start_rows: np.ndarray | None = None) -> OptimizerResult:
     """Multi-start search for sup ||f^||_4 / ||f||_q over f >= 0 on {0..n-1}.
 
-    Chains are ranked by their float64 objective; only the winner is
-    evaluated at working precision, once, by evaluate_certificate, so the
-    result carries its explicit certificate with a rigorous err.
-    Deterministic for a fixed config: chains are independent and ties go to
-    the smaller start_id.
+    The chains start from start_rows, a (starts x n) array of finite,
+    nonnegative rows each with a positive maximum (a previous result's rows,
+    say); None means _start_rows(config).  Chains are ranked by their
+    float64 objective; only the winner is evaluated at working precision,
+    once, by evaluate_certificate, so the result carries its explicit
+    certificate with a rigorous err.  Deterministic for a fixed config and
+    start_rows: chains are independent and ties go to the smaller start_id.
     """
     n, q = config.n, config.q
-    X, values, iters = _ascend_rows(_start_rows(config), q, config.max_iters, ASCENT_TOL)
+    if start_rows is None:
+        start_rows = _start_rows(config)
+    else:
+        start_rows = np.asarray(start_rows, dtype=np.float64)
+        if start_rows.shape != (config.starts, n):
+            raise ValueError(f"start_rows must have shape {(config.starts, n)}, "
+                             f"got {start_rows.shape}")
+        if not np.all(np.isfinite(start_rows)) or np.any(start_rows < 0):
+            raise ValueError("start_rows must be finite and nonnegative")
+        if not np.all(start_rows.max(axis=1) > 0):
+            raise ValueError("every row of start_rows must have a positive maximum")
+    X, values, iters = _ascend_rows(start_rows, q, config.max_iters, ASCENT_TOL)
+    X.flags.writeable = False
     sid = int(np.argmax(values))  # the first maximum: ties go to the smaller start_id
     f = DiscreteFunction(0, X[sid])
     return OptimizerResult(certificate=evaluate_certificate("explicit", n, q, f),
                            iterations=int(iters[sid]), start_id=sid,
-                           agreeing=int(np.count_nonzero(values >= values[sid] - AGREE_TOL)))
+                           agreeing=int(np.count_nonzero(values >= values[sid] - AGREE_TOL)),
+                           rows=X)
 
 
 @dataclass(frozen=True)
 class ProbeRecord:
     """What one bisection probe saw: its q, the winner's certified ratio
-    lhs/rhs and err, whether it fired, the winning start and how many starts
-    agreed with it."""
+    lhs/rhs and err, whether it fired, the winning start, how many starts
+    agreed with it and the winner's iteration count."""
 
     q: float
     ratio: float
@@ -200,6 +219,7 @@ class ProbeRecord:
     fired: bool
     start_id: int
     agreeing: int
+    iterations: int
 
 
 @dataclass(frozen=True)
@@ -222,6 +242,9 @@ def estimate_qn(n: int, tol: float = 1e-3, seed: int = 0, starts: int = 16) -> Q
     A probe at q runs maximize_ratio and fires exactly when the winner's
     certificate is valid (margin > err); that certificate is the probe's
     witness, so each probe evaluates one function at working precision once.
+    The first probe (q = 2) starts from _start_rows; every later probe
+    starts from the previous probe's final rows, since the maximizer moves
+    little between neighbouring q and the chains then stop in fewer rounds.
     The witness returned is the one from the smallest firing q.  If the
     predicate never fires, q_hat = 2 and witness is None.  tol must lie in
     [1e-4, 2/3), below the width of [4/3, 2].
@@ -229,13 +252,16 @@ def estimate_qn(n: int, tol: float = 1e-3, seed: int = 0, starts: int = 16) -> Q
     if not 1e-4 <= tol < 2.0 / 3.0:
         raise ValueError(f"bisection tol must lie in [1e-4, 2/3), got {tol}")
     probes = []
+    rows = None
 
     def probe(q: float) -> Certificate | None:
-        res = maximize_ratio(OptimizerConfig(n=n, q=q, starts=starts, seed=seed))
+        nonlocal rows
+        res = maximize_ratio(OptimizerConfig(n=n, q=q, starts=starts, seed=seed), rows)
+        rows = res.rows
         cert = res.certificate
         probes.append(ProbeRecord(q=q, ratio=cert.lhs / cert.rhs, err=cert.err,
                                   fired=cert.valid, start_id=res.start_id,
-                                  agreeing=res.agreeing))
+                                  agreeing=res.agreeing, iterations=res.iterations))
         return cert if cert.valid else None
 
     lo, hi = 4.0 / 3.0, 2.0

@@ -118,6 +118,13 @@ class TestNormsCommand:
                              "--format", "json")
         assert code == 2 and out == "" and "finite" in err
 
+    def test_integer_beyond_float64_range(self, capsys, tmp_path):
+        # a 401-digit JSON integer is an input error, not an OverflowError traceback
+        path = tmp_path / "big.json"
+        path.write_text('{"offset": 0, "values": [1.0, %d]}' % 10 ** 400)
+        code, out, err = run(capsys, "norms", "--f", str(path), "--q", "1.5")
+        assert code == 2 and out == "" and "Traceback" not in err and "too large" in err
+
 
 class TestCertifyCommand:
     def test_perturbation_valid(self, capsys):
@@ -219,7 +226,8 @@ class TestEstimateCommand:
         assert sorted(json.loads(out)) == ["empirical_c", "n", "q_hat", "t_hat", "witness"]
         lines = err.splitlines()
         assert len(lines) > 1
-        pattern = (r"probe q=\S+ ratio=\S+ err=\S+ fired=[01] start=[0-5] agreeing=[1-6]/6")
+        pattern = (r"probe q=\S+ ratio=\S+ err=\S+ fired=[01] start=[0-5] agreeing=[1-6]/6"
+                   r" iters=[1-9]\d*")
         assert all(re.fullmatch(pattern, line) for line in lines)
         assert lines[0].startswith("probe q=2.0 ") and "fired=1" in lines[0]
         assert "probe" not in out

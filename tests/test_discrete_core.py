@@ -41,6 +41,12 @@ class TestDiscreteFunction:
         with pytest.raises(ValueError, match="finite"):
             DiscreteFunction(0, np.array([1.0, bad, 2.0]))
 
+    def test_int_beyond_float64_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            DiscreteFunction(0, [10 ** 400])
+        with pytest.raises(ValueError, match="finite"):
+            DiscreteFunction(0, (1.0, -10 ** 400))
+
     def test_values_read_only(self):
         f = DiscreteFunction(0, (1.0, 2.0))
         with pytest.raises(ValueError):

@@ -186,6 +186,33 @@ class TestMaximize:
         b = maximize_ratio(cfg)
         assert a == b  # bit-for-bit, including the function values
 
+    def test_start_rows_default(self):
+        # start_rows=None means _start_rows(config); rows are the final iterates
+        cfg = OptimizerConfig(n=5, q=1.5, starts=6, seed=2)
+        res = maximize_ratio(cfg)
+        assert maximize_ratio(cfg, _start_rows(cfg)) == res
+        assert res.rows.shape == (6, 5) and not res.rows.flags.writeable
+        assert np.array_equal(res.rows[res.start_id], res.certificate.f.values)
+        assert np.all(res.rows.max(axis=1) == 1.0)
+
+    @pytest.mark.parametrize("case, match", [
+        ("rows", "shape"), ("columns", "shape"), ("flat", "shape"), ("nan", "nonnegative"),
+        ("inf", "nonnegative"), ("negative", "nonnegative"), ("zero_row", "positive maximum")])
+    def test_start_rows_rejected(self, case, match):
+        cfg = OptimizerConfig(n=5, q=1.5, starts=4, seed=2)
+        rows = _start_rows(cfg)
+
+        def with_row(values):
+            bad = rows.copy()
+            bad[2] = values
+            return bad
+
+        bad = {"rows": rows[:3], "columns": rows[:, :4], "flat": rows.ravel(),
+               "nan": with_row([1.0, np.nan, 0, 0, 0]), "inf": with_row([1.0, np.inf, 0, 0, 0]),
+               "negative": with_row([1.0, -1e-300, 0, 0, 0]), "zero_row": with_row(0.0)}[case]
+        with pytest.raises(ValueError, match=match):
+            maximize_ratio(cfg, bad)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             OptimizerConfig(n=0, q=1.5)
@@ -223,8 +250,8 @@ class TestEstimate:
             calls.append(args)
             return norm_pair(*args)
 
-        def recording_maximize(config):
-            res = maximize(config)
+        def recording_maximize(config, start_rows=None):
+            res = maximize(config, start_rows)
             probes.append(res)
             return res
 
@@ -238,17 +265,19 @@ class TestEstimate:
         assert any(est.witness is res.certificate for res in probes)
 
     @pytest.mark.parametrize("n, q_hat", [(2, 1.5472005208333333), (3, 1.4703776041666665),
-                                          (8, 1.4020182291666665), (16, 1.3831380208333333)])
+                                          (8, 1.4020182291666665), (16, 1.3831380208333333),
+                                          (32, 1.3720703125), (64, 1.3649088541666665)])
     def test_q_hat_pinned(self, n, q_hat):
-        # the values of the per-chain np.convolve ascent this one replaced
+        # the values of the per-chain np.convolve ascent and of the cold-started
+        # probes, which the lockstep ascent and the warm start both kept
         assert estimate_qn(n, tol=1e-3, seed=0).q_hat == q_hat
 
     def test_probe_records(self, monkeypatch):
         results = []
         maximize = optimizer.maximize_ratio
 
-        def recording_maximize(config):
-            results.append((config.q, maximize(config)))
+        def recording_maximize(config, start_rows=None):
+            results.append((config.q, maximize(config, start_rows)))
             return results[-1][1]
 
         monkeypatch.setattr(optimizer, "maximize_ratio", recording_maximize)
@@ -258,9 +287,46 @@ class TestEstimate:
             cert = res.certificate
             assert (rec.q, rec.ratio, rec.err, rec.fired) == (q, cert.lhs / cert.rhs, cert.err,
                                                               cert.valid)
-            assert (rec.start_id, rec.agreeing) == (res.start_id, res.agreeing)
+            assert (rec.start_id, rec.agreeing, rec.iterations) == (res.start_id, res.agreeing,
+                                                                    res.iterations)
             assert 1 <= rec.agreeing <= 16
         assert est.q_hat == pytest.approx(min(r.q for r in est.probes if r.fired), abs=1e-3)
+
+    def test_one_start_rows_per_estimate(self, monkeypatch):
+        calls = []
+        start_rows = optimizer._start_rows
+
+        def counting_start_rows(config):
+            calls.append(config)
+            return start_rows(config)
+
+        monkeypatch.setattr(optimizer, "_start_rows", counting_start_rows)
+        est = estimate_qn(8, seed=1)
+        assert len(est.probes) > 1
+        assert [c.q for c in calls] == [2.0]
+
+    @pytest.mark.parametrize("n", [3, 8, 16])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_warm_start_matches_fresh_start(self, monkeypatch, n, seed):
+        # every probe after the first starts from the previous probe's rows;
+        # a fresh start at the same q fires alike and ends no higher, up to 1e-10
+        runs = []
+        maximize = optimizer.maximize_ratio
+
+        def recording_maximize(config, start_rows=None):
+            runs.append((config, start_rows, maximize(config, start_rows)))
+            return runs[-1][2]
+
+        monkeypatch.setattr(optimizer, "maximize_ratio", recording_maximize)
+        estimate_qn(n, seed=seed)
+        assert runs[0][1] is None and len(runs) > 1
+        for (_, _, before), (_, start_rows, _) in zip(runs, runs[1:]):
+            assert start_rows is before.rows
+        for config, _, warm in runs[1:]:
+            fresh = maximize(config)
+            assert warm.certificate.valid == fresh.certificate.valid
+            best = [_objective_rows(res.rows, config.q)[0].max() for res in (warm, fresh)]
+            assert best[0] >= best[1] - 1e-10
 
     def test_tol_validation(self):
         # tol must lie in [1e-4, 2/3), below the width of [4/3, 2]
