@@ -16,13 +16,11 @@ from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
-from mpmath import mp
 
 from .continuum import (ASYMPTOTIC_LOG_BASE, GaussianSpec, gaussian_l4hat, gaussian_lq,
                         truncated_gaussian_l4hat_pow4, truncated_gaussian_lq)
-from .discrete_core import (CapExceededError, DiscreteFunction, _norm_pair,
+from .discrete_core import (FLOAT64_EPS, CapExceededError, DiscreteFunction, _norm_pair,
                             energy_interval_formula, lq_norm)
-from .precision import FLOAT64_EPS, working
 
 CERTIFICATE_KINDS = ("gaussian", "perturbation", "explicit")
 
@@ -36,8 +34,9 @@ GAUSSIAN_SUPPORT_CAP = 1 << 22
 class Certificate:
     """Witness record: lhs = ||f^||_4, rhs = ||f||_q, margin = lhs - rhs.
 
-    valid means margin > err > 0 was established at working precision, in
-    which case t_n > implied_t_bound = 4/q holds strictly.
+    valid means margin > err > 0 was established in float64 on the common
+    prescale of both norms (see evaluate_certificate), in which case
+    t_n > implied_t_bound = 4/q holds strictly.
     """
 
     kind: str
@@ -62,19 +61,29 @@ class Certificate:
 
 
 def evaluate_certificate(kind: str, n: int, q: float, f: DiscreteFunction) -> Certificate:
-    """Evaluate both norms of a candidate witness and decide validity."""
-    lhs_mp, rhs_mp, rel_lhs, rel_rhs = _norm_pair(f, q)
-    with working():
-        margin_mp = lhs_mp - rhs_mp
-        lhs_f, rhs_f = float(lhs_mp), float(rhs_mp)
-        # plus the float64 storage rounding of the fields themselves
-        err = float(rel_lhs * lhs_mp + rel_rhs * rhs_mp) \
-            + 4.0 * FLOAT64_EPS * (abs(lhs_f) + abs(rhs_f))
-        valid = bool(margin_mp > err > 0.0)
-        margin_f = float(margin_mp)
-    return Certificate(kind=kind, n=n, q=float(q), f=f, lhs=lhs_f, rhs=rhs_f,
-                       margin=margin_f, err=err, implied_t_bound=4.0 / float(q),
-                       valid=valid)
+    """Evaluate both norms of a candidate witness and decide validity.
+
+    _norm_pair gives ||f^||_4 ~ a 2^e and ||f||_q ~ b 2^e with relative
+    bounds rel_a, rel_b on the true scaled values A, B.  Since
+    |a - A| <= rel_a A <= rel_a a / (1 - rel_a), likewise for b, and the
+    float64 gap = a - b is within u |gap| of a - b,
+
+        |gap - (A - B)| <= rel_a a/(1 - rel_a) + rel_b b/(1 - rel_b) + u |gap|,
+
+    times 1 + 2^-40 for the second-order terms and the float64 evaluation
+    of err.  valid = gap > err > 0, so A > B.  lhs, rhs, margin and err are
+    a, b, gap and err times 2^e: exact in the normal float64 range, so they
+    need no storage term, and rounded once if they leave it.
+    """
+    a, b, e, rel_a, rel_b = _norm_pair(f, q)
+    u = FLOAT64_EPS / 2.0
+    gap = a - b
+    err = (rel_a * a / (1.0 - rel_a) + rel_b * b / (1.0 - rel_b) + u * abs(gap)) \
+        * (1.0 + 2.0 ** -40)
+    lhs, rhs, margin, err_f = np.ldexp([a, b, gap, err], e).tolist()
+    return Certificate(kind=kind, n=n, q=float(q), f=f, lhs=lhs, rhs=rhs,
+                       margin=margin, err=err_f, implied_t_bound=4.0 / float(q),
+                       valid=bool(gap > err > 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -102,12 +111,13 @@ def interval_overlap_sum(n: int) -> int:
 def build_perturbation_certificate(n: int, eps=None) -> Certificate:
     """Witness f = 1_I + eps*delta_0 at q = 4/log_n((2n^3+n)/3).
 
-    q is rounded to float64 once, and both norms, the margin and err come
-    from evaluate_certificate at that q, as for every other witness, so
-    revalidating the certificate reproduces it.  With eps omitted, scans eps
-    over {2^-j : j=1..20} and keeps the maximum-margin valid certificate
-    (ties broken toward smaller eps).  eps = 0 is the equality boundary:
-    margin is exactly 0 and the certificate is not valid.  The values are
+    q = 4 ln n / ln E(I) is evaluated in float64, and both norms, the margin
+    and err come from evaluate_certificate at that q, as for every other
+    witness, so revalidating the certificate reproduces it.  With eps
+    omitted, scans eps over {2^-j : j=1..20} and keeps the maximum-margin
+    valid certificate (ties broken toward smaller eps).  eps = 0 is the
+    equality boundary ||1_I^||_4 = E(I)^(1/4) = ||1_I||_q: the margin is a
+    rounding error within err, and the certificate is not valid.  The values are
     float64: 1 + eps is exact for the scanned eps, and any other eps (such
     as 0.1) is stored, and certified, as the rounded fl(1 + eps).
     """
@@ -134,14 +144,7 @@ def _perturbation_certificate(n: int, eps: Fraction) -> Certificate:
     values[-lo] = 1.0 + float(eps)  # exact for every eps in EPS_SCAN
     f = DiscreteFunction(lo, values)
 
-    energy = energy_interval_formula(n)
-    with working():
-        q = float(4 * mp.log(n) / mp.log(energy))
-        if eps == 0:
-            # ||1_I||_q^4 = n^{4/q} = E(I) exactly at this q; equality witness
-            lhs = float(mp.mpf(energy) ** mp.mpf("0.25"))
-            return Certificate(kind="perturbation", n=n, q=q, f=f, lhs=lhs, rhs=lhs,
-                               margin=0.0, err=0.0, implied_t_bound=4.0 / q, valid=False)
+    q = 4.0 * math.log(n) / math.log(energy_interval_formula(n))
     return evaluate_certificate("perturbation", n, q, f)
 
 
@@ -246,8 +249,8 @@ def continuum_discretization_report(params: GaussianScheduleParams) -> Discretiz
     gm_lq = truncated_gaussian_lq(a, q, m)
 
     f = _sampled_gaussian(params)
-    lhs_mp, rhs_mp, _, _ = _norm_pair(f, q)
-    f_l4, f_lq = float(lhs_mp), float(rhs_mp)
+    l4_scaled, lq_scaled, e, _, _ = _norm_pair(f, q)
+    f_l4, f_lq = float(np.ldexp(l4_scaled, e)), float(np.ldexp(lq_scaled, e))
     # same function under the half-open truncation [-M, M): drop the +M sample
     f_half = DiscreteFunction(f.offset, f.values[:-1])
     parity_gap = abs(f_lq - lq_norm(f_half, q))

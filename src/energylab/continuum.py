@@ -14,10 +14,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from mpmath import mp
 
 from .discrete_core import InvalidExponentError, _autoconvolve
-from .precision import working
 
 # Sharp constant of the L4 Fourier-norm inequality on R, attained by Gaussians.
 BECKNER_L4_POW4 = 4.0 * math.sqrt(3.0) / 9.0
@@ -175,8 +173,5 @@ def truncated_gaussian_lq(a_param: float, q: float, m_trunc: int) -> float:
     """||g_M||_q via the error function: ((pi A/q)^{1/2} erf(M sqrt(q/A)))^{1/q}."""
     if q <= 1:
         raise InvalidExponentError(f"truncated_gaussian_lq needs q > 1, got {q}")
-    with working():
-        a = mp.mpf(a_param)
-        qm = mp.mpf(q)
-        pw = mp.sqrt(mp.pi * a / qm) * mp.erf(m_trunc * mp.sqrt(qm / a))
-        return float(pw ** (1 / qm))
+    pw = math.sqrt(math.pi * a_param / q) * math.erf(m_trunc * math.sqrt(q / a_param))
+    return pw ** (1.0 / q)

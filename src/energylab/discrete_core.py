@@ -5,6 +5,10 @@ starts from exact inputs and its bound covers only the arithmetic done.
 The L4 norm of the Fourier transform is always evaluated through the
 autoconvolution identity  ||f^||_4^4 = ||f*f||_2^2 = sum_s (f*f)(s)^2,
 which for an indicator function 1_A reduces to the additive energy E(A).
+Both norms are evaluated in float64 on the values' exact power-of-two
+prescale y = f 2^-e, max|y| in [1, 2), and returned as a scaled value, e
+and a relative bound for the arithmetic done; sharing e, the two sides of a
+norm comparison are compared without leaving float64 range (_norm_pair).
 Energies of lattice sets are counted exactly in arbitrary precision via the
 representation function r(s) = #{(a,b) in A^2 : a+b = s}.
 """
@@ -13,15 +17,16 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from mpmath import mp, mpmathify
 
-from . import precision
-from .precision import FLOAT64_EPS, hp_unit, working
+# Support length above which ||f^||_4^4 is one float64 FFT autoconvolution
+# with a proved bound instead of the exact big-integer one.
+HP_SUPPORT_CAP = 2048
+
+FLOAT64_EPS = 2.0 ** -52
 
 # Longest key span of the FFT energy path: its transforms then hold at most
 # 2^22 entries (32 MiB each).  Sparser sets (large dimension) and sets of
@@ -159,46 +164,50 @@ def _autoconvolve(x):
 # ---------------------------------------------------------------------------
 
 def lq_norm_with_error(f: DiscreteFunction, q: float):
-    """(sum |f(a)|^q)^(1/q) together with a relative rounding bound.
+    """(x, e, rel) with ||f||_q = (sum |f(a)|^q)^(1/q) ~ x 2^e, relative
+    bound rel, all in float64.
 
-    One float64 path at every support, on the exact float64 values x of f.
-    y = x 2^-e is an exact power-of-two prescale with max|y| in [1, 2), so
-    no power overflows (q <= 512) and T = fsum(|y|^q) exceeds 1/2.  With u =
-    2^-53 the unit roundoff and S = sum |y|^q the true sum, term by term:
+    y = f 2^-e, e = _pow2_exponent(f.values), is an exact power-of-two
+    prescale with max|y| in [1, 2), so no power overflows (q <= 512) and
+    T = fsum(|y|^q) exceeds 1/2.  x = T ** fl(1/q).  With u = 2^-53 the unit
+    roundoff and S = sum |y|^q the true sum, term by term:
 
     - power: np.power is taken to be within 4 ulps, 8u;
     - sum: math.fsum returns the exact sum of the nonnegative float64 terms
       rounded once, u (Shewchuk, Discrete Comput. Geom. 18 (1997));
 
-    so T = S (1 + s) with |s| <= sigma = 9u (1 + 2^-40).  The
-    factor covers the products of these terms, the float64 evaluation of
-    sigma, and the absolute errors below 2^-1074 of values that underflow in
-    the prescale or in the power (T > 1/2, so they weigh below 2^-1000
+    so T = S (1 + s) with |s| <= sigma = 9u (1 + 2^-40), and s contributes
+    (1+s)^(1/q) - 1 <= sigma / (q (1 - sigma)) to the root.  The factor
+    covers the products of the power and sum terms, the float64 evaluation
+    of sigma, and the absolute errors below 2^-1074 of values that underflow
+    in the prescale or in the power (T > 1/2, so they weigh below 2^-1000
     relative to T at any feasible support).
 
-    - root: T^(1/q) is taken at working precision and rescaled by 2^e
-      exactly, so s contributes (1+s)^(1/q) - 1 <= sigma / (q (1 - sigma)),
-      and the 120-bit roundings of 1/q and of the power add
-      (ln T / q + 2) hp_unit(), with ln T <= ln n + q ln 2.
+    - reciprocal: fl(1/q) = (1/q)(1 + d), |d| <= u, turns T^(1/q) into
+      T^(1/q) exp(d ln T / q), which adds |ln T| u / q to first order;
+    - root: the float64 pow is taken to be within 4 ulps, 8u, as np.power.
 
-    That last term is the only one that depends on the support n, and it is
-    below 2^-110 for any n < 2^60.
+    The final factor 1 + 2^-40 covers the products of these relative terms
+    (each below 2^-40 for 1 <= q <= 512 and any support below 2^60) and the
+    float64 evaluation of the bound.  ln T <= ln n + q ln 2 for support n,
+    so |ln T| u / q is the only term that grows with the support, by
+    u ln n / q.  x >= 1 - 8u and x <= T^(1/q) < 2 n, so x is normal.
     """
     if not 1 <= q <= 512:
         raise InvalidExponentError(f"lq norm needs 1 <= q <= 512, got {q}")
     if f.is_zero:
-        return mp.mpf(0), 0.0
+        return 0.0, 0, 0.0
     e = _pow2_exponent(f.values)
     total = math.fsum(np.power(np.abs(np.ldexp(f.values, -e)), q))
-    with working():
-        value = mp.ldexp(mp.mpf(total) ** (1 / mpmathify(q)), e)
-    sigma = 9.0 * FLOAT64_EPS / 2.0 * (1.0 + 2.0 ** -40)
-    return value, sigma / (q * (1.0 - sigma)) + (math.log(total) / q + 2.0) * hp_unit()
+    u = FLOAT64_EPS / 2.0
+    sigma = 9.0 * u * (1.0 + 2.0 ** -40)
+    rel = (sigma / (q * (1.0 - sigma)) + (abs(math.log(total)) / q + 8.0) * u) * (1.0 + 2.0 ** -40)
+    return total ** (1.0 / q), e, rel
 
 
 def lq_norm(f: DiscreteFunction, q: float) -> float:
-    value, _ = lq_norm_with_error(f, q)
-    return float(value)
+    x, e, _ = lq_norm_with_error(f, q)
+    return float(np.ldexp(x, e))
 
 
 def _integer_scaled(values):
@@ -248,47 +257,49 @@ def _pow4_exact(values):
 
 
 def fourier_l4_pow4_with_error(f: DiscreteFunction):
-    """sum_s (f*f)(s)^2 with a relative rounding bound.
+    """(t, k, rel) with sum_s (f*f)(s)^2 ~ t 2^k and relative bound rel.
 
+    k = 4e for the exact power-of-two prescale y = f 2^-e of
+    _pow2_exponent, with max|y| in [1, 2), so t approximates
+    sum (y*y)^2 >= ||y||_2^4 >= 1 and no scale overflows or underflows.
     Up to support HP_SUPPORT_CAP the sum is computed exactly (_pow4_exact)
-    and rounded once to the working precision, so the bound is hp_unit().
-    Above it, c = _autoconvolve(values) is one float64 FFT autoconvolution
-    with a proved bound delta >= max_s |c(s) - (f*f)(s)| (Percival 2003,
-    stated in _autoconvolve), in units of its exact power-of-two prescale
-    2^(2e).  Then |sum c^2 - sum (f*f)^2| <= 2 delta ||c||_1 + (2m-1) delta^2,
-    and the squares and the compensated sum add a rounding each.  The
-    value is sum c^2 * 2^(4e), exact in mpf, so no scale overflows.
+    and t is its quotient by 2^k, one int/int true division, which Python
+    rounds correctly: rel = u = 2^-53.  Above it, c = _autoconvolve(values)
+    is one float64 FFT autoconvolution of y with a proved bound
+    delta >= max_s |c(s) - (y*y)(s)| (Percival 2003, stated in
+    _autoconvolve).  Then |sum c^2 - sum (y*y)^2| <= 2 delta ||c||_1 +
+    (2m-1) delta^2, and the squares and the compensated sum t = fsum(c^2)
+    add a rounding each.
     """
     if f.is_zero:
-        return mp.mpf(0), 0.0
+        return 0.0, 0, 0.0
     m = len(f.values)
-    if m <= precision.HP_SUPPORT_CAP:
-        with working():
-            # the only rounding: int or Fraction to WORKING_PREC bits, < 1 ulp
-            return +mpmathify(_pow4_exact(f.values)), hp_unit()
+    u = FLOAT64_EPS / 2.0
+    if m <= HP_SUPPORT_CAP:
+        k = 4 * _pow2_exponent(f.values)
+        num, den = _pow4_exact(f.values).as_integer_ratio()
+        return (num << max(-k, 0)) / (den << max(k, 0)), k, u
     c, e, delta = _autoconvolve(f.values)
     total = math.fsum(c * c)  # >= 1: sum (y*y)^2 >= ||y||_2^4 >= max|y|^4
-    u = FLOAT64_EPS / 2.0
     # a float64 sum of 2m-1 nonnegative terms is within 2m u of the exact sum
     l1 = float(np.sum(np.abs(c))) * (1.0 + 2 * m * u)
     abs_err = 2.0 * delta * l1 + (2 * m - 1) * delta * delta + 2.0 * u * total
-    with working():
-        value = mp.ldexp(total, 4 * e)
-    return value, abs_err / total * (1.0 + 2.0 ** -40)
+    return total, 4 * e, abs_err / total * (1.0 + 2.0 ** -40)
 
 
 def fourier_l4_pow4(f: DiscreteFunction):
     """||f^||_4^4 via the autoconvolution identity.
 
     Returns the exact int when every value is an integer (an indicator 1_A
-    gives its energy E(A)), the float of fourier_l4_pow4_with_error otherwise.
+    gives its energy E(A)), the float t 2^k of fourier_l4_pow4_with_error
+    otherwise.
     """
     if f.is_zero:
         return 0
     if np.array_equal(np.trunc(f.values), f.values):
         return _pow4_exact(f.values)
-    value, _ = fourier_l4_pow4_with_error(f)
-    return float(value)
+    t, k, _ = fourier_l4_pow4_with_error(f)
+    return float(np.ldexp(t, k))
 
 
 def fourier_l4_pow4_quadruple(f: DiscreteFunction, cap: int = 64):
@@ -330,40 +341,46 @@ class RatioReport:
 
 
 def _norm_pair(f: DiscreteFunction, q: float):
-    """(||f^||_4, ||f||_q, rel_lhs, rel_rhs) at working precision.
+    """(a, b, e, rel_a, rel_b) with ||f^||_4 ~ a 2^e and ||f||_q ~ b 2^e.
 
-    The one evaluation of both sides of every norm comparison.  rel_lhs is a
-    quarter of the pow4 bound plus the root and conversion roundings;
-    rel_rhs is the lq bound plus its conversions.
+    The one evaluation of both sides of every norm comparison, in float64
+    on their common exact prescale 2^-e (k = 4e for the pow4 sum t).
+    a = sqrt(sqrt(t)): t's bound rel4 becomes (1 + rel4)^(1/4) - 1 <=
+    rel4 / (4 (1 - rel4)), and the two correctly rounded square roots add
+    u/2 + u.  rel_a adds a further u/2 for the products of these terms and
+    the float64 evaluation of the bound, enough while rel4 < 1/8 (it is
+    about 2 m times the bracket S of _autoconvolve, so at any m < 2^40).
+    rel_b is lq_norm_with_error's bound.
     """
-    pow4, rel4 = fourier_l4_pow4_with_error(f)
-    lqv, relq = lq_norm_with_error(f, q)
-    with working():
-        lhs = pow4 ** mp.mpf("0.25")
-    return lhs, lqv, rel4 / 4.0 + 4.0 * hp_unit(), relq + 2.0 * hp_unit()
-
-
-def _float64_rel(x: float) -> float:
-    """Relative bound on the rounding that produced the float64 x: the unit
-    roundoff in the normal range, the subnormal spacing over |x| below it."""
-    return FLOAT64_EPS if abs(x) >= sys.float_info.min else 2.0 ** -1074 / abs(x)
+    t, _, rel4 = fourier_l4_pow4_with_error(f)
+    b, e, rel_b = lq_norm_with_error(f, q)
+    u = FLOAT64_EPS / 2.0
+    return math.sqrt(math.sqrt(t)), b, e, rel4 / (4.0 * (1.0 - rel4)) + 2.0 * u, rel_b
 
 
 def ratio_report(f: DiscreteFunction, q: float) -> RatioReport:
+    """||f^||_4 / ||f||_q as a / b on the common prescale of _norm_pair.
+
+    The scale cancels, so err covers only the two bounds and the division:
+    a/b = (A/B)(1 + alpha)/(1 + beta) with |alpha| <= rel_a, |beta| <= rel_b,
+    so |(1 + alpha)/(1 + beta) - 1| <= (rel_a + rel_b)/(1 - rel_b), and the
+    correctly rounded quotient adds u.  The factor 1 + 2^-40 covers their
+    product and the float64 evaluation of err.  l4hat and lq are a 2^e and
+    b 2^e; one that underflows to zero or overflows float64 is an error.
+    """
     if f.is_zero:
         raise ZeroFunctionError("ratio undefined for the zero function")
     if q < 1:
         raise InvalidExponentError(f"ratio_report needs q >= 1, got {q}")
-    lhs, rhs, rel_lhs, rel_rhs = _norm_pair(f, q)
-    l4f, lqf = float(lhs), float(rhs)
+    a, b, e, rel_a, rel_b = _norm_pair(f, q)
+    with np.errstate(over="ignore"):  # reported just below
+        l4f, lqf = float(np.ldexp(a, e)), float(np.ldexp(b, e))
     if not (0.0 < l4f < math.inf and 0.0 < lqf < math.inf):
-        raise ValueError(f"norms of f underflow or overflow float64 (l4hat {mp.nstr(lhs, 6)}, "
-                         f"lq {mp.nstr(rhs, 6)}); rescale f")
-    ratio = l4f / lqf
-    # the division and both float64 conversions, doubled for the second-order
-    # terms of the quotient (8 FLOAT64_EPS in the normal range)
-    err = rel_lhs + rel_rhs + 2.0 * (2.0 * FLOAT64_EPS + _float64_rel(l4f) + _float64_rel(lqf))
-    return RatioReport(q=float(q), l4hat=l4f, lq=lqf, ratio=ratio, err=err)
+        raise ValueError(f"norms of f underflow or overflow float64 (l4hat {a:.6g}*2^{e}, "
+                         f"lq {b:.6g}*2^{e}); rescale f")
+    u = FLOAT64_EPS / 2.0
+    err = ((rel_a + rel_b) / (1.0 - rel_b) + u) * (1.0 + 2.0 ** -40)
+    return RatioReport(q=float(q), l4hat=l4f, lq=lqf, ratio=a / b, err=err)
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
-import time
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
@@ -225,17 +223,9 @@ def write_results(rows, path, format: str = "json", kind: str | None = None) -> 
 def write_manifest(config: dict, seed: int, tool_version: str, path) -> None:
     """Record everything needed to reproduce a run.
 
-    The timestamp honors SOURCE_DATE_EPOCH so archived runs can be
-    byte-reproducible.
+    It carries no timestamp, so identical runs write identical bytes.
     """
-    epoch = os.environ.get("SOURCE_DATE_EPOCH")
-    stamp = time.gmtime(int(epoch)) if epoch else time.gmtime()
-    doc = {
-        "tool_version": tool_version,
-        "seed": seed,
-        "config": config,
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", stamp),
-    }
+    doc = {"tool_version": tool_version, "seed": seed, "config": config}
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")

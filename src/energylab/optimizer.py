@@ -180,7 +180,7 @@ def maximize_ratio(config: OptimizerConfig,
     The chains start from start_rows, a (starts x n) array of finite,
     nonnegative rows each with a positive maximum (a previous result's rows,
     say); None means _start_rows(config).  Chains are ranked by their
-    float64 objective; only the winner is evaluated at working precision,
+    float64 objective; only the winner is evaluated with rounding bounds,
     once, by evaluate_certificate, so the result carries its explicit
     certificate with a rigorous err.  Deterministic for a fixed config and
     start_rows: chains are independent and ties go to the smaller start_id.
@@ -241,7 +241,7 @@ def estimate_qn(n: int, tol: float = 1e-3, seed: int = 0, starts: int = 16) -> Q
 
     A probe at q runs maximize_ratio and fires exactly when the winner's
     certificate is valid (margin > err); that certificate is the probe's
-    witness, so each probe evaluates one function at working precision once.
+    witness, so each probe evaluates one function with rounding bounds once.
     The first probe (q = 2) starts from _start_rows; every later probe
     starts from the previous probe's final rows, since the maximizer moves
     little between neighbouring q and the chains then stop in fewer rounds.

@@ -1,8 +1,12 @@
 import json
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import energylab
 from energylab import acceptance, discrete_core, experiments
 from energylab.cli import main, parse_inline_set, read_function_file, read_set_file
 from energylab.discrete_core import energy_of_set
@@ -276,3 +280,13 @@ def test_read_set_skips_comments(tmp_path):
     path.write_text("# header\n0\n\n1\n")
     lattice = read_set_file(str(path))
     assert lattice.size == 2
+
+
+def test_mpmath_not_a_runtime_dependency():
+    # mpmath is only a test oracle: importing the CLI must not load it
+    src = Path(energylab.__file__).resolve().parent
+    probe = "import sys, energylab.cli; print('mpmath' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          cwd=src.parent, timeout=120, check=True)
+    assert done.stdout.strip() == "False"
+    assert not [p.name for p in src.glob("*.py") if "mpmath" in p.read_text()]

@@ -97,9 +97,11 @@ class TestNorms:
         runs = DiscreteFunction(0, (1, 1, 1, 0.5, 0.5, 3, 1, 1))
         mixed = DiscreteFunction(0, (1, 0.5, 1, 3, 1, 0.5, 1, 1.0))
         assert len(mixed.values) == len(runs.values)
-        (a, rel_a), (b, rel_b) = lq_norm_with_error(runs, 1.7), lq_norm_with_error(mixed, 1.7)
-        assert abs(a - b) <= (rel_a + rel_b) * b
-        assert float(a) == pytest.approx((5 + 2 * 0.5 ** 1.7 + 3 ** 1.7) ** (1 / 1.7), rel=1e-15)
+        a, e_a, rel_a = lq_norm_with_error(runs, 1.7)
+        b, e_b, rel_b = lq_norm_with_error(mixed, 1.7)
+        assert e_a == e_b and abs(a - b) <= (rel_a + rel_b) * b
+        assert math.ldexp(a, e_a) == pytest.approx((5 + 2 * 0.5 ** 1.7 + 3 ** 1.7) ** (1 / 1.7),
+                                                   rel=1e-15)
 
     def test_pow4_examples(self):
         assert fourier_l4_pow4(indicator(0)) == 1
@@ -161,7 +163,7 @@ class TestRatioReport:
             ratio_report(DiscreteFunction(), 1.5)
 
     def test_norm_overflow_rejected(self):
-        # both norms are finite at 120 bits but round to float64 inf
+        # both norms are finite on their prescale but overflow float64
         with pytest.raises(ValueError, match="overflow"):
             ratio_report(DiscreteFunction(0, (1.7e308, 1.7e308)), 1.5)
 
@@ -355,11 +357,10 @@ class TestTrivialBound:
 
 def test_float_path_matches_extended_precision(monkeypatch):
     # the two norm regimes must agree far beyond their error bounds
-    from energylab import precision
     rng = np.random.default_rng(9)
     f = DiscreteFunction(0, tuple(float(v) for v in rng.random(600) + 0.1))
     hp = ratio_report(f, 1.6)
-    monkeypatch.setattr(precision, "HP_SUPPORT_CAP", 100)
+    monkeypatch.setattr(discrete_core, "HP_SUPPORT_CAP", 100)
     fl = ratio_report(f, 1.6)
     assert fl.ratio == pytest.approx(hp.ratio, rel=1e-12)
     assert fl.err < 1e-9 and hp.err < fl.err

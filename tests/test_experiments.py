@@ -165,13 +165,16 @@ class TestManifest:
         write_manifest({"command": "bounds-table", "n_min": 2}, seed=7,
                        tool_version="0.1.0", path=path)
         doc = json.loads(path.read_text())
-        assert set(doc) == {"tool_version", "seed", "config", "timestamp"}
+        assert set(doc) == {"tool_version", "seed", "config"}
         assert doc["seed"] == 7 and doc["config"]["n_min"] == 2
 
     def test_source_date_epoch(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        # no timestamp: two writes with no environment set are identical,
+        # and SOURCE_DATE_EPOCH changes nothing
+        monkeypatch.delenv("SOURCE_DATE_EPOCH", raising=False)
+        a, b, c = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "c.json"
         write_manifest({}, 1, "0.1.0", a)
         write_manifest({}, 1, "0.1.0", b)
-        assert a.read_bytes() == b.read_bytes()
-        assert json.loads(a.read_text())["timestamp"] == "1970-01-01T00:00:00Z"
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+        write_manifest({}, 1, "0.1.0", c)
+        assert a.read_bytes() == b.read_bytes() == c.read_bytes()

@@ -16,9 +16,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from mpmath import libmp, mp
+from mpmath import mp
 
-from energylab import precision
+from energylab import discrete_core
 from energylab.optimizer import _pow4_rows
 from energylab.certificates import (GaussianScheduleParams, _sampled_gaussian,
                                     build_gaussian_certificate, build_perturbation_certificate,
@@ -41,9 +41,9 @@ SUBNORMALS = st.integers(-(2 ** 52 - 1), 2 ** 52 - 1).map(lambda k: math.ldexp(k
 MIXED = st.one_of(FLOATS, INTEGER_FLOATS, SUBNORMALS, st.sampled_from([1e300, -1e300]))
 
 
-def mpf_fraction(v) -> Fraction:
-    """The exact value of an mpf result."""
-    return Fraction(*libmp.to_rational(v._mpf_))
+def scaled_fraction(t, k) -> Fraction:
+    """The exact value of t 2^k."""
+    return Fraction(t) * Fraction(2) ** k
 
 
 def values_of(scalars):
@@ -52,13 +52,13 @@ def values_of(scalars):
 
 def float_path():
     """Every support above the precision cap: the float64 FFT regime."""
-    return mock.patch.object(precision, "HP_SUPPORT_CAP", 0)
+    return mock.patch.object(discrete_core, "HP_SUPPORT_CAP", 0)
 
 
 def assert_within_own_bound(f):
-    value, rel = fourier_l4_pow4_with_error(f)
+    t, k, rel = fourier_l4_pow4_with_error(f)
     exact = Fraction(_pow4_exact(f.values))
-    assert abs(mpf_fraction(value) - exact) <= Fraction(rel) * exact
+    assert abs(scaled_fraction(t, k) - exact) <= Fraction(rel) * exact
 
 
 @settings(max_examples=100, deadline=None)
@@ -77,18 +77,19 @@ def test_exact_pow4_matches_quadruple_oracle(offset, values):
     assert _pow4_exact(f.values) == oracle
     if all(v.is_integer() for v in values):
         assert fourier_l4_pow4(f) == oracle
-    value, rel = fourier_l4_pow4_with_error(f)
-    assert abs(mpf_fraction(value) - oracle) <= Fraction(rel) * oracle
+    t, k, rel = fourier_l4_pow4_with_error(f)
+    assert abs(scaled_fraction(t, k) - oracle) <= Fraction(rel) * oracle
 
 
 def assert_lq_within_own_bound(f, q):
-    value, rel = lq_norm_with_error(f, q)
+    x, e, rel = lq_norm_with_error(f, q)
     with mp.workprec(300):
+        value = mp.ldexp(x, e)
         qm = mp.mpf(q)
         exact = (abs(mp.mpf(a.numerator) / a.denominator) ** qm
                  for a in map(Fraction, f.values.tolist()) if a)
         oracle = mp.fsum(exact) ** (1 / qm)
-        assert abs(mp.mpf(value) - oracle) <= mp.mpf(rel) * oracle
+        assert abs(value - oracle) <= mp.mpf(rel) * oracle
 
 
 @settings(max_examples=150, deadline=None)
@@ -117,12 +118,15 @@ def test_lq_perturbed_indicator(n, eps):
 
 
 def test_lq_bound_does_not_grow_with_support():
+    # the rounding of 1/q, |ln T| u / q, is the bound's only term that
+    # depends on the support m, through ln T <= ln m here (max f = 1)
     f = _sampled_gaussian(GaussianScheduleParams.from_n_eps(30001, 0.5))
-    assert len(f.values) > precision.HP_SUPPORT_CAP
-    _, rel = lq_norm_with_error(f, 1.5)
-    _, rel_small = lq_norm_with_error(DiscreteFunction(0, (1.0, 0.5, 0.25)), 1.5)
+    m, q = len(f.values), 1.5
+    assert m > discrete_core.HP_SUPPORT_CAP
+    _, _, rel = lq_norm_with_error(f, q)
+    _, _, rel_small = lq_norm_with_error(DiscreteFunction(0, (1.0, 0.5, 0.25)), q)
     assert rel < 1e-13
-    assert rel == pytest.approx(rel_small, rel=1e-9)
+    assert rel - rel_small <= (math.log(m) / q + 1.0) * 2.0 ** -53
 
 
 @settings(max_examples=100, deadline=None)
@@ -178,7 +182,7 @@ def test_fft_pow4_fixed_cases(m, kind):
 
 def test_fft_pow4_gaussian_witness():
     f = _sampled_gaussian(GaussianScheduleParams.from_n_eps(20001, 0.51))
-    assert len(f.values) > precision.HP_SUPPORT_CAP
+    assert len(f.values) > discrete_core.HP_SUPPORT_CAP
     assert_within_own_bound(f)
 
 
