@@ -10,7 +10,9 @@ A = k^(2-eps/10), M = floor(k^(1-eps/100)).
 
 from __future__ import annotations
 
+import json
 import math
+import sys
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -36,7 +38,8 @@ class Certificate:
 
     valid means margin > err > 0 was established in float64 on the common
     prescale of both norms (see evaluate_certificate), in which case
-    t_n > implied_t_bound = 4/q holds strictly.
+    t_n > implied_t_bound = 4/q holds strictly; the stored margin and err
+    then satisfy margin > err > 0 too, with err a normal float.
     """
 
     kind: str
@@ -71,9 +74,12 @@ def evaluate_certificate(kind: str, n: int, q: float, f: DiscreteFunction) -> Ce
         |gap - (A - B)| <= rel_a a/(1 - rel_a) + rel_b b/(1 - rel_b) + u |gap|,
 
     times 1 + 2^-40 for the second-order terms and the float64 evaluation
-    of err.  valid = gap > err > 0, so A > B.  lhs, rhs, margin and err are
+    of err.  gap > err > 0 proves A > B.  lhs, rhs, margin and err are
     a, b, gap and err times 2^e: exact in the normal float64 range, so they
-    need no storage term, and rounded once if they leave it.
+    need no storage term, and rounded once if they leave it.  valid also
+    asks that the stored err be normal and below the stored margin, so a
+    reader who checks margin > err > 0 on the stored fields agrees with it;
+    an err rounded below the normal range makes the certificate not valid.
     """
     a, b, e, rel_a, rel_b = _norm_pair(f, q)
     u = FLOAT64_EPS / 2.0
@@ -81,9 +87,10 @@ def evaluate_certificate(kind: str, n: int, q: float, f: DiscreteFunction) -> Ce
     err = (rel_a * a / (1.0 - rel_a) + rel_b * b / (1.0 - rel_b) + u * abs(gap)) \
         * (1.0 + 2.0 ** -40)
     lhs, rhs, margin, err_f = np.ldexp([a, b, gap, err], e).tolist()
+    valid = gap > err > 0.0 and margin > err_f >= sys.float_info.min
     return Certificate(kind=kind, n=n, q=float(q), f=f, lhs=lhs, rhs=rhs,
                        margin=margin, err=err_f, implied_t_bound=4.0 / float(q),
-                       valid=bool(gap > err > 0.0))
+                       valid=bool(valid))
 
 
 # ---------------------------------------------------------------------------
@@ -285,13 +292,28 @@ def continuum_discretization_report(params: GaussianScheduleParams) -> Discretiz
 # Serialization
 # ---------------------------------------------------------------------------
 
+def _mirror(head: list, m: int) -> list:
+    """The palindrome of length m whose first ceil(m/2) entries are head."""
+    return head + head[:m // 2][::-1]
+
+
+def _value_reprs(values: np.ndarray) -> list[str]:
+    """[repr(v) for v in values], reading only the first half of a bitwise
+    palindrome (-0.0 and 0.0 differ).  Every Gaussian witness is one, since
+    f(-k) and f(k) come from the same float operations."""
+    m = len(values)
+    if values.tobytes() != values[::-1].tobytes():
+        return list(map(repr, values.tolist()))
+    return _mirror(list(map(repr, values[:(m + 1) // 2].tolist())), m)
+
+
 def certificate_to_dict(cert: Certificate) -> dict:
     return {
         "kind": cert.kind,
         "n": cert.n,
         "q": cert.q,
         "offset": cert.f.offset,
-        "values": [repr(v) for v in cert.f.values.tolist()],
+        "values": _value_reprs(cert.f.values),
         "lhs": cert.lhs,
         "rhs": cert.rhs,
         "margin": cert.margin,
@@ -299,6 +321,22 @@ def certificate_to_dict(cert: Certificate) -> dict:
         "implied_t_bound": cert.implied_t_bound,
         "valid": cert.valid,
     }
+
+
+def certificate_json(cert: Certificate) -> str:
+    """Exactly json.dumps(certificate_to_dict(cert), indent=2).
+
+    With indent, json.dumps runs CPython's pure-Python encoder, one step
+    per value; here the value strings, which are float reprs and need no
+    escaping, go in as one joined block between the encoded other fields.
+    """
+    d = certificate_to_dict(cert)
+    values = d["values"]
+    if not values:
+        return json.dumps(d, indent=2)
+    head, tail = json.dumps({**d, "values": [0]}, indent=2).split("\n    0\n")
+    block = '",\n    "'.join(values)
+    return f'{head}\n    "{block}"\n{tail}'
 
 
 def _exact_float(i: int, s) -> float:
@@ -314,7 +352,13 @@ def _exact_float(i: int, s) -> float:
 
 
 def certificate_from_dict(d: dict) -> Certificate:
-    vals = np.array([_exact_float(i, s) for i, s in enumerate(d["values"])])
+    strs = d["values"]
+    m = len(strs)
+    # a palindrome reads its first half only; a bad value there is also
+    # the first bad value of the whole list
+    symmetric = strs == strs[::-1]
+    head = [_exact_float(i, s) for i, s in enumerate(strs[:(m + 1) // 2] if symmetric else strs)]
+    vals = _mirror(head, m) if symmetric else head
     f = DiscreteFunction(int(d["offset"]), vals)
     return Certificate(kind=d["kind"], n=int(d["n"]), q=float(d["q"]), f=f,
                        lhs=float(d["lhs"]), rhs=float(d["rhs"]),

@@ -132,7 +132,7 @@ def _cmd_certify(args) -> int:
             raise InputError("certify gaussian requires --eps")
         params = certificates.GaussianScheduleParams.from_n_eps(args.n, args.eps)
         cert = certificates.build_gaussian_certificate(params)
-    _emit(json.dumps(certificates.certificate_to_dict(cert), indent=2), args.out)
+    _emit(certificates.certificate_json(cert), args.out)
     return 0 if cert.valid else 1
 
 

@@ -84,7 +84,7 @@ def _l4hat_pow4_simpson(a_param: float, truncation: float, step: float) -> float
     h = _simpson_weights(g.size) * 0.5
     conv = (step / 6.0) * (_autoconvolution((h + 1.0) * g) - _autoconvolution((h - 1.0) * g))
     wz = _simpson_weights(conv.size) * (step / 3.0)
-    return float(np.dot(wz, conv * conv))
+    return float(np.sum(wz * (conv * conv)))
 
 
 def quadrature_l4hat(spec: GaussianSpec, truncation: float | None = None,
@@ -126,7 +126,7 @@ def quadrature_lq_pow(spec: GaussianSpec, q: float, truncation: float | None = N
         half += half % 2
         x = np.arange(-half, half + 1) * h
         y = np.exp(-q * x * x / a)
-        return float(np.dot(_simpson_weights(y.size), y) * (h / 3.0))
+        return float(np.sum(_simpson_weights(y.size) * y) * (h / 3.0))
 
     coarse, fine = one(step), one(step / 2.0)
     if abs(coarse - fine) > rel_tol * abs(fine):

@@ -153,8 +153,9 @@ def _autoconvolve(x):
     u = FLOAT64_EPS / 2.0
     levels = size.bit_length() - 1
     big_s = 3 * levels * (u + 4.0 * u) + (3 * levels + 1) * math.sqrt(5.0) * u
-    # a float64 dot of m nonnegative terms is within (m + 1) u of the exact sum
-    norm2 = float(np.dot(y, y)) * (1.0 + (m + 1) * u)
+    # m rounded squares summed in float64 in any order are within (m + 1) u
+    # of the exact sum; np.sum, unlike a BLAS dot, fixes that order
+    norm2 = float(np.sum(y * y)) * (1.0 + (m + 1) * u)
     delta = big_s * (1.0 + big_s) * norm2 * (1.0 + 2.0 ** -40)
     return c, e, delta
 

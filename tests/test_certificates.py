@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -176,6 +177,22 @@ class TestValidityRules:
         with pytest.raises(ValueError):
             evaluate_certificate("explicit", 2, 1.5, f)
 
+    @pytest.mark.parametrize("scale", [1e-310, 1e-300])
+    def test_stored_fields_check_their_own_verdict(self, scale):
+        # the scaled comparison proves the gap, but err stored times 2^e
+        # flushes to 0.0 (1e-310) or to a subnormal (1e-300): not valid
+        f = DiscreteFunction(0, (scale, 1.5 * scale, scale))
+        cert = evaluate_certificate("explicit", 3, 1.9, f)
+        assert cert.margin > 0 and cert.err < sys.float_info.min
+        assert not cert.valid
+        back = revalidate_certificate(certificate_from_dict(
+            json.loads(json.dumps(certificate_to_dict(cert)))))
+        assert back == cert
+
+    def test_normal_scale_stays_valid(self):
+        cert = evaluate_certificate("explicit", 3, 1.9, DiscreteFunction(0, (1.0, 1.5, 1.0)))
+        assert cert.valid and cert.margin > cert.err >= sys.float_info.min
+
 
 class TestSerialization:
     def test_round_trip(self):
@@ -224,6 +241,28 @@ class TestSerialization:
         d["values"][1] = bad
         with pytest.raises(ValueError, match="value 1 "):
             certificate_from_dict(d)
+
+    @pytest.mark.parametrize("bad_at", [1, 2])
+    def test_palindrome_reports_first_bad_index(self, bad_at):
+        # a palindrome reads its first half only: the bad value is reported at
+        # its first index, whichever copy was altered
+        cert = build_gaussian_certificate(GaussianScheduleParams.from_n_eps(21, 0.5))
+        d = certificate_to_dict(cert)
+        m = len(d["values"])
+        d["values"][bad_at] = d["values"][m - 1 - bad_at] = "1e-400"
+        with pytest.raises(ValueError, match=f"value {bad_at} "):
+            certificate_from_dict(d)
+        d["values"][m - 1 - bad_at] = "0.5"  # no palindrome now: read in full
+        with pytest.raises(ValueError, match=f"value {bad_at} "):
+            certificate_from_dict(d)
+
+    def test_mirrored_values_read_back_bitwise(self):
+        f = DiscreteFunction(3, (1.0, -0.0, 0.0, 1.0))  # one signed zero: no palindrome
+        for g in (f, DiscreteFunction(3, (0.5, 1e-310, 2.0, 1e-310, 0.5))):
+            cert = evaluate_certificate("explicit", 9, 1.9, g)
+            back = certificate_from_dict(certificate_to_dict(cert))
+            assert back.f.offset == g.offset and back.f.values.tobytes() == g.values.tobytes()
+        assert certificate_to_dict(cert)["values"] == ["0.5", "1e-310", "2.0", "1e-310", "0.5"]
 
     def test_from_dict_reads_exact_values(self):
         # a float's shortest repr, and any decimal whose value is a float64 number

@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import subprocess
 import sys
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import energylab
-from energylab import acceptance, discrete_core, experiments
+from energylab import acceptance, certificates, discrete_core, experiments
 from energylab.cli import main, parse_inline_set, read_function_file, read_set_file
 from energylab.discrete_core import energy_of_set
 
@@ -151,6 +152,49 @@ class TestCertifyCommand:
     def test_perturbation_bad_n(self, capsys):
         code, _, _ = run(capsys, "certify", "perturbation", "--n", "2")
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [["gaussian", "--n", "401", "--eps", "0.5"],
+                                      ["perturbation", "--n", "300"]])
+    def test_bytes_are_json_dumps(self, capsys, tmp_path, argv):
+        if argv[0] == "gaussian":
+            cert = certificates.build_gaussian_certificate(
+                certificates.GaussianScheduleParams.from_n_eps(401, 0.5))
+        else:
+            cert = certificates.build_perturbation_certificate(300)
+        expected = json.dumps(certificates.certificate_to_dict(cert), indent=2) + "\n"
+        code, out, _ = run(capsys, "certify", *argv)
+        assert code == 0 and out == expected
+        path = tmp_path / "cert.json"
+        assert run(capsys, "certify", *argv, "--out", str(path))[0] == 0
+        assert path.read_text() == expected
+
+
+def test_certify_independent_of_blas_threads():
+    # support 19099: the FFT bound sums ||y||_2^2, which a threaded BLAS dot
+    # would add up in an order that depends on the thread count
+    src = Path(energylab.__file__).resolve().parent.parent
+    outs = {subprocess.run([sys.executable, "-m", "energylab.cli", "certify", "gaussian",
+                            "--n", "20001", "--eps", "0.5"], capture_output=True, text=True,
+                           cwd=src, env={**os.environ, "OPENBLAS_NUM_THREADS": str(t)},
+                           timeout=300, check=True).stdout
+            for t in (1, 2)}
+    assert len(outs) == 1
+
+
+def test_small_runs_never_import_numpy_ma():
+    # numpy.ma comes with np.unique and adds RSS to every short CLI run
+    src = Path(energylab.__file__).resolve().parent.parent
+    probe = ("import contextlib, io, sys\n"
+             "from energylab.cli import main\n"
+             "with contextlib.redirect_stdout(io.StringIO()), "
+             "contextlib.redirect_stderr(io.StringIO()):\n"
+             "    main(['certify', 'gaussian', '--n', '401', '--eps', '0.5'])\n"
+             "    main(['certify', 'perturbation', '--n', '30'])\n"
+             "    main(['estimate', '--n', '4'])\n"
+             "print('numpy.ma' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          cwd=src, timeout=300, check=True)
+    assert done.stdout.strip() == "False"
 
 
 class TestBallCommand:

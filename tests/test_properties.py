@@ -20,9 +20,9 @@ from mpmath import mp
 
 from energylab import discrete_core
 from energylab.optimizer import _pow4_rows
-from energylab.certificates import (GaussianScheduleParams, _sampled_gaussian,
+from energylab.certificates import (Certificate, GaussianScheduleParams, _sampled_gaussian,
                                     build_gaussian_certificate, build_perturbation_certificate,
-                                    certificate_from_dict, certificate_to_dict,
+                                    certificate_from_dict, certificate_json, certificate_to_dict,
                                     revalidate_certificate)
 from energylab.discrete_core import (DiscreteFunction, LatticeSet, _autoconvolve,
                                      _energy_fft, _energy_sorted, _lattice_keys, _pow4_exact,
@@ -151,6 +151,44 @@ def test_gaussian_certificate_round_trip(n, eps):
     cert = build_gaussian_certificate(GaussianScheduleParams.from_n_eps(n, eps))
     back = certificate_from_dict(json.loads(json.dumps(certificate_to_dict(cert))))
     assert revalidate_certificate(back).valid == cert.valid
+
+
+# repeats, zeros of either sign, subnormals and +-1e300 among arbitrary floats
+WITNESS_VALUES = st.one_of(MIXED, st.sampled_from([0.0, -0.0, 1.0, 0.1, 5e-324, 1e-310]))
+
+
+@st.composite
+def witness_values(draw):
+    """1 to 64 values: arbitrary, a palindrome, or a palindrome with the
+    sign of one of its zeros flipped."""
+    values = draw(st.lists(WITNESS_VALUES, min_size=1, max_size=64))
+    shape = draw(st.sampled_from(["any", "palindrome", "signed_zero"]))
+    if shape == "palindrome":
+        values = values[:31] + draw(st.lists(WITNESS_VALUES, max_size=1)) + values[30::-1]
+    elif shape == "signed_zero":
+        values = values[:31] + [0.0] + values[30::-1]
+        i = draw(st.sampled_from([i for i, v in enumerate(values) if v == 0.0]))
+        values[i] = -math.copysign(0.0, values[i])
+    return values
+
+
+@settings(max_examples=200, deadline=None)
+@example(values=[1.0, 0.0, -0.0, 1.0], fields=[1.0] * 5, valid=True)
+@example(values=[1.0, -0.0, 1.0], fields=[1.0] * 5, valid=False)
+@example(values=[0.0], fields=[1.0] * 5, valid=False)
+@given(values=witness_values(), fields=st.lists(FLOATS, min_size=5, max_size=5),
+       valid=st.booleans())
+def test_certificate_json_is_json_dumps(values, fields, valid):
+    f = DiscreteFunction(-len(values) // 2, values)
+    lhs, rhs, margin, err, q = fields
+    cert = Certificate(kind="explicit", n=max(2, len(values)), q=q, f=f, lhs=lhs, rhs=rhs,
+                       margin=margin, err=err, implied_t_bound=q, valid=valid)
+    d = certificate_to_dict(cert)
+    assert d["values"] == [repr(v) for v in f.values.tolist()]
+    text = certificate_json(cert)
+    assert text == json.dumps(d, indent=2)
+    back = certificate_from_dict(json.loads(text))
+    assert back.f.offset == f.offset and back.f.values.tobytes() == f.values.tobytes()
 
 
 @settings(max_examples=150, deadline=None)
