@@ -351,13 +351,27 @@ def _exact_float(i: int, s) -> float:
     return x
 
 
+def _exact_floats(strs: list) -> list[float]:
+    """[_exact_float(i, s) for i, s in enumerate(strs)], with the common
+    case, every s the shortest repr of a finite float, checked in C; any
+    other list takes the per-value path, which accepts the same values and
+    reports the first bad one."""
+    try:
+        xs = list(map(float, strs))
+    except (TypeError, ValueError, OverflowError):
+        xs = None
+    if xs is not None and list(map(repr, xs)) == strs and all(map(math.isfinite, xs)):
+        return xs
+    return [_exact_float(i, s) for i, s in enumerate(strs)]
+
+
 def certificate_from_dict(d: dict) -> Certificate:
     strs = d["values"]
     m = len(strs)
     # a palindrome reads its first half only; a bad value there is also
     # the first bad value of the whole list
     symmetric = strs == strs[::-1]
-    head = [_exact_float(i, s) for i, s in enumerate(strs[:(m + 1) // 2] if symmetric else strs)]
+    head = _exact_floats(strs[:(m + 1) // 2] if symmetric else strs)
     vals = _mirror(head, m) if symmetric else head
     f = DiscreteFunction(int(d["offset"]), vals)
     return Certificate(kind=d["kind"], n=int(d["n"]), q=float(d["q"]), f=f,

@@ -141,7 +141,8 @@ def _cmd_estimate(args) -> int:
                                 starts=args.starts)
     for p in est.probes:  # the per-probe trace goes to stderr, never into the result
         print(f"probe q={p.q!r} ratio={p.ratio!r} err={p.err:.3e} fired={int(p.fired)} "
-              f"start={p.start_id} agreeing={p.agreeing}/{args.starts} iters={p.iterations}",
+              f"start={p.start_id} agreeing={p.agreeing}/{args.starts} iters={p.iterations} "
+              f"rounds={p.rounds}",
               file=sys.stderr)
     doc = {
         "n": est.n,

@@ -7,7 +7,7 @@ backtracking; all chains run in lockstep as the rows of one (starts x n)
 array.  Canonical starts cover the known extremizer families (delta, full
 indicator, sampled Gaussian, perturbed indicator); the remaining starts are
 seeded draws.  The bisection on q warm-starts each probe after the first
-from the previous probe's final rows.
+from the previous probe's final rows and step sizes.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ ARMIJO_C = 1e-4
 ASCENT_TOL = 1e-12  # relative objective gain below which a chain stops
 BACKTRACK_SHRINK = 0.5
 STEP_GROW = 1.3
+STEP_INIT = 0.1  # a chain's first trial step, and the floor of a carried step
 AGREE_TOL = 1e-9  # starts whose final value is this close to the best agree with it
 
 
@@ -38,8 +39,8 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("n must be >= 2 (t_n is defined from n = 2 on)")
-        if self.q <= 1:
-            raise ValueError("q must exceed 1")
+        if not 1 < self.q <= 512:  # the range lq_norm_with_error takes, less q = 1
+            raise ValueError(f"q must lie in (1, 512], got {self.q}")
         if self.starts < 4:
             raise ValueError("starts must be >= 4 (the canonical starts)")
         if self.max_iters < 1:
@@ -51,32 +52,37 @@ class OptimizerResult:
     """The winning chain: its explicit certificate (the winner f, both norms,
     margin, err and validity from one evaluation), its iteration count and
     its start index, and how many starts ended as high as it.  The certified
-    ratio is certificate.lhs / certificate.rhs.  rows holds every chain's
-    final iterate (read-only), one row per start, each scaled to maximum 1."""
+    ratio is certificate.lhs / certificate.rhs.  rounds counts the lockstep
+    rounds of the ascent.  rows holds every chain's final iterate, one row
+    per start, each scaled to maximum 1, and steps its final step size; both
+    are read-only."""
 
     certificate: Certificate
     iterations: int
     start_id: int
     agreeing: int  # starts whose float64 value lies within AGREE_TOL of the winner's
+    rounds: int
     rows: np.ndarray = field(compare=False, repr=False)
+    steps: np.ndarray = field(compare=False, repr=False)
 
 
 def _pow4_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """sum (x*x)^2 of each row x of X and its gradient 4 sum_b x(b) (x*x)(i+b),
-    from one rfft along the rows.
+    from one rfft and one irfft along the rows.
 
     With F = rfft(x, N), c = irfft(F^2) is x*x and irfft(F^2 conj F) is the
-    correlation of c with x; at N, the least power of two >= 2n-1, neither
-    wraps around.  Rows never mix, so a row's result does not depend on the
+    correlation of c with x; both come from one irfft over the stacked rows
+    (F^2, F^2 conj F).  At N, the least power of two >= 2n-1, neither wraps
+    around.  Rows never mix, so a row's result does not depend on the
     others.
     """
-    n = X.shape[1]
+    k, n = X.shape
     N = 1 << (2 * n - 2).bit_length()
     F = np.fft.rfft(X, N, axis=1)
     F2 = F * F
-    c = np.fft.irfft(F2, N, axis=1)[:, :2 * n - 1]
-    grad = 4.0 * np.fft.irfft(F2 * F.conj(), N, axis=1)[:, :n]
-    return np.sum(c * c, axis=1), grad
+    out = np.fft.irfft(np.concatenate((F2, F2 * F.conj())), N, axis=1)
+    c = out[:k, :2 * n - 1]
+    return (c * c).sum(axis=1), 4.0 * out[k:, :n]
 
 
 def _objective_rows(X: np.ndarray, q: float) -> tuple[np.ndarray, np.ndarray]:
@@ -84,15 +90,28 @@ def _objective_rows(X: np.ndarray, q: float) -> tuple[np.ndarray, np.ndarray]:
     rows x >= 0 with max(x) = 1; sum x^q shares x^(q-1) with the gradient."""
     e4, grad4 = _pow4_rows(X)
     xq1 = X ** (q - 1.0)
-    s = np.sum(xq1 * X, axis=1)
+    s = (xq1 * X).sum(axis=1)
     values = 0.25 * np.log(e4) - np.log(s) / q
     return values, grad4 / (4.0 * e4[:, None]) - xq1 / s[:, None]
 
 
-def _ascend_rows(X0: np.ndarray, q: float, max_iters: int, tol: float):
+class _Ascent(tuple):
+    """(X, values, iters) of an ascent, which it unpacks to, with each
+    chain's final step size in .steps and the lockstep round count in
+    .rounds (as os.stat_result carries fields beyond its tuple)."""
+
+    def __new__(cls, X, values, iters, steps, rounds):
+        self = super().__new__(cls, (X, values, iters))
+        self.steps, self.rounds = steps, rounds
+        return self
+
+
+def _ascend_rows(X0: np.ndarray, q: float, max_iters: int, tol: float,
+                 steps: np.ndarray | None = None) -> _Ascent:
     """Projected gradient ascent with Armijo backtracking on every row of X0
-    (rows >= 0, each with a positive maximum) at once; returns (X, values,
-    iters), one row or entry per chain.
+    (rows >= 0, each with a positive maximum) at once, each chain's first
+    trial step taken from steps (STEP_INIT each if None); returns (X, values,
+    iters), one row or entry per chain, with .steps and .rounds.
 
     The chains run in lockstep rounds.  In a round every running chain takes
     one trial step y = max(x + eta g, 0) with its own eta; one row-wise
@@ -102,35 +121,41 @@ def _ascend_rows(X0: np.ndarray, q: float, max_iters: int, tol: float):
     iteration, a rejected one halves eta and retries; a chain stops when
     eta falls to 1e-18, when its gain drops below tol (after 8 iterations)
     or at max_iters.  Chains never read each other's rows.
+
+    The running chains' state is kept packed, one row per running chain in
+    x, g, v, step and it; a chain's final state goes back to its own row of
+    X, values, eta and iters in the round it stops.
     """
     X = X0 / X0.max(axis=1, keepdims=True)
-    values, G = _objective_rows(X, q)
-    eta = np.full(len(X), 0.1)
+    values, g = _objective_rows(X, q)
+    eta = np.full(len(X), STEP_INIT) if steps is None else np.array(steps, dtype=np.float64)
     iters = np.ones(len(X), dtype=np.int64)
-    running = np.ones(len(X), dtype=bool)
-    while running.any():
-        rows = np.flatnonzero(running)
-        x, g, step = X[rows], G[rows], eta[rows]
-        y = np.maximum(x + step[:, None] * g, 0.0)
-        top = y.max(axis=1)
-        tried = np.flatnonzero(np.isfinite(top) & (top > 0))
-        z = y[tried] / top[tried, None]
-        fz, gz = _objective_rows(z, q)
-        v = values[rows[tried]]
-        slope = np.sum(g[tried] * (y[tried] - x[tried]), axis=1)
-        ok = np.isfinite(fz) & (fz >= v + ARMIJO_C * step[tried] * slope) & (fz >= v)
-        accepted = np.zeros(rows.size, dtype=bool)
-        accepted[tried[ok]] = True
-        won, lost = rows[accepted], rows[~accepted]
-        X[won], values[won], G[won] = z[ok], fz[ok], gz[ok]
-        eta[won] *= STEP_GROW
-        stop = ((fz[ok] - v[ok] < tol * np.maximum(1.0, np.abs(fz[ok]))) & (iters[won] > 8)) \
-            | (iters[won] == max_iters)
-        running[won[stop]] = False
-        iters[won[~stop]] += 1
-        eta[lost] *= BACKTRACK_SHRINK
-        running[lost[eta[lost] <= 1e-18]] = False
-    return X, values, iters
+    run = np.arange(len(X))
+    x, v, step, it = X, values, eta, iters
+    rounds = 0
+    while run.size:
+        rounds += 1
+        # a trial whose top is 0 or not finite gives a NaN row (0/0, inf/inf),
+        # and a huge step overflows the Armijo bound: both are rejected
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            y = np.maximum(x + step[:, None] * g, 0.0)
+            z = y / y.max(axis=1, keepdims=True)
+            fz, gz = _objective_rows(z, q)
+            slope = (g * (y - x)).sum(axis=1)
+            ok = np.isfinite(fz) & (fz >= v + ARMIJO_C * step * slope) & (fz >= v)
+            done = ok & (((fz - v < tol * np.maximum(1.0, np.abs(fz))) & (it > 8))
+                         | (it == max_iters))
+        x, g = np.where(ok[:, None], z, x), np.where(ok[:, None], gz, g)
+        v = np.where(ok, fz, v)
+        step = step * np.where(ok, STEP_GROW, BACKTRACK_SHRINK)
+        it = it + (ok & ~done)
+        stop = done | (~ok & (step <= 1e-18))
+        if stop.any():
+            rows = run[stop]
+            X[rows], values[rows], eta[rows], iters[rows] = x[stop], v[stop], step[stop], it[stop]
+            keep = ~stop
+            run, x, g, v, step, it = run[keep], x[keep], g[keep], v[keep], step[keep], it[keep]
+    return _Ascent(X, values, iters, eta, rounds)
 
 
 def _canonical_starts(n: int) -> list[np.ndarray]:
@@ -173,17 +198,20 @@ def _start_rows(config: OptimizerConfig) -> np.ndarray:
     return np.array(rows)
 
 
-def maximize_ratio(config: OptimizerConfig,
-                   start_rows: np.ndarray | None = None) -> OptimizerResult:
+def maximize_ratio(config: OptimizerConfig, start_rows: np.ndarray | None = None,
+                   start_steps: np.ndarray | None = None) -> OptimizerResult:
     """Multi-start search for sup ||f^||_4 / ||f||_q over f >= 0 on {0..n-1}.
 
     The chains start from start_rows, a (starts x n) array of finite,
     nonnegative rows each with a positive maximum (a previous result's rows,
-    say); None means _start_rows(config).  Chains are ranked by their
-    float64 objective; only the winner is evaluated with rounding bounds,
-    once, by evaluate_certificate, so the result carries its explicit
-    certificate with a rigorous err.  Deterministic for a fixed config and
-    start_rows: chains are independent and ties go to the smaller start_id.
+    say); None means _start_rows(config).  Their first trial steps are
+    start_steps, a (starts,) array of finite positive steps (a previous
+    result's steps, say); None means STEP_INIT each.  Chains are ranked by
+    their float64 objective; only the winner is evaluated with rounding
+    bounds, once, by evaluate_certificate, so the result carries its
+    explicit certificate with a rigorous err.  Deterministic for a fixed config and
+    start_rows and start_steps: chains are independent and ties go to the
+    smaller start_id.
     """
     n, q = config.n, config.q
     if start_rows is None:
@@ -197,21 +225,31 @@ def maximize_ratio(config: OptimizerConfig,
             raise ValueError("start_rows must be finite and nonnegative")
         if not np.all(start_rows.max(axis=1) > 0):
             raise ValueError("every row of start_rows must have a positive maximum")
-    X, values, iters = _ascend_rows(start_rows, q, config.max_iters, ASCENT_TOL)
+    if start_steps is not None:
+        start_steps = np.asarray(start_steps, dtype=np.float64)
+        if start_steps.shape != (config.starts,):
+            raise ValueError(f"start_steps must have shape {(config.starts,)}, "
+                             f"got {start_steps.shape}")
+        if not np.all(np.isfinite(start_steps) & (start_steps > 0)):
+            raise ValueError("start_steps must be finite and positive")
+    ascent = _ascend_rows(start_rows, q, config.max_iters, ASCENT_TOL, start_steps)
+    X, values, iters = ascent
     X.flags.writeable = False
+    ascent.steps.flags.writeable = False
     sid = int(np.argmax(values))  # the first maximum: ties go to the smaller start_id
     f = DiscreteFunction(0, X[sid])
     return OptimizerResult(certificate=evaluate_certificate("explicit", n, q, f),
                            iterations=int(iters[sid]), start_id=sid,
                            agreeing=int(np.count_nonzero(values >= values[sid] - AGREE_TOL)),
-                           rows=X)
+                           rounds=ascent.rounds, rows=X, steps=ascent.steps)
 
 
 @dataclass(frozen=True)
 class ProbeRecord:
     """What one bisection probe saw: its q, the winner's certified ratio
     lhs/rhs and err, whether it fired, the winning start, how many starts
-    agreed with it and the winner's iteration count."""
+    agreed with it, the winner's iteration count and the probe's lockstep
+    round count."""
 
     q: float
     ratio: float
@@ -220,6 +258,7 @@ class ProbeRecord:
     start_id: int
     agreeing: int
     iterations: int
+    rounds: int
 
 
 @dataclass(frozen=True)
@@ -242,9 +281,11 @@ def estimate_qn(n: int, tol: float = 1e-3, seed: int = 0, starts: int = 16) -> Q
     A probe at q runs maximize_ratio and fires exactly when the winner's
     certificate is valid (margin > err); that certificate is the probe's
     witness, so each probe evaluates one function with rounding bounds once.
-    The first probe (q = 2) starts from _start_rows; every later probe
-    starts from the previous probe's final rows, since the maximizer moves
-    little between neighbouring q and the chains then stop in fewer rounds.
+    The first probe (q = 2) starts from _start_rows at STEP_INIT; every
+    later probe starts from the previous probe's final rows, each chain at
+    its previous final step floored at STEP_INIT (a step that collapsed
+    ends a chain, so it starts afresh), since the maximizer moves little
+    between neighbouring q and the chains then stop in fewer rounds.
     The witness returned is the one from the smallest firing q.  If the
     predicate never fires, q_hat = 2 and witness is None.  tol must lie in
     [1e-4, 2/3), below the width of [4/3, 2].
@@ -252,16 +293,17 @@ def estimate_qn(n: int, tol: float = 1e-3, seed: int = 0, starts: int = 16) -> Q
     if not 1e-4 <= tol < 2.0 / 3.0:
         raise ValueError(f"bisection tol must lie in [1e-4, 2/3), got {tol}")
     probes = []
-    rows = None
+    rows = steps = None
 
     def probe(q: float) -> Certificate | None:
-        nonlocal rows
-        res = maximize_ratio(OptimizerConfig(n=n, q=q, starts=starts, seed=seed), rows)
-        rows = res.rows
+        nonlocal rows, steps
+        res = maximize_ratio(OptimizerConfig(n=n, q=q, starts=starts, seed=seed), rows, steps)
+        rows, steps = res.rows, np.maximum(res.steps, STEP_INIT)
         cert = res.certificate
         probes.append(ProbeRecord(q=q, ratio=cert.lhs / cert.rhs, err=cert.err,
                                   fired=cert.valid, start_id=res.start_id,
-                                  agreeing=res.agreeing, iterations=res.iterations))
+                                  agreeing=res.agreeing, iterations=res.iterations,
+                                  rounds=res.rounds))
         return cert if cert.valid else None
 
     lo, hi = 4.0 / 3.0, 2.0

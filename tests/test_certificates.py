@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -255,6 +256,41 @@ class TestSerialization:
         d["values"][m - 1 - bad_at] = "0.5"  # no palindrome now: read in full
         with pytest.raises(ValueError, match=f"value {bad_at} "):
             certificate_from_dict(d)
+
+    @pytest.mark.parametrize("where", ["first", "second", "both"])
+    def test_palindrome_inexact_value_reported_at_first_index(self, where):
+        # an inexact string in the first half, the second half or both copies
+        # of a palindrome is reported at the first index that holds one
+        cert = build_gaussian_certificate(GaussianScheduleParams.from_n_eps(21, 0.5))
+        d = certificate_to_dict(cert)
+        m = len(d["values"])
+        at = {"first": [2], "second": [m - 3], "both": [2, m - 3]}[where]
+        for i in at:
+            d["values"][i] = "0.1000000000000000000001"
+        with pytest.raises(ValueError, match=f"value {at[0]} "):
+            certificate_from_dict(d)
+
+    def test_first_bad_value_reported_before_unconvertible_one(self):
+        # float() refuses the later value outright; the first bad one is reported
+        d = certificate_to_dict(build_perturbation_certificate(3))
+        d["values"][1], d["values"][2] = "1e-400", 10 ** 400
+        with pytest.raises(ValueError, match="value 1 "):
+            certificate_from_dict(d)
+
+    @pytest.mark.parametrize("copies", [1, 2])
+    def test_exact_non_shortest_value_accepted(self, copies):
+        # a value written as its exact decimal expansion, not its shortest
+        # repr, reads back as the same float, in one copy or both copies of a
+        # palindrome
+        cert = build_gaussian_certificate(GaussianScheduleParams.from_n_eps(21, 0.5))
+        d = certificate_to_dict(cert)
+        m = len(d["values"])
+        exact = str(Decimal(cert.f.values[1]))
+        assert exact != d["values"][1] and float(exact) == cert.f.values[1]
+        for i in (1, m - 2)[:copies]:
+            d["values"][i] = exact
+        back = certificate_from_dict(d)
+        assert back.f.values.tobytes() == cert.f.values.tobytes()
 
     def test_mirrored_values_read_back_bitwise(self):
         f = DiscreteFunction(3, (1.0, -0.0, 0.0, 1.0))  # one signed zero: no palindrome

@@ -275,7 +275,7 @@ class TestEstimateCommand:
         lines = err.splitlines()
         assert len(lines) > 1
         pattern = (r"probe q=\S+ ratio=\S+ err=\S+ fired=[01] start=[0-5] agreeing=[1-6]/6"
-                   r" iters=[1-9]\d*")
+                   r" iters=[1-9]\d* rounds=[1-9]\d*")
         assert all(re.fullmatch(pattern, line) for line in lines)
         assert lines[0].startswith("probe q=2.0 ") and "fired=1" in lines[0]
         assert "probe" not in out

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,8 +7,8 @@ import pytest
 from energylab import certificates, discrete_core, optimizer
 from energylab.certificates import revalidate_certificate
 from energylab.discrete_core import DiscreteFunction, ratio_report
-from energylab.optimizer import (OptimizerConfig, estimate_qn, maximize_ratio, _ascend_rows,
-                                 _objective_rows, _pow4_rows, _start_rows)
+from energylab.optimizer import (STEP_INIT, OptimizerConfig, estimate_qn, maximize_ratio,
+                                 _ascend_rows, _objective_rows, _pow4_rows, _start_rows)
 
 
 def _ratio(res):
@@ -140,6 +141,65 @@ class TestObjective:
         assert calls[0] == (6, 8)
         assert all(len(shape) == 2 for shape in calls)
 
+    def test_rounds_and_steps(self, monkeypatch):
+        # rounds counts the evaluations after the starts'; steps are the chains'
+        # final steps, and a chain's steps are its own at any batch size
+        calls = []
+        objective = optimizer._objective_rows
+
+        def counting_objective(X, q):
+            calls.append(len(X))
+            return objective(X, q)
+
+        monkeypatch.setattr(optimizer, "_objective_rows", counting_objective)
+        X0 = np.random.default_rng(4).random((5, 7)) + 1e-3
+        steps0 = np.array([0.1, 1.0, 1e-3, 0.37, 5.0])
+        ascent = _ascend_rows(X0, 1.6, 500, 1e-12, steps0)
+        assert ascent.rounds == len(calls) - 1 and calls[0] == 5
+        assert ascent.steps.shape == (5,) and np.all(ascent.steps > 0)
+        assert steps0.tolist() == [0.1, 1.0, 1e-3, 0.37, 5.0]  # not written to
+        for sid in range(5):
+            alone = _ascend_rows(X0[sid:sid + 1], 1.6, 500, 1e-12, steps0[sid:sid + 1])
+            assert alone.steps[0] == ascent.steps[sid]
+            assert np.array_equal(alone[0][0], ascent[0][sid])
+            assert alone.rounds <= ascent.rounds
+
+    def test_clipped_trial_rejected_without_warning(self, monkeypatch):
+        # with the starts' gradient replaced by -1, steps 2 and 1 clip every
+        # entry of the trial to 0 (top 0, a NaN row); both trials are rejected
+        # and the third, at step 0.5, is evaluated at a finite row
+        seen = []
+        objective = optimizer._objective_rows
+
+        def steering_objective(X, q):
+            seen.append(X.copy())
+            values, grad = objective(X, q)
+            return (values, -np.ones_like(grad)) if len(seen) == 1 else (values, grad)
+
+        monkeypatch.setattr(optimizer, "_objective_rows", steering_objective)
+        X0 = np.random.default_rng(6).random((1, 5)) + 0.1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            X, values, _ = _ascend_rows(X0, 1.5, 1, 1e-12, np.array([2.0]))
+        assert np.all(np.isnan(seen[1])) and np.all(np.isnan(seen[2]))
+        assert np.all(np.isfinite(seen[3])) and seen[3].max() == 1.0
+        assert np.all(np.isfinite(X)) and np.isfinite(values[0])
+
+    def test_overflowing_trial_rejected_without_warning(self):
+        # at step 1e300 the Armijo bound step * slope overflows; the trial is
+        # rejected and the step halved until a trial is accepted, which at
+        # max_iters = 1 ends the chain
+        X0 = np.random.default_rng(7).random((1, 6)) + 1e-3
+        start_value = _objective_rows(X0 / X0.max(), 1.5)[0][0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            ascent = _ascend_rows(X0, 1.5, 1, 1e-12, np.array([1e300]))
+        step = 1e300
+        for _ in range(ascent.rounds - 1):
+            step *= 0.5
+        assert ascent.rounds > 100 and ascent.steps[0] == step * 1.3
+        assert np.all(np.isfinite(ascent[0])) and ascent[1][0] >= start_value
+
 
 class TestMaximize:
     def test_n1_rejected(self):
@@ -192,6 +252,8 @@ class TestMaximize:
         res = maximize_ratio(cfg)
         assert maximize_ratio(cfg, _start_rows(cfg)) == res
         assert res.rows.shape == (6, 5) and not res.rows.flags.writeable
+        assert res.steps.shape == (6,) and not res.steps.flags.writeable
+        assert maximize_ratio(cfg, None, np.full(6, STEP_INIT)) == res
         assert np.array_equal(res.rows[res.start_id], res.certificate.f.values)
         assert np.all(res.rows.max(axis=1) == 1.0)
 
@@ -213,13 +275,36 @@ class TestMaximize:
         with pytest.raises(ValueError, match=match):
             maximize_ratio(cfg, bad)
 
+    @pytest.mark.parametrize("case", ["short", "long", "column", "nan", "inf", "zero",
+                                      "negative"])
+    def test_start_steps_rejected(self, case):
+        cfg = OptimizerConfig(n=5, q=1.5, starts=4, seed=2)
+        steps = np.full(4, STEP_INIT)
+
+        def with_step(value):
+            bad = steps.copy()
+            bad[2] = value
+            return bad
+
+        bad = {"short": steps[:3], "long": np.full(5, STEP_INIT), "column": steps[:, None],
+               "nan": with_step(np.nan), "inf": with_step(np.inf), "zero": with_step(0.0),
+               "negative": with_step(-1e-300)}[case]
+        match = "shape" if case in ("short", "long", "column") else "finite and positive"
+        with pytest.raises(ValueError, match=match):
+            maximize_ratio(cfg, None, bad)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             OptimizerConfig(n=0, q=1.5)
         with pytest.raises(ValueError):
-            OptimizerConfig(n=2, q=1.0)
-        with pytest.raises(ValueError):
             OptimizerConfig(n=2, q=1.5, starts=2)
+        assert OptimizerConfig(n=2, q=512.0).q == 512.0
+
+    @pytest.mark.parametrize("q", [math.nan, math.inf, 1.0, 513.0])
+    def test_q_outside_lq_range_rejected(self, q):
+        # the range lq_norm_with_error takes, less q = 1: rejected before any ascent
+        with pytest.raises(ValueError, match=r"\(1, 512\]"):
+            OptimizerConfig(n=3, q=q)
 
 
 class TestEstimate:
@@ -250,8 +335,8 @@ class TestEstimate:
             calls.append(args)
             return norm_pair(*args)
 
-        def recording_maximize(config, start_rows=None):
-            res = maximize(config, start_rows)
+        def recording_maximize(config, start_rows=None, start_steps=None):
+            res = maximize(config, start_rows, start_steps)
             probes.append(res)
             return res
 
@@ -276,8 +361,8 @@ class TestEstimate:
         results = []
         maximize = optimizer.maximize_ratio
 
-        def recording_maximize(config, start_rows=None):
-            results.append((config.q, maximize(config, start_rows)))
+        def recording_maximize(config, start_rows=None, start_steps=None):
+            results.append((config.q, maximize(config, start_rows, start_steps)))
             return results[-1][1]
 
         monkeypatch.setattr(optimizer, "maximize_ratio", recording_maximize)
@@ -287,9 +372,9 @@ class TestEstimate:
             cert = res.certificate
             assert (rec.q, rec.ratio, rec.err, rec.fired) == (q, cert.lhs / cert.rhs, cert.err,
                                                               cert.valid)
-            assert (rec.start_id, rec.agreeing, rec.iterations) == (res.start_id, res.agreeing,
-                                                                    res.iterations)
-            assert 1 <= rec.agreeing <= 16
+            assert (rec.start_id, rec.agreeing, rec.iterations, rec.rounds) == (
+                res.start_id, res.agreeing, res.iterations, res.rounds)
+            assert 1 <= rec.agreeing <= 16 and rec.rounds >= rec.iterations
         assert est.q_hat == pytest.approx(min(r.q for r in est.probes if r.fired), abs=1e-3)
 
     def test_one_start_rows_per_estimate(self, monkeypatch):
@@ -308,25 +393,45 @@ class TestEstimate:
     @pytest.mark.parametrize("n", [3, 8, 16])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_warm_start_matches_fresh_start(self, monkeypatch, n, seed):
-        # every probe after the first starts from the previous probe's rows;
-        # a fresh start at the same q fires alike and ends no higher, up to 1e-10
+        # every probe after the first starts from the previous probe's rows and
+        # steps; a fresh start at the same q fires alike and ends no higher, up
+        # to 1e-10
         runs = []
         maximize = optimizer.maximize_ratio
 
-        def recording_maximize(config, start_rows=None):
-            runs.append((config, start_rows, maximize(config, start_rows)))
-            return runs[-1][2]
+        def recording_maximize(config, start_rows=None, start_steps=None):
+            runs.append((config, start_rows, start_steps,
+                         maximize(config, start_rows, start_steps)))
+            return runs[-1][3]
 
         monkeypatch.setattr(optimizer, "maximize_ratio", recording_maximize)
         estimate_qn(n, seed=seed)
-        assert runs[0][1] is None and len(runs) > 1
-        for (_, _, before), (_, start_rows, _) in zip(runs, runs[1:]):
+        assert runs[0][1] is None and runs[0][2] is None and len(runs) > 1
+        for (_, _, _, before), (_, start_rows, start_steps, _) in zip(runs, runs[1:]):
             assert start_rows is before.rows
-        for config, _, warm in runs[1:]:
+            assert np.array_equal(start_steps, np.maximum(before.steps, STEP_INIT))
+        for config, _, _, warm in runs[1:]:
             fresh = maximize(config)
             assert warm.certificate.valid == fresh.certificate.valid
             best = [_objective_rows(res.rows, config.q)[0].max() for res in (warm, fresh)]
             assert best[0] >= best[1] - 1e-10
+
+    def test_steps_carried_floored(self, monkeypatch):
+        # later probes start at the previous probe's steps floored at STEP_INIT:
+        # in this run some carried steps are floored and some kept above it
+        runs = []
+        maximize = optimizer.maximize_ratio
+
+        def recording_maximize(config, start_rows=None, start_steps=None):
+            runs.append((start_steps, maximize(config, start_rows, start_steps)))
+            return runs[-1][1]
+
+        monkeypatch.setattr(optimizer, "maximize_ratio", recording_maximize)
+        estimate_qn(3, seed=7)
+        carried = [(before.steps, steps) for (_, before), (steps, _) in zip(runs, runs[1:])]
+        assert all(np.array_equal(steps, np.maximum(prev, STEP_INIT)) for prev, steps in carried)
+        assert any(np.any(prev < STEP_INIT) for prev, _ in carried)
+        assert any(np.any(steps > STEP_INIT) for _, steps in carried)
 
     def test_tol_validation(self):
         # tol must lie in [1e-4, 2/3), below the width of [4/3, 2]
