@@ -51,7 +51,11 @@ class CapExceededError(RuntimeError):
 # Largest packed operand of the exact autoconvolution, in bits.  Float64
 # values at the precision cap (support 2048) pack into at most ~8.6e6 bits
 # (exponent spread 2^-1074..2^1024); only integer-valued input above the cap,
-# which fourier_l4_pow4 still sums exactly, can need more.
+# which fourier_l4_pow4 still sums exactly, can need more.  It also bounds
+# the support at 2^20 (32 m bits at least beyond that), which keeps the
+# unpacking's uint16-limb Gram entries, sums of 2m-1 products below 2^32,
+# under 2^53: exact in float64 and, summed k at a time, in int64.  The check
+# runs before the pack buffers are allocated.
 _PACK_BITS_CAP = 1 << 25
 
 
@@ -212,46 +216,82 @@ def lq_norm(f: DiscreteFunction, q: float) -> float:
 
 
 def _integer_scaled(values):
-    """(ints, exp) with values[i] == ints[i] * 2**exp exactly."""
-    parts = []
-    for v in values.tolist():
-        num, den = v.as_integer_ratio()  # den is a power of two
-        parts.append((num, 1 - den.bit_length()))
-    exp = min(e for n, e in parts if n)
-    return [n << (e - exp) if n else 0 for n, e in parts], exp
+    """(index, negative, mant, e, exp) for the nonzero values[index]:
+    |values[index]| == mant * 2**(e - 53) exactly, with mant the 53-bit
+    integer significand (int64 in [2^52, 2^53)), e the frexp exponent and
+    negative the signs.
+
+    exp = min(0, the lowest set-bit exponent of any value), so every
+    a = mant * 2**(e - 53 - exp) is an integer, of bit length e - exp; a
+    negative power only drops trailing zero bits of mant.
+    """
+    index = values.nonzero()[0]
+    frac, e = np.frexp(values[index])
+    signed = np.ldexp(frac, 53).astype(np.int64)
+    # signed & -signed is 2^z for z trailing zero bits; its frexp exponent is z + 1
+    low = np.frexp(signed & -signed)[1]
+    exp = min(0, int(np.minimum.reduce(e + low)) - 54)
+    return index, np.signbit(frac), np.abs(signed), e, exp
 
 
 def _pow4_exact(values):
     """sum_s (f*f)(s)^2 for a nonzero float64 array, exactly, as an int or
     Fraction.
 
-    Kronecker substitution: the values, scaled to integers a_i, are packed
-    into X = sum a_i 2^(w i), so X^2 holds c(s) = (a*a)(s) in its w-bit
-    slots.  |c(s)| < m 2^(2b) for b-bit a_i, so w = 2b + bit_length(m) + 2
-    leaves a sign bit and never carries into the next slot.
+    Kronecker substitution: the values, scaled to integers a_i = |f_i| 2^-exp
+    of at most b bits (_integer_scaled), are packed into X = P - N, where P
+    holds the positive a_i and N the negative ones' magnitudes, each in slot
+    i of w bits: X = sum sign_i a_i 2^(w i).  Then X^2 = sum_s c(s) 2^(w s)
+    with c = a*a signed, and |c(s)| < m 2^(2b), so w >= 2b + bit_length(m) + 2
+    leaves headroom below 2^(w-1).
+
+    Packing: each a_i is one 64-bit word, mant << (o mod 8), written at byte
+    o // 8 for its bit offset o, into a buffer whose rows carry 8 spare bytes
+    on each side of the slot, so no two words overlap and no value needs a
+    Python step.  mant's lowest bit lands e - 53 - exp >= -52 bits into the
+    slot; any bits before the slot are trailing zeros of mant, which the
+    left spare bytes take.
+
+    Unpacking: adding the bias B = 2^(w-1) to every slot makes each slot of
+    Z = X^2 + sum_s B 2^(w s) the digit u_s = c(s) + B in [0, 2^w), so no
+    slot borrows from the next.  Z's bytes, read as a (2m-1, k) array L of
+    uint16 limbs (the last limb of an odd-byte slot padded with a zero
+    byte), give c(s) = sum_j L_sj 2^(16 j) - B, so B is taken off the last
+    limb's column, and sum_s c(s)^2 = sum_jl (L^T L)_jl 2^(16 (j + l)): the
+    Gram matrix of the limbs, summed along its 2k-1 anti-diagonals.  Each
+    Gram entry sums 2m-1 products of magnitude below 2^32.  The pack cap
+    keeps m <= 2^20 (a larger m needs w >= 32 and 32 m > _PACK_BITS_CAP), so
+    every entry and every partial sum is an integer of magnitude below 2^53
+    (2^44 up to support 2048): float64 and BLAS hold it exactly in any
+    summation order, and the k-term anti-diagonal sums fit in int64.
     """
-    ints, exp = _integer_scaled(values)
-    m = len(ints)
-    width = (2 * max(abs(a) for a in ints).bit_length() + m.bit_length() + 2 + 7) // 8
+    index, negative, mant, e, exp = _integer_scaled(values)
+    m = len(values)
+    width = (2 * (int(np.maximum.reduce(e)) - exp) + m.bit_length() + 2 + 7) // 8
     if 8 * width * m > _PACK_BITS_CAP:
         raise CapExceededError(
             f"exact autoconvolution would pack {8 * width * m} bits, cap {_PACK_BITS_CAP}")
-    # a negative a_i is stored as a_i + 2^w; the borrow takes 2^w back from slot i+1
-    x = int.from_bytes(b"".join(a.to_bytes(width, "little", signed=True) for a in ints), "little")
-    borrow = bytearray(width * (m + 1))
-    for i, a in enumerate(ints):
-        if a < 0:
-            borrow[width * (i + 1)] = 1
-    x -= int.from_bytes(borrow, "little")
-    z = (x * x).to_bytes(width * (2 * m - 1), "little")
-    half, full = 1 << (8 * width - 1), 1 << (8 * width)
-    total = carry = 0
-    for s in range(0, len(z), width):
-        c = int.from_bytes(z[s:s + width], "little") + carry
-        carry = c >= half  # slot holds c(s) + 2^w: a negative coefficient
-        if carry:
-            c -= full
-        total += c * c
+    row = width + 16
+    buf = np.zeros(2 * m * row, dtype=np.uint8)  # P's m rows, then N's
+    # bit offset of mant: 64 spare bits, then e - 53 - exp into its slot
+    at = (index + m * negative) * (8 * row) + (e + (11 - exp))
+    words = np.ndarray(len(buf) - 7, "<i8", buf, 0, (1,))  # words[o] = buf[o:o+8], unaligned
+    byte, bit = np.divmod(at, 8)
+    words[byte] = mant << bit
+    packed = memoryview(buf.reshape(2, m, row)[:, :, 8:8 + width].tobytes())
+    x = int.from_bytes(packed[:m * width], "little") - int.from_bytes(packed[m * width:], "little")
+    terms, k = 2 * m - 1, (width + 1) // 2
+    bias = int.from_bytes((bytes(width - 1) + b"\x80") * terms, "little")
+    z = np.frombuffer((x * x + bias).to_bytes(width * terms, "little"), dtype=np.uint8)
+    limbs = np.zeros((terms, 2 * k), dtype=np.uint8)
+    limbs[:, :width] = z.reshape(terms, width)
+    limbs = limbs.view("<u2").astype(np.float64)
+    limbs[:, -1] -= 1 << 8 * width - 16 * k + 15  # B on the last limb's scale
+    gram = np.zeros((k, 2 * k), dtype=np.int64)
+    gram[:, :k] = limbs.T @ limbs
+    # row j shifted right by j: column d sums the anti-diagonal j + l = d
+    diagonals = gram.ravel()[:k * (2 * k - 1)].reshape(k, 2 * k - 1).sum(axis=0)
+    total = sum(v << 16 * d for d, v in enumerate(diagonals.tolist()))
     if exp >= 0:
         return total << 4 * exp
     return Fraction(total, 1 << -4 * exp)

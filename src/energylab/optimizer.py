@@ -95,23 +95,15 @@ def _objective_rows(X: np.ndarray, q: float) -> tuple[np.ndarray, np.ndarray]:
     return values, grad4 / (4.0 * e4[:, None]) - xq1 / s[:, None]
 
 
-class _Ascent(tuple):
-    """(X, values, iters) of an ascent, which it unpacks to, with each
-    chain's final step size in .steps and the lockstep round count in
-    .rounds (as os.stat_result carries fields beyond its tuple)."""
-
-    def __new__(cls, X, values, iters, steps, rounds):
-        self = super().__new__(cls, (X, values, iters))
-        self.steps, self.rounds = steps, rounds
-        return self
-
-
 def _ascend_rows(X0: np.ndarray, q: float, max_iters: int, tol: float,
-                 steps: np.ndarray | None = None) -> _Ascent:
+                 steps: np.ndarray | None = None
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
     """Projected gradient ascent with Armijo backtracking on every row of X0
     (rows >= 0, each with a positive maximum) at once, each chain's first
     trial step taken from steps (STEP_INIT each if None); returns (X, values,
-    iters), one row or entry per chain, with .steps and .rounds.
+    iters, steps, rounds): one row or entry per chain for the final rows,
+    their values, iteration counts and final step sizes, and the lockstep
+    round count.
 
     The chains run in lockstep rounds.  In a round every running chain takes
     one trial step y = max(x + eta g, 0) with its own eta; one row-wise
@@ -119,8 +111,9 @@ def _ascend_rows(X0: np.ndarray, q: float, max_iters: int, tol: float,
     invariant), so an accepted trial's value and gradient are the next
     iterate's.  An accepted chain grows eta and moves on to its next
     iteration, a rejected one halves eta and retries; a chain stops when
-    eta falls to 1e-18, when its gain drops below tol (after 8 iterations)
-    or at max_iters.  Chains never read each other's rows.
+    eta is no longer above 1e-18 (a NaN eta included), when its gain drops
+    below tol (after 8 iterations) or at max_iters.  Chains never read each
+    other's rows.
 
     The running chains' state is kept packed, one row per running chain in
     x, g, v, step and it; a chain's final state goes back to its own row of
@@ -149,13 +142,13 @@ def _ascend_rows(X0: np.ndarray, q: float, max_iters: int, tol: float,
         v = np.where(ok, fz, v)
         step = step * np.where(ok, STEP_GROW, BACKTRACK_SHRINK)
         it = it + (ok & ~done)
-        stop = done | (~ok & (step <= 1e-18))
+        stop = done | (~ok & ~(step > 1e-18))
         if stop.any():
             rows = run[stop]
             X[rows], values[rows], eta[rows], iters[rows] = x[stop], v[stop], step[stop], it[stop]
             keep = ~stop
             run, x, g, v, step, it = run[keep], x[keep], g[keep], v[keep], step[keep], it[keep]
-    return _Ascent(X, values, iters, eta, rounds)
+    return X, values, iters, eta, rounds
 
 
 def _canonical_starts(n: int) -> list[np.ndarray]:
@@ -232,16 +225,16 @@ def maximize_ratio(config: OptimizerConfig, start_rows: np.ndarray | None = None
                              f"got {start_steps.shape}")
         if not np.all(np.isfinite(start_steps) & (start_steps > 0)):
             raise ValueError("start_steps must be finite and positive")
-    ascent = _ascend_rows(start_rows, q, config.max_iters, ASCENT_TOL, start_steps)
-    X, values, iters = ascent
+    X, values, iters, steps, rounds = _ascend_rows(start_rows, q, config.max_iters, ASCENT_TOL,
+                                                   start_steps)
     X.flags.writeable = False
-    ascent.steps.flags.writeable = False
+    steps.flags.writeable = False
     sid = int(np.argmax(values))  # the first maximum: ties go to the smaller start_id
     f = DiscreteFunction(0, X[sid])
     return OptimizerResult(certificate=evaluate_certificate("explicit", n, q, f),
                            iterations=int(iters[sid]), start_id=sid,
                            agreeing=int(np.count_nonzero(values >= values[sid] - AGREE_TOL)),
-                           rounds=ascent.rounds, rows=X, steps=ascent.steps)
+                           rounds=rounds, rows=X, steps=steps)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -5,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import energylab
@@ -167,6 +169,34 @@ class TestCertifyCommand:
         path = tmp_path / "cert.json"
         assert run(capsys, "certify", *argv, "--out", str(path))[0] == 0
         assert path.read_text() == expected
+
+
+# SHA-256 of stdout, recorded before the exact ||f^||_4^4 kernel packed and
+# unpacked with numpy; every certificate, norm report and estimate must stay
+# byte-identical.  "norms" reads the seeded signed 256-value file.
+GOLDEN_STDOUT = {
+    "certify perturbation --n 300":
+        "e6e5af6af38693d94c9769d32e535d1303d4a1369fea517bfe015ae8cc4a95e2",
+    "certify gaussian --n 401 --eps 0.5":
+        "4fb01963d1e223edb34253d662984e39dec824cef96a06ccf1bd818ddb6ba7de",
+    "norms --q 1.3333333333333333 --format json":
+        "627841d29d37dbdef96e2bec15bf4707382af26927d47471e0929186005fac5a",
+    "estimate --n 8 --seed 0":
+        "89674a2ca885b407c2442a5113684fd518fdc0f131b92fcb55154a533d8fa90f",
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_STDOUT))
+def test_golden_stdout(capsys, tmp_path, command):
+    argv = command.split()
+    if argv[0] == "norms":
+        path = tmp_path / "signed256.json"
+        values = np.random.default_rng(0).standard_normal(256).tolist()
+        path.write_text(json.dumps({"offset": 0, "values": values}))
+        argv[1:1] = ["--f", str(path)]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[command]
 
 
 def test_certify_independent_of_blas_threads():

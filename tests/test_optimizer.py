@@ -102,7 +102,7 @@ class TestObjective:
         rng = np.random.default_rng(2)
         for _ in range(5):
             x0 = rng.random((1, 6)) + 1e-3
-            _, final, iters = _ascend_rows(x0, 1.5, 300, 1e-12)
+            _, final, iters, _, _ = _ascend_rows(x0, 1.5, 300, 1e-12)
             values = [_ascend_rows(x0, 1.5, k, 1e-12)[1][0] for k in range(1, iters[0] + 1)]
             assert all(b >= a - 1e-14 for a, b in zip(values, values[1:]))
             assert values[-1] == final[0]
@@ -112,9 +112,9 @@ class TestObjective:
         # each chain run alone ends where it ends inside the 16-row batch, bit for bit
         X0 = _start_rows(OptimizerConfig(n=n, q=1.45, seed=3))
         assert X0.shape == (16, n)
-        X, values, iters = _ascend_rows(X0, 1.45, 5000, 1e-12)
+        X, values, iters, _, _ = _ascend_rows(X0, 1.45, 5000, 1e-12)
         for sid in range(16):
-            x, value, it = _ascend_rows(X0[sid:sid + 1], 1.45, 5000, 1e-12)
+            x, value, it, _, _ = _ascend_rows(X0[sid:sid + 1], 1.45, 5000, 1e-12)
             assert np.array_equal(x[0], X[sid])
             assert value[0] == values[sid] and it[0] == iters[sid]
 
@@ -154,15 +154,16 @@ class TestObjective:
         monkeypatch.setattr(optimizer, "_objective_rows", counting_objective)
         X0 = np.random.default_rng(4).random((5, 7)) + 1e-3
         steps0 = np.array([0.1, 1.0, 1e-3, 0.37, 5.0])
-        ascent = _ascend_rows(X0, 1.6, 500, 1e-12, steps0)
-        assert ascent.rounds == len(calls) - 1 and calls[0] == 5
-        assert ascent.steps.shape == (5,) and np.all(ascent.steps > 0)
+        X, _, _, steps, rounds = _ascend_rows(X0, 1.6, 500, 1e-12, steps0)
+        assert rounds == len(calls) - 1 and calls[0] == 5
+        assert steps.shape == (5,) and np.all(steps > 0)
         assert steps0.tolist() == [0.1, 1.0, 1e-3, 0.37, 5.0]  # not written to
         for sid in range(5):
-            alone = _ascend_rows(X0[sid:sid + 1], 1.6, 500, 1e-12, steps0[sid:sid + 1])
-            assert alone.steps[0] == ascent.steps[sid]
-            assert np.array_equal(alone[0][0], ascent[0][sid])
-            assert alone.rounds <= ascent.rounds
+            x, _, _, step, alone_rounds = _ascend_rows(X0[sid:sid + 1], 1.6, 500, 1e-12,
+                                                       steps0[sid:sid + 1])
+            assert step[0] == steps[sid]
+            assert np.array_equal(x[0], X[sid])
+            assert alone_rounds <= rounds
 
     def test_clipped_trial_rejected_without_warning(self, monkeypatch):
         # with the starts' gradient replaced by -1, steps 2 and 1 clip every
@@ -180,7 +181,7 @@ class TestObjective:
         X0 = np.random.default_rng(6).random((1, 5)) + 0.1
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            X, values, _ = _ascend_rows(X0, 1.5, 1, 1e-12, np.array([2.0]))
+            X, values, _, _, _ = _ascend_rows(X0, 1.5, 1, 1e-12, np.array([2.0]))
         assert np.all(np.isnan(seen[1])) and np.all(np.isnan(seen[2]))
         assert np.all(np.isfinite(seen[3])) and seen[3].max() == 1.0
         assert np.all(np.isfinite(X)) and np.isfinite(values[0])
@@ -193,12 +194,21 @@ class TestObjective:
         start_value = _objective_rows(X0 / X0.max(), 1.5)[0][0]
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            ascent = _ascend_rows(X0, 1.5, 1, 1e-12, np.array([1e300]))
+            X, values, _, steps, rounds = _ascend_rows(X0, 1.5, 1, 1e-12, np.array([1e300]))
         step = 1e300
-        for _ in range(ascent.rounds - 1):
+        for _ in range(rounds - 1):
             step *= 0.5
-        assert ascent.rounds > 100 and ascent.steps[0] == step * 1.3
-        assert np.all(np.isfinite(ascent[0])) and ascent[1][0] >= start_value
+        assert rounds > 100 and steps[0] == step * 1.3
+        assert np.all(np.isfinite(X)) and values[0] >= start_value
+
+    def test_nan_step_stops(self):
+        # a NaN step rejects every trial and halves to NaN; the chain stops in
+        # its first round, at its start
+        X0 = np.random.default_rng(8).random((1, 6)) + 1e-3
+        start_value = _objective_rows(X0 / X0.max(), 1.5)[0][0]
+        X, values, iters, steps, rounds = _ascend_rows(X0, 1.5, 50, 1e-12, np.array([np.nan]))
+        assert rounds == 1 and iters[0] == 1 and np.isnan(steps[0])
+        assert np.array_equal(X, X0 / X0.max()) and values[0] == start_value
 
 
 class TestMaximize:

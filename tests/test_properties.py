@@ -1,10 +1,11 @@
 """Property tests: the exact ||f^||_4^4 kernel against the quadruple-sum
-oracle, the FFT kernel above the precision cap against the exact one, the
-float64 lq norm against a 300-bit oracle, FFT lattice energies against the
-sorted pair-sum count and both against the brute-force oracle, scale
-invariance of the ratio report, certificate JSON round trips, and the
-optimizer's row-wise FFT energy and gradient against np.convolve and finite
-differences."""
+oracle and against the per-value, per-slot loop kernel kept here as a
+reference (equal value and type), the FFT kernel above the precision cap
+against the exact one, the float64 lq norm against a 300-bit oracle, FFT
+lattice energies against the sorted pair-sum count and both against the
+brute-force oracle, scale invariance of the ratio report, certificate JSON
+round trips, and the optimizer's row-wise FFT energy and gradient against
+np.convolve and finite differences."""
 
 import json
 import math
@@ -20,10 +21,10 @@ from mpmath import mp
 
 from energylab import discrete_core
 from energylab.optimizer import _pow4_rows
-from energylab.certificates import (Certificate, GaussianScheduleParams, _sampled_gaussian,
-                                    build_gaussian_certificate, build_perturbation_certificate,
-                                    certificate_from_dict, certificate_json, certificate_to_dict,
-                                    revalidate_certificate)
+from energylab.certificates import (EPS_SCAN, Certificate, GaussianScheduleParams,
+                                    _sampled_gaussian, build_gaussian_certificate,
+                                    build_perturbation_certificate, certificate_from_dict,
+                                    certificate_json, certificate_to_dict, revalidate_certificate)
 from energylab.discrete_core import (DiscreteFunction, LatticeSet, _autoconvolve,
                                      _energy_fft, _energy_sorted, _lattice_keys, _pow4_exact,
                                      energy_bruteforce, energy_interval_formula, energy_of_set,
@@ -79,6 +80,111 @@ def test_exact_pow4_matches_quadruple_oracle(offset, values):
         assert fourier_l4_pow4(f) == oracle
     t, k, rel = fourier_l4_pow4_with_error(f)
     assert abs(scaled_fraction(t, k) - oracle) <= Fraction(rel) * oracle
+
+
+# The loop kernel, one Python step per value and per slot, kept as the
+# reference for _pow4_exact, which must return the same int or Fraction on
+# every input.
+def reference_integer_scaled(values):
+    """(ints, exp) with values[i] == ints[i] * 2**exp exactly."""
+    parts = []
+    for v in values.tolist():
+        num, den = v.as_integer_ratio()  # den is a power of two
+        parts.append((num, 1 - den.bit_length()))
+    exp = min(e for n, e in parts if n)
+    return [n << (e - exp) if n else 0 for n, e in parts], exp
+
+
+def reference_pow4_exact(values):
+    """sum_s (f*f)(s)^2 for a nonzero float64 array, exactly, as an int or
+    Fraction.
+
+    Kronecker substitution: the values, scaled to integers a_i, are packed
+    into X = sum a_i 2^(w i), so X^2 holds c(s) = (a*a)(s) in its w-bit
+    slots.  |c(s)| < m 2^(2b) for b-bit a_i, so w = 2b + bit_length(m) + 2
+    leaves a sign bit and never carries into the next slot.
+    """
+    ints, exp = reference_integer_scaled(values)
+    m = len(ints)
+    width = (2 * max(abs(a) for a in ints).bit_length() + m.bit_length() + 2 + 7) // 8
+    if 8 * width * m > discrete_core._PACK_BITS_CAP:
+        raise discrete_core.CapExceededError(
+            f"exact autoconvolution would pack {8 * width * m} bits, "
+            f"cap {discrete_core._PACK_BITS_CAP}")
+    # a negative a_i is stored as a_i + 2^w; the borrow takes 2^w back from slot i+1
+    x = int.from_bytes(b"".join(a.to_bytes(width, "little", signed=True) for a in ints), "little")
+    borrow = bytearray(width * (m + 1))
+    for i, a in enumerate(ints):
+        if a < 0:
+            borrow[width * (i + 1)] = 1
+    x -= int.from_bytes(borrow, "little")
+    z = (x * x).to_bytes(width * (2 * m - 1), "little")
+    half, full = 1 << (8 * width - 1), 1 << (8 * width)
+    total = carry = 0
+    for s in range(0, len(z), width):
+        c = int.from_bytes(z[s:s + width], "little") + carry
+        carry = c >= half  # slot holds c(s) + 2^w: a negative coefficient
+        if carry:
+            c -= full
+        total += c * c
+    if exp >= 0:
+        return total << 4 * exp
+    return Fraction(total, 1 << -4 * exp)
+
+
+def assert_pow4_matches_reference(values):
+    values = np.asarray(values, dtype=np.float64)
+    expected = reference_pow4_exact(values)
+    got = _pow4_exact(values)
+    assert type(got) is type(expected) and got == expected
+
+
+# every float64 at or above 2^53 is an integer; these reach 2^1023
+BIG_INTEGER_FLOATS = st.builds(lambda x, sign: sign * x,
+                               st.floats(2.0 ** 53, 1.7e308), st.sampled_from([1.0, -1.0]))
+
+
+@settings(max_examples=300, deadline=None)
+@example(values=[0.0, 1.0, 0.0, -0.0, 3.0, 0.0])
+@example(values=[-5e-324, -1e300, -1.0])
+@example(values=[2.0 ** 53, -(2.0 ** 1023), 1.0])
+@example(values=[1.5] * 40)
+@given(values=st.one_of(
+    values_of(FLOATS), values_of(INTEGER_FLOATS), values_of(SUBNORMALS), values_of(MIXED),
+    values_of(BIG_INTEGER_FLOATS),
+    values_of(st.one_of(MIXED, st.just(0.0), st.just(-0.0))),  # zeros inside the support
+    values_of(MIXED.map(lambda v: -abs(v)))))  # every value negative (or zero)
+def test_exact_pow4_matches_reference(values):
+    assume(any(values))
+    assert_pow4_matches_reference(values)
+
+
+@pytest.mark.parametrize("m", [1, 2, 2047, 2048])
+@pytest.mark.parametrize("kind", ["normal", "wide", "integer"])
+def test_exact_pow4_reference_fixed_cases(m, kind):
+    rng = np.random.default_rng(m)
+    values = {"normal": lambda: rng.standard_normal(m),
+              "wide": lambda: rng.standard_normal(m) * 2.0 ** rng.integers(-60, 61, m),
+              "integer": lambda: rng.integers(-2 ** 40, 2 ** 40, m).astype(np.float64)}[kind]()
+    assert_pow4_matches_reference(values)
+
+
+@pytest.mark.parametrize("eps", EPS_SCAN)
+def test_exact_pow4_reference_perturbed_indicator(eps):
+    assert_pow4_matches_reference(build_perturbation_certificate(300, float(eps)).f.values)
+
+
+@pytest.mark.parametrize("values", [[1.0] * 40, [1e300, -1e-300, 3.0], [5e-324, 1.0]])
+def test_exact_pow4_cap_matches_reference(values):
+    # both kernels raise exactly when the pack would exceed the cap
+    values = np.asarray(values)
+    bits = 8 * len(values) * ((2 * max(abs(a) for a in reference_integer_scaled(values)[0])
+                               .bit_length() + len(values).bit_length() + 2 + 7) // 8)
+    for cap, raises in ((bits, False), (bits - 1, True)):
+        with mock.patch.object(discrete_core, "_PACK_BITS_CAP", cap):
+            for kernel in (reference_pow4_exact, _pow4_exact):
+                with pytest.raises(discrete_core.CapExceededError) if raises else nullcontext():
+                    kernel(values)
 
 
 def assert_lq_within_own_bound(f, q):
