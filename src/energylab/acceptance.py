@@ -65,7 +65,7 @@ def criterion_2(seed: int = DEFAULT_SEED) -> CriterionResult:
     for trial in range(20):
         size = int(rng.integers(1, 6))
         vals = sorted(int(v) for v in rng.choice(5, size=size, replace=False))
-        base = discrete_core.LatticeSet(1, 5, frozenset((v,) for v in vals))
+        base = discrete_core.LatticeSet(1, 5, [[v] for v in vals])
         e_base = discrete_core.energy_of_set(base)
         for d in (2, 3):
             power = discrete_core.tensor_power(base, d)

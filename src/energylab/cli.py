@@ -9,6 +9,7 @@ files carry no timestamps, so identical invocations produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -35,10 +36,7 @@ def parse_inline_set(text: str) -> discrete_core.LatticeSet:
     trailing semicolon ("0,1;") to force a single multi-dimensional point.
     """
     if ";" not in text:
-        vals = _parse_int_list(text, "inline set")
-        if not vals:
-            raise InputError("inline set: no points given")
-        points = [[v] for v in vals]
+        points = [[v] for v in _parse_int_list(text, "inline set")]
     else:
         points = []
         for i, tok in enumerate(t for t in text.split(";") if t.strip() != ""):
@@ -67,14 +65,18 @@ def read_set_file(path: str) -> discrete_core.LatticeSet:
 
 
 def _points_to_set(points, where: str) -> discrete_core.LatticeSet:
+    if not points:
+        raise InputError(f"{where}: no points given")
     dims = {len(p) for p in points}
     if len(dims) != 1:
         raise InputError(f"{where}: inconsistent point dimensions {sorted(dims)}")
-    d = dims.pop()
     # energy is translation invariant; shift into [0, n-1]^d
     arr = discrete_core._int_array(points)
-    shifted = arr - arr.min(axis=0)
-    return discrete_core.LatticeSet(d, int(shifted.max()) + 1, shifted)
+    lo = arr.min(axis=0)
+    span = max(h - l for h, l in zip(arr.max(axis=0).tolist(), lo.tolist()))
+    if span >= 1 << 63:  # the shifted coordinates would wrap in int64
+        arr, lo = arr.astype(object), lo.astype(object)
+    return discrete_core.LatticeSet(dims.pop(), span + 1, arr - lo)
 
 
 def read_function_file(path: str) -> discrete_core.DiscreteFunction:
@@ -198,7 +200,10 @@ def _cmd_selftest(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and shared by later ones:
+    parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="energylab",
         description="Exact additive energies, L4 Fourier-norm ratios, and "

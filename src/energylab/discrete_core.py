@@ -15,7 +15,6 @@ representation function r(s) = #{(a,b) in A^2 : a+b = s}.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -437,17 +436,22 @@ def _int_array(rows) -> np.ndarray:
         return np.array(rows, dtype=object)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LatticeSet:
     """Finite set of d-dimensional integer points inside a side-n cube.
 
     points may be any iterable of length-d integer sequences or a (k, d)
-    integer array; it is range-checked as one array and stored as a
-    frozenset of tuples of Python ints."""
+    integer array.  It is range-checked as one array and stored as a
+    read-only C-contiguous (k, d) array of its distinct rows in
+    colexicographic order (the last coordinate most significant): int64, or
+    Python ints in an object array when some coordinate does not fit.  For
+    any base b > n - 1 the keys sum_i p_i b^i are then strictly increasing,
+    so _lattice_keys needs no sort.  Equal when dim, side and points are;
+    not hashable."""
 
     dim: int
     side: int
-    points: frozenset
+    points: np.ndarray
 
     def __post_init__(self):
         if self.dim < 1:
@@ -455,43 +459,48 @@ class LatticeSet:
         if self.side < 1:
             raise ValueError("side must be >= 1")
         if isinstance(self.points, np.ndarray):
-            arr = self.points
-            if arr.ndim != 2 or arr.shape[1] != self.dim:
-                raise ValueError(f"point array of shape {arr.shape} has wrong dimension "
+            shape = self.points.shape
+            if len(shape) != 2 or shape[1] != self.dim:
+                raise ValueError(f"point array of shape {shape} has wrong dimension "
                                  f"(expected {self.dim})")
+            # other dtypes go through Python ints, as a list of rows would
+            rows = self.points if self.points.dtype == np.int64 else self.points.tolist()
         else:
             rows = list(self.points)
             wrong = next((p for p in rows if len(p) != self.dim), None)
             if wrong is not None:
                 raise ValueError(f"point {tuple(wrong)} has wrong dimension (expected {self.dim})")
-            arr = _int_array(rows).reshape(len(rows), self.dim)
+        arr = _int_array(rows).reshape(len(rows), self.dim)  # a copy of any input array
         outside = np.flatnonzero((arr < 0).any(axis=1) | (arr >= self.side).any(axis=1))
         if outside.size:
             raise ValueError(f"point {tuple(arr[outside[0]].tolist())} outside "
                              f"[0, {self.side - 1}]^{self.dim}")
-        object.__setattr__(self, "points", frozenset(zip(*arr.T.tolist())))
+        arr = arr[np.lexsort(arr.T)]
+        keep = np.ones(len(arr), dtype=bool)
+        keep[1:] = (arr[1:] != arr[:-1]).any(axis=1)
+        arr = arr[keep]
+        arr.flags.writeable = False
+        object.__setattr__(self, "points", arr)
 
-    @classmethod
-    def from_points(cls, points, side: int | None = None) -> "LatticeSet":
-        pts = [tuple(int(c) for c in p) for p in points]
-        if not pts:
-            return cls(1, side or 1, frozenset())
-        dim = len(pts[0])
-        if side is None:
-            side = max(max(p) for p in pts) + 1
-        return cls(dim, side, frozenset(pts))
+    def __eq__(self, other):
+        if not isinstance(other, LatticeSet):
+            return NotImplemented
+        return ((self.dim, self.side) == (other.dim, other.side)
+                and np.array_equal(self.points, other.points))
+
+    __hash__ = None
 
     @classmethod
     def from_values(cls, values) -> "LatticeSet":
         """1-dimensional set from an iterable of integers in [0, n-1]."""
-        pts = [(int(v),) for v in values]
-        return cls.from_points(pts) if pts else cls(1, 1, frozenset())
+        arr = _int_array([int(v) for v in values]).reshape(-1, 1)
+        return cls(1, int(arr.max()) + 1 if arr.size else 1, arr)
 
     @classmethod
     def from_range(cls, n: int) -> "LatticeSet":
         if n < 1:
             raise ValueError("n must be >= 1")
-        return cls(1, n, frozenset((i,) for i in range(n)))
+        return cls(1, n, np.arange(n, dtype=np.int64).reshape(n, 1))
 
     @property
     def size(self) -> int:
@@ -518,7 +527,7 @@ def energy_of_set(A: LatticeSet) -> int:
     ones, whose key span exceeds _FFT_SPAN_CAP or |A|^2, and small ones sort
     and count the pair sums.
     """
-    if not A.points:
+    if not A.size:
         return 0
     keys = _lattice_keys(A)
     d, n, m = A.dim, A.side, len(keys)
@@ -532,23 +541,24 @@ def energy_of_set(A: LatticeSet) -> int:
 
 
 def _lattice_keys(A: LatticeSet):
-    """The keys sum_i p_i (2n-1)^i of the points of A, as an int64 array
-    when every pair sum fits (keys < (2n-1)^d / 2 <= 2^61), else as Python
-    ints in an object array."""
+    """The keys sum_i p_i (2n-1)^i of the points of A, strictly increasing
+    since the points are in colex order, as an int64 array when every pair
+    sum fits (keys < (2n-1)^d / 2 <= 2^61), else as Python ints in an object
+    array."""
     base, d = 2 * A.side - 1, A.dim
     dtype = np.int64 if base ** d <= 1 << 62 else object
     radix = np.array([base ** i for i in range(d)], dtype=dtype)
-    return np.array(list(A.points), dtype=dtype) @ radix
+    return A.points.astype(dtype, copy=False) @ radix
 
 
 def _energy_fft(keys):
-    """E(A) from r = 1_K * 1_K, K the int64 keys of A, or None.
+    """E(A) from r = 1_K * 1_K, K the increasing int64 keys of A, or None.
 
     The rounded FFT counts are exact when the bound delta < 1/2, and they
     must add up to |A|^2.
     """
-    lo = int(keys.min())
-    indicator = np.zeros(int(keys.max()) - lo + 1)
+    lo = int(keys[0])
+    indicator = np.zeros(int(keys[-1]) - lo + 1)
     indicator[keys - lo] = 1.0
     c, _, delta = _autoconvolve(indicator)  # max 1, so the prescale is 2^0
     r = np.rint(c, out=c).astype(np.int64)
@@ -586,7 +596,7 @@ def _merge_counts(parts):
 
 
 def _energy_sorted(keys) -> int:
-    """E(A) = sum_s r(s)^2 from the distinct keys K of A, by sorting their
+    """E(A) = sum_s r(s)^2 from the increasing keys K of A, by sorting their
     pair sums.
 
     r(s) = 2c(s) + [s in 2K], where c(s) counts the pairs i < j with
@@ -599,7 +609,7 @@ def _energy_sorted(keys) -> int:
     Object keys (Python ints) go through the same code.
     """
     m = len(keys)
-    parts = [(np.sort(2 * keys), np.ones(m, dtype=np.int64))]
+    parts = [(2 * keys, np.ones(m, dtype=np.int64))]
     held, merged = m, 0
     buf = np.empty(min(max(_SORT_BLOCK, m), m * (m - 1) // 2), dtype=keys.dtype)
     pos = 0
@@ -623,35 +633,24 @@ def _energy_sorted(keys) -> int:
 
 def energy_bruteforce(A: LatticeSet, cap: int = 300) -> int:
     """Independent oracle: enumerate (a1,a2,a3) and membership-test a1+a2-a3."""
-    pts = sorted(A.points)
-    npts = len(pts)
+    npts = A.size
     if npts > cap:
         raise CapExceededError(f"brute-force oracle capped at {cap} points, got {npts}")
     if npts == 0:
         return 0
     d, n = A.dim, A.side
     base = 3 * n - 2  # a1+a2-a3 coordinates live in [-(n-1), 2(n-1)]
-    if base ** d < 2 ** 62:
-        radix = base ** np.arange(d, dtype=np.int64)
-        arr = np.asarray(pts, dtype=np.int64) + (n - 1)
-        keys = np.sort(arr @ radix)
-        pair_sums = (keys[:, None] + keys[None, :]).ravel()
-        total = 0
-        for k3 in keys:
-            target = pair_sums - k3
-            idx = np.searchsorted(keys, target)
-            idx = np.minimum(idx, npts - 1)
-            total += int(np.count_nonzero(keys[idx] == target))
-        return total
-    # high dimension fallback: plain set membership
-    member = set(pts)
+    # pair sums of keys < 2 base^d; past int64 they are Python ints
+    dtype = np.int64 if base ** d < 2 ** 62 else object
+    radix = np.array([base ** i for i in range(d)], dtype=dtype)
+    keys = np.sort((A.points.astype(dtype) + (n - 1)) @ radix)
+    pair_sums = (keys[:, None] + keys[None, :]).ravel()
     total = 0
-    for a1 in pts:
-        for a2 in pts:
-            s = tuple(x + y for x, y in zip(a1, a2))
-            for a3 in pts:
-                if tuple(x - y for x, y in zip(s, a3)) in member:
-                    total += 1
+    for k3 in keys:
+        target = pair_sums - k3
+        idx = np.searchsorted(keys, target)
+        idx = np.minimum(idx, npts - 1)
+        total += int(np.count_nonzero(keys[idx] == target))
     return total
 
 
@@ -665,8 +664,8 @@ def tensor_power(A: LatticeSet, d: int, cap: int = 2_000_000) -> LatticeSet:
         raise ValueError("tensor_power needs a 1-dimensional base set")
     if A.size ** d > cap:
         raise CapExceededError(f"|A|^d = {A.size ** d} exceeds cap {cap}")
-    vals = sorted(p[0] for p in A.points)
-    return LatticeSet(d, A.side, frozenset(itertools.product(vals, repeat=d)))
+    index = np.indices((A.size,) * d).reshape(d, -1).T  # every d-tuple of row indices
+    return LatticeSet(d, A.side, A.points[:, 0][index])
 
 
 def trivial_lower_bound(n: int) -> float:

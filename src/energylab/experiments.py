@@ -16,8 +16,8 @@ from .continuum import ASYMPTOTIC_LOG_BASE, BECKNER_L4_POW4
 from .discrete_core import CapExceededError, LatticeSet, energy_of_set, trivial_lower_bound
 from .optimizer import estimate_qn
 
-# Known reference values: t_2 exactly, t_3 a published lower bound.
-REFERENCE_T = {2: math.log(6.0) / math.log(2.0), 3: 2.71949}
+# Known reference values: t_2 exactly.
+REFERENCE_T = {2: math.log(6.0) / math.log(2.0)}
 
 BOUNDS_CSV_COLUMNS = ("n", "trivial_lower", "perturbation_lower", "gaussian_lower",
                       "asymptotic_target", "empirical_t", "reference")
@@ -136,7 +136,7 @@ def ball_lattice_set(d: int, radius: float, center=None,
     if pts.shape[0] > point_cap:
         raise CapExceededError(f"{pts.shape[0]} points exceed cap {point_cap}")
     if pts.shape[0] == 0:
-        return LatticeSet(d, 1, frozenset())
+        return LatticeSet(d, 1, pts)
     mins = pts.min(axis=0)
     side = int((pts.max(axis=0) - mins).max()) + 1
     shifted = pts - mins

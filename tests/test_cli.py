@@ -11,7 +11,8 @@ import pytest
 
 import energylab
 from energylab import acceptance, certificates, discrete_core, experiments
-from energylab.cli import main, parse_inline_set, read_function_file, read_set_file
+from energylab.cli import (build_parser, main, parse_inline_set, read_function_file,
+                           read_set_file)
 from energylab.discrete_core import energy_of_set
 
 
@@ -36,11 +37,11 @@ class TestInlineParsing:
 
     def test_negative_coordinates_translated(self):
         lattice = parse_inline_set("-1,0,1")
-        assert lattice.points == frozenset({(0,), (1,), (2,)})
+        assert lattice.points.tolist() == [[0], [1], [2]]
 
     def test_coordinates_beyond_int64_translated(self):
         lattice = parse_inline_set(f"{10 ** 30},{10 ** 30 + 2};{-10 ** 30},{10 ** 30}")
-        assert lattice.points == frozenset({(2 * 10 ** 30, 2), (0, 0)})
+        assert lattice.points.tolist() == [[0, 0], [2 * 10 ** 30, 2]]
         assert lattice.side == 2 * 10 ** 30 + 1
 
 
@@ -71,6 +72,32 @@ class TestEnergyCommand:
     def test_unknown_flag(self, capsys):
         code, _, _ = run(capsys, "energy", "--inline", "0,1", "--bogus")
         assert code == 2
+
+    @pytest.mark.parametrize("inline, energy", [
+        ("9223372036854775807,-9223372036854775808", 6),
+        ("9223372036854775807,0;-9223372036854775808,5;", 6),
+        ("-9223372036854775808,0;9223372036854775807,0;0,0;", 15),  # a Sidon set
+    ], ids=["1d", "2d", "2d-three"])
+    def test_span_beyond_int64_does_not_wrap(self, capsys, inline, energy):
+        # max - min of a column is 2^64 - 1: an int64 shift would wrap it
+        code, out, err = run(capsys, "energy", f"--inline={inline}")
+        assert (code, out, err) == (0, f"{energy}\n", "")
+        lattice = parse_inline_set(inline)
+        assert lattice.side == 2 ** 64 and lattice.points.min() == 0
+
+    @pytest.mark.parametrize("inline", [";", " ; ;"])
+    def test_no_points(self, capsys, inline):
+        code, out, err = run(capsys, "energy", "--inline", inline)
+        assert (code, out) == (2, "")
+        assert err == "error: inline set: no points given\n"
+
+    def test_parser_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_usage_error_then_valid_call(self, capsys):
+        # the parser is shared between calls; a failed parse leaves it usable
+        assert run(capsys, "energy", "--bogus")[0] == 2
+        assert run(capsys, "energy", "--inline", "0,1") == (0, "6\n", "")
 
 
 class TestNormsCommand:

@@ -251,7 +251,7 @@ class TestEnergies:
         assert energy_of_set(diagonal) == energy_interval_formula(13)
         # {0, 2, 3}^3 padded with constant coordinates: E = E({0, 2, 3})^3
         cube = tensor_power(LatticeSet.from_values([0, 2, 3]), 3)
-        padded = LatticeSet(20, 13, frozenset(p + (12,) * 17 for p in cube.points))
+        padded = LatticeSet(20, 13, [p + [12] * 17 for p in cube.points.tolist()])
         assert energy_of_set(padded) == 15 ** 3
         rng = np.random.default_rng(20)
         for size in (1, 2, 30):
@@ -264,7 +264,7 @@ class TestEnergies:
         # {0, 1, 3}^4, padded to 20 coordinates in a side-13 cube for object keys
         base = LatticeSet.from_values([0, 1, 3])
         cube = tensor_power(base, 4)
-        A = LatticeSet(4 + pad, 13, frozenset(p + (0,) * pad for p in cube.points))
+        A = LatticeSet(4 + pad, 13, [p + [0] * pad for p in cube.points.tolist()])
         keys = _lattice_keys(A)
         assert (keys.dtype == object) == (pad > 0)
         want = energy_of_set(base) ** 4
@@ -285,11 +285,11 @@ class TestEnergies:
         assert energy_of_set(tensor_power(triple, 2)) == 361 == 19 ** 2
 
     def test_tensor_identity_d1(self):
-        A = LatticeSet.from_points([(0, 1), (2, 2)], side=3)
+        A = LatticeSet(2, 3, [(0, 1), (2, 2)])
         assert tensor_power(A, 1) is A
 
     def test_tensor_requires_1d(self):
-        A = LatticeSet.from_points([(0, 1)], side=2)
+        A = LatticeSet(2, 2, [(0, 1)])
         with pytest.raises(ValueError):
             tensor_power(A, 2)
 
@@ -328,7 +328,9 @@ class TestEnergies:
         arr = np.array([[0, 2], [1, 1], [0, 2]])
         A = LatticeSet(2, 3, arr)
         assert A == LatticeSet(2, 3, frozenset({(0, 2), (1, 1)}))
-        assert all(type(c) is int for p in A.points for c in p)
+        assert A.points.tolist() == [[1, 1], [0, 2]] and A.points.dtype == np.int64
+        arr[1, 0] = 2  # A holds its own copy
+        assert A.points.tolist() == [[1, 1], [0, 2]]
         with pytest.raises(ValueError, match="outside"):
             LatticeSet(2, 2, arr)
         with pytest.raises(ValueError, match="wrong dimension"):
@@ -339,9 +341,13 @@ class TestEnergies:
     def test_lattice_points_beyond_int64(self):
         big = 2 ** 70
         A = LatticeSet(1, big + 1, frozenset({(0,), (big,)}))
-        assert A.points == frozenset({(0,), (big,)}) and energy_of_set(A) == 6
+        assert A.points.tolist() == [[0], [big]] and A.points.dtype == object
+        assert energy_of_set(A) == 6
         with pytest.raises(ValueError, match="outside"):
             LatticeSet(1, big, frozenset({(0,), (big,)}))
+        # uint64 coordinates past int64 keep their values
+        top = LatticeSet(1, 2 ** 64, np.array([[2 ** 64 - 1], [0]], dtype=np.uint64))
+        assert top.points.tolist() == [[0], [2 ** 64 - 1]] and top.points.dtype == object
 
 
 class TestTrivialBound:

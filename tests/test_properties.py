@@ -3,9 +3,10 @@ oracle and against the per-value, per-slot loop kernel kept here as a
 reference (equal value and type), the FFT kernel above the precision cap
 against the exact one, the float64 lq norm against a 300-bit oracle, FFT
 lattice energies against the sorted pair-sum count and both against the
-brute-force oracle, scale invariance of the ratio report, certificate JSON
-round trips, and the optimizer's row-wise FFT energy and gradient against
-np.convolve and finite differences."""
+brute-force oracle, the canonical point array of lattice sets, scale
+invariance of the ratio report, certificate JSON round trips, and the
+optimizer's row-wise FFT energy and gradient against np.convolve and
+finite differences."""
 
 import json
 import math
@@ -384,6 +385,49 @@ def test_sorted_energy_matches_bruteforce(seed, d, data):
     size = data.draw(st.integers(1, min(n ** d, 60)))
     A = random_set(np.random.default_rng(seed), d, n, size)
     assert _energy_sorted(_lattice_keys(A)) == energy_bruteforce(A)
+
+
+@st.composite
+def point_lists(draw):
+    """(d, side, points): small cubes in d = 1..3, d = 20 at side 13 (object
+    keys), and sides beyond 2^63.  Points are drawn from a short pool, so
+    rows repeat."""
+    kind = draw(st.sampled_from(["small", "wide", "huge"]))
+    if kind == "wide":
+        d, side = 20, 13
+    else:
+        d = draw(st.integers(1, 3))
+        top = {1: 40, 2: 8, 3: 5}[d] if kind == "small" else 2 ** 70
+        side = draw(st.integers(1 if kind == "small" else 2 ** 63 + 1, top))
+    coords = st.lists(st.integers(0, side - 1), min_size=d, max_size=d)
+    pool = draw(st.lists(coords, min_size=1, max_size=12))
+    return d, side, draw(st.lists(st.sampled_from(pool), max_size=30))
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=point_lists(), seed=st.integers(0, 2 ** 32 - 1))
+def test_lattice_canonical_form(case, seed):
+    d, side, points = case
+    shuffled = [points[i] for i in np.random.default_rng(seed).permutation(len(points))]
+    top = max((c for p in points for c in p), default=0)
+    fits = top < 2 ** 63
+    # the exact array of the points: int64, uint64 or Python ints
+    dtype = np.int64 if fits else np.uint64 if top < 2 ** 64 else object
+    A = LatticeSet(d, side, points)
+    assert A == LatticeSet(d, side, shuffled)
+    assert A == LatticeSet(d, side, np.array(points, dtype=dtype).reshape(-1, d))
+    P = A.points
+    assert P.shape == (len({tuple(p) for p in points}), d)
+    assert not P.flags.writeable and P.flags.c_contiguous
+    assert P.dtype == (np.int64 if fits else object)
+    assert all(type(c) is int for row in P.tolist() for c in row)
+    # colex order: the reversed rows are strictly increasing
+    reversed_rows = [row[::-1] for row in P.tolist()]
+    assert all(a < b for a, b in zip(reversed_rows, reversed_rows[1:]))
+    assert {tuple(row) for row in P.tolist()} == {tuple(p) for p in points}
+    keys = _lattice_keys(A).tolist()
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    assert energy_of_set(A) == energy_bruteforce(A)
 
 
 @pytest.mark.parametrize("n", [64, 1000, 8191, 8192, 30000])
