@@ -23,7 +23,7 @@ class InputError(Exception):
 
 def _parse_int_list(text: str, where: str) -> list[int]:
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
+        return list(map(int, filter(str.strip, text.split(","))))
     except ValueError as exc:
         raise InputError(f"{where}: {exc}") from None
 
@@ -36,20 +36,20 @@ def parse_inline_set(text: str) -> discrete_core.LatticeSet:
     trailing semicolon ("0,1;") to force a single multi-dimensional point.
     """
     if ";" not in text:
-        points = [[v] for v in _parse_int_list(text, "inline set")]
-    else:
-        points = []
-        for i, tok in enumerate(t for t in text.split(";") if t.strip() != ""):
-            coords = _parse_int_list(tok, f"inline set, point {i + 1}")
-            if not coords:
-                raise InputError(f"inline set, point {i + 1}: empty point")
-            points.append(coords)
-    return _points_to_set(points, "inline set")
+        return _points_to_set(_parse_int_list(text, "inline set"), {1}, "inline set")
+    values, dims = [], set()
+    for i, tok in enumerate(t for t in text.split(";") if t.strip() != ""):
+        coords = _parse_int_list(tok, f"inline set, point {i + 1}")
+        if not coords:
+            raise InputError(f"inline set, point {i + 1}: empty point")
+        values += coords
+        dims.add(len(coords))
+    return _points_to_set(values, dims, "inline set")
 
 
 def read_set_file(path: str) -> discrete_core.LatticeSet:
     """One point per line, comma-separated integer coordinates."""
-    points = []
+    values, dims = [], set()
     try:
         lines = Path(path).read_text().splitlines()
     except OSError as exc:
@@ -58,25 +58,26 @@ def read_set_file(path: str) -> discrete_core.LatticeSet:
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         coords = _parse_int_list(line, f"{path}, line {lineno}")
-        points.append(coords)
-    if not points:
+        values += coords
+        dims.add(len(coords))
+    if not dims:
         raise InputError(f"{path}: no points found")
-    return _points_to_set(points, path)
+    return _points_to_set(values, dims, path)
 
 
-def _points_to_set(points, where: str) -> discrete_core.LatticeSet:
-    if not points:
+def _points_to_set(values: list[int], dims: set[int], where: str) -> discrete_core.LatticeSet:
+    if not values:
         raise InputError(f"{where}: no points given")
-    dims = {len(p) for p in points}
     if len(dims) != 1:
         raise InputError(f"{where}: inconsistent point dimensions {sorted(dims)}")
+    d = dims.pop()
     # energy is translation invariant; shift into [0, n-1]^d
-    arr = discrete_core._int_array(points)
+    arr = discrete_core._int_array(values).reshape(-1, d)
     lo = arr.min(axis=0)
     span = max(h - l for h, l in zip(arr.max(axis=0).tolist(), lo.tolist()))
     if span >= 1 << 63:  # the shifted coordinates would wrap in int64
         arr, lo = arr.astype(object), lo.astype(object)
-    return discrete_core.LatticeSet(dims.pop(), span + 1, arr - lo)
+    return discrete_core.LatticeSet(d, span + 1, arr - lo)
 
 
 def read_function_file(path: str) -> discrete_core.DiscreteFunction:
@@ -128,7 +129,8 @@ def _cmd_norms(args) -> int:
 
 def _cmd_certify(args) -> int:
     if args.construction == "perturbation":
-        cert = certificates.build_perturbation_certificate(args.n, args.eps)
+        cert = (certificates.build_perturbation_certificate(args.n) if args.eps is None
+                else certificates.build_perturbation_certificate(args.n, args.eps))
     else:
         if args.eps is None:
             raise InputError("certify gaussian requires --eps")
@@ -229,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("construction", choices=("perturbation", "gaussian"))
     p.add_argument("--n", required=True, type=int)
     p.add_argument("--eps", type=float, default=None,
-                   help="perturbation: omit to scan; gaussian: required")
+                   help="perturbation: default 0.5; gaussian: required")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_certify)
 

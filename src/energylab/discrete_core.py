@@ -16,6 +16,7 @@ representation function r(s) = #{(a,b) in A^2 : a+b = s}.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -390,12 +391,17 @@ def _norm_pair(f: DiscreteFunction, q: float):
     u/2 + u.  rel_a adds a further u/2 for the products of these terms and
     the float64 evaluation of the bound, enough while rel4 < 1/8 (it is
     about 2 m times the bracket S of _autoconvolve, so at any m < 2^40).
-    rel_b is lq_norm_with_error's bound.
+    rel_b is lq_norm_with_error's bound.  A norm beyond float64 range is an
+    error; neither can underflow to zero, as a, b >= 1 - 8u for nonzero f.
     """
     t, _, rel4 = fourier_l4_pow4_with_error(f)
     b, e, rel_b = lq_norm_with_error(f, q)
+    a = math.sqrt(math.sqrt(t))
+    if math.frexp(max(a, b))[1] + e > sys.float_info.max_exp:  # max(a, b) 2^e >= 2^1024
+        raise ValueError(f"norms of f overflow float64 (l4hat {a:.6g}*2^{e}, "
+                         f"lq {b:.6g}*2^{e}); rescale f")
     u = FLOAT64_EPS / 2.0
-    return math.sqrt(math.sqrt(t)), b, e, rel4 / (4.0 * (1.0 - rel4)) + 2.0 * u, rel_b
+    return a, b, e, rel4 / (4.0 * (1.0 - rel4)) + 2.0 * u, rel_b
 
 
 def ratio_report(f: DiscreteFunction, q: float) -> RatioReport:
@@ -406,34 +412,43 @@ def ratio_report(f: DiscreteFunction, q: float) -> RatioReport:
     so |(1 + alpha)/(1 + beta) - 1| <= (rel_a + rel_b)/(1 - rel_b), and the
     correctly rounded quotient adds u.  The factor 1 + 2^-40 covers their
     product and the float64 evaluation of err.  l4hat and lq are a 2^e and
-    b 2^e; one that underflows to zero or overflows float64 is an error.
+    b 2^e.
     """
     if f.is_zero:
         raise ZeroFunctionError("ratio undefined for the zero function")
     if q < 1:
         raise InvalidExponentError(f"ratio_report needs q >= 1, got {q}")
     a, b, e, rel_a, rel_b = _norm_pair(f, q)
-    with np.errstate(over="ignore"):  # reported just below
-        l4f, lqf = float(np.ldexp(a, e)), float(np.ldexp(b, e))
-    if not (0.0 < l4f < math.inf and 0.0 < lqf < math.inf):
-        raise ValueError(f"norms of f underflow or overflow float64 (l4hat {a:.6g}*2^{e}, "
-                         f"lq {b:.6g}*2^{e}); rescale f")
     u = FLOAT64_EPS / 2.0
     err = ((rel_a + rel_b) / (1.0 - rel_b) + u) * (1.0 + 2.0 ** -40)
-    return RatioReport(q=float(q), l4hat=l4f, lq=lqf, ratio=a / b, err=err)
+    return RatioReport(q=float(q), l4hat=math.ldexp(a, e), lq=math.ldexp(b, e),
+                       ratio=a / b, err=err)
 
 
 # ---------------------------------------------------------------------------
 # Lattice sets and exact energies
 # ---------------------------------------------------------------------------
 
-def _int_array(rows) -> np.ndarray:
-    """Integer rows as an int64 array, or as Python ints in an object array
-    when some value does not fit in int64."""
+def _int_array(values: list) -> np.ndarray:
+    """A flat list of integers as an int64 array, or as Python ints in an
+    object array when some value does not fit in int64.  A value equal to
+    an integer, such as 1.0, is read as that integer; any other value
+    raises ValueError naming the first one."""
+    if set(map(type, values)) - {int}:
+        values = list(map(_integral, values))
     try:
-        return np.array(rows, dtype=np.int64)
+        return np.array(values, dtype=np.int64)
     except OverflowError:
-        return np.array(rows, dtype=object)
+        return np.array(values, dtype=object)
+
+
+def _integral(v) -> int:
+    try:
+        if int(v) == v:
+            return int(v)
+    except (TypeError, ValueError, OverflowError):  # None, "x", nan, inf
+        pass
+    raise ValueError(f"coordinate {v!r} is not an integer")
 
 
 @dataclass(frozen=True, eq=False)
@@ -441,7 +456,8 @@ class LatticeSet:
     """Finite set of d-dimensional integer points inside a side-n cube.
 
     points may be any iterable of length-d integer sequences or a (k, d)
-    integer array.  It is range-checked as one array and stored as a
+    array; a coordinate that is not an integer (1.0 is one, 0.5 is not)
+    raises ValueError.  It is range-checked as one array and stored as a
     read-only C-contiguous (k, d) array of its distinct rows in
     colexicographic order (the last coordinate most significant): int64, or
     Python ints in an object array when some coordinate does not fit.  For
@@ -464,18 +480,19 @@ class LatticeSet:
                 raise ValueError(f"point array of shape {shape} has wrong dimension "
                                  f"(expected {self.dim})")
             # other dtypes go through Python ints, as a list of rows would
-            rows = self.points if self.points.dtype == np.int64 else self.points.tolist()
+            arr = (self.points if self.points.dtype == np.int64
+                   else _int_array(self.points.ravel().tolist()).reshape(shape))
         else:
             rows = list(self.points)
             wrong = next((p for p in rows if len(p) != self.dim), None)
             if wrong is not None:
                 raise ValueError(f"point {tuple(wrong)} has wrong dimension (expected {self.dim})")
-        arr = _int_array(rows).reshape(len(rows), self.dim)  # a copy of any input array
+            arr = _int_array([v for p in rows for v in p]).reshape(len(rows), self.dim)
         outside = np.flatnonzero((arr < 0).any(axis=1) | (arr >= self.side).any(axis=1))
         if outside.size:
             raise ValueError(f"point {tuple(arr[outside[0]].tolist())} outside "
                              f"[0, {self.side - 1}]^{self.dim}")
-        arr = arr[np.lexsort(arr.T)]
+        arr = arr[np.lexsort(arr.T)]  # a copy of any input array
         keep = np.ones(len(arr), dtype=bool)
         keep[1:] = (arr[1:] != arr[:-1]).any(axis=1)
         arr = arr[keep]
@@ -493,7 +510,7 @@ class LatticeSet:
     @classmethod
     def from_values(cls, values) -> "LatticeSet":
         """1-dimensional set from an iterable of integers in [0, n-1]."""
-        arr = _int_array([int(v) for v in values]).reshape(-1, 1)
+        arr = _int_array(list(values)).reshape(-1, 1)
         return cls(1, int(arr.max()) + 1 if arr.size else 1, arr)
 
     @classmethod

@@ -22,6 +22,7 @@ from .discrete_core import DiscreteFunction
 
 ARMIJO_C = 1e-4
 ASCENT_TOL = 1e-12  # relative objective gain below which a chain stops
+MAX_ITERS = 5000  # iteration count at which a chain stops at the latest
 BACKTRACK_SHRINK = 0.5
 STEP_GROW = 1.3
 STEP_INIT = 0.1  # a chain's first trial step, and the floor of a carried step
@@ -33,7 +34,6 @@ class OptimizerConfig:
     n: int
     q: float
     starts: int = 16
-    max_iters: int = 5000
     seed: int = 0
 
     def __post_init__(self):
@@ -43,8 +43,6 @@ class OptimizerConfig:
             raise ValueError(f"q must lie in (1, 512], got {self.q}")
         if self.starts < 4:
             raise ValueError("starts must be >= 4 (the canonical starts)")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -225,7 +223,7 @@ def maximize_ratio(config: OptimizerConfig, start_rows: np.ndarray | None = None
                              f"got {start_steps.shape}")
         if not np.all(np.isfinite(start_steps) & (start_steps > 0)):
             raise ValueError("start_steps must be finite and positive")
-    X, values, iters, steps, rounds = _ascend_rows(start_rows, q, config.max_iters, ASCENT_TOL,
+    X, values, iters, steps, rounds = _ascend_rows(start_rows, q, MAX_ITERS, ASCENT_TOL,
                                                    start_steps)
     X.flags.writeable = False
     steps.flags.writeable = False

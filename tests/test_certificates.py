@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from energylab import certificates
 from energylab.certificates import (GaussianScheduleParams,
                                     build_gaussian_certificate, build_perturbation_certificate,
                                     certificate_from_dict, certificate_to_dict, continuum_discretization_report,
@@ -49,6 +50,29 @@ class TestPerturbation:
         assert cert.valid
         assert cert.margin > cert.err > 0
         assert len(cert.f.values) == n
+
+    def test_default_evaluates_once(self, monkeypatch):
+        calls = []
+        evaluate = certificates.evaluate_certificate
+
+        def counting_evaluate(*args):
+            calls.append(args)
+            return evaluate(*args)
+
+        monkeypatch.setattr(certificates, "evaluate_certificate", counting_evaluate)
+        build_perturbation_certificate(64)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("n", [3, 4, 7, 64, 300, 2048, 2049])
+    def test_default_has_largest_grid_margin(self, n):
+        # the default eps = 1/2 beats every other eps of {2^-j : j = 1..20};
+        # the certified bound 4/q is the same for all of them
+        cert = build_perturbation_certificate(n)
+        grid = [build_perturbation_certificate(n, Fraction(1, 2 ** j)) for j in range(1, 21)]
+        assert cert.valid
+        assert cert == grid[0]
+        assert all(other.q == cert.q for other in grid)
+        assert all(cert.margin > other.margin for other in grid[1:])
 
     def test_margin_vanishes_with_eps(self):
         margins = [build_perturbation_certificate(7, Fraction(1, 2 ** j)).margin
@@ -193,6 +217,17 @@ class TestValidityRules:
     def test_normal_scale_stays_valid(self):
         cert = evaluate_certificate("explicit", 3, 1.9, DiscreteFunction(0, (1.0, 1.5, 1.0)))
         assert cert.valid and cert.margin > cert.err >= sys.float_info.min
+
+    def test_norm_overflow_rejected(self):
+        # both norms are finite on their common prescale but overflow float64
+        with pytest.raises(ValueError, match="overflow"):
+            evaluate_certificate("explicit", 2, 1.5, DiscreteFunction(0, (1.7e308, 1.7e308)))
+
+    def test_largest_finite_norms_and_zero_function(self):
+        top = evaluate_certificate("explicit", 2, 1.5, DiscreteFunction(0, (sys.float_info.max,)))
+        assert top.lhs == sys.float_info.max and math.isfinite(top.rhs) and not top.valid
+        zero = evaluate_certificate("explicit", 2, 1.5, DiscreteFunction())
+        assert (zero.lhs, zero.rhs, zero.margin, zero.err, zero.valid) == (0.0, 0.0, 0.0, 0.0, False)
 
 
 class TestSerialization:

@@ -349,6 +349,28 @@ class TestEnergies:
         top = LatticeSet(1, 2 ** 64, np.array([[2 ** 64 - 1], [0]], dtype=np.uint64))
         assert top.points.tolist() == [[0], [2 ** 64 - 1]] and top.points.dtype == object
 
+    @pytest.mark.parametrize("make", [
+        lambda: LatticeSet(1, 3, [(0.5,)]),
+        lambda: LatticeSet(2, 3, np.array([[1, 1.7]])),
+        lambda: LatticeSet(1, 3, np.array([[1.5]], dtype=object)),
+        lambda: LatticeSet(1, 3, [(math.nan,)]),
+        lambda: LatticeSet(1, 3, [(math.inf,)]),
+        lambda: LatticeSet.from_values([0, 0.7]),
+    ], ids=["list", "float-array", "object-array", "nan", "inf", "from_values"])
+    def test_lattice_rejects_non_integral_coordinates(self, make):
+        with pytest.raises(ValueError, match=r"coordinate (0\.5|1\.7|1\.5|nan|inf|0\.7) "
+                                             r"is not an integer"):
+            make()
+
+    def test_lattice_reads_integral_values_as_ints(self):
+        big = 2 ** 70
+        assert LatticeSet(2, 3, [(1.0, 2)]).points.tolist() == [[1, 2]]
+        assert LatticeSet(1, 3, np.array([[2.0], [0.0]])).points.dtype == np.int64
+        assert LatticeSet.from_values(np.arange(3)) == LatticeSet.from_range(3)
+        wide = LatticeSet(1, big + 1, np.array([[float(big)], [1.0]], dtype=object))
+        assert wide.points.tolist() == [[1], [big]]
+        assert all(type(v) is int for v in wide.points.ravel())
+
 
 class TestTrivialBound:
     def test_examples(self):

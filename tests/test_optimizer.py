@@ -251,7 +251,7 @@ class TestMaximize:
         assert res.certificate.kind == "explicit" and res.certificate.n == 5
 
     def test_reproducible(self):
-        cfg = OptimizerConfig(n=4, q=1.5, starts=8, max_iters=800, seed=11)
+        cfg = OptimizerConfig(n=4, q=1.5, starts=8, seed=11)
         a = maximize_ratio(cfg)
         b = maximize_ratio(cfg)
         assert a == b  # bit-for-bit, including the function values
