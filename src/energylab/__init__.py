@@ -18,7 +18,7 @@ from .discrete_core import (CapExceededError, DiscreteFunction, InvalidExponentE
                             trivial_lower_bound)
 from .experiments import (BallExperimentRow, BoundsRow, asymptotic_target,
                           ball_energy_experiment, ball_lattice_set, bounds_table,
-                          conjecture_target, write_manifest, write_results)
+                          conjecture_target, manifest_document, results_document)
 from .optimizer import OptimizerConfig, OptimizerResult, QnEstimate, estimate_qn, maximize_ratio
 
 __all__ = [
@@ -34,8 +34,8 @@ __all__ = [
     "energy_bruteforce", "energy_interval_formula", "energy_of_set",
     "estimate_qn", "evaluate_certificate",
     "fourier_l4_pow4", "fourier_l4_pow4_quadruple", "gaussian_l4hat", "gaussian_lq",
-    "gaussian_ratio", "interval_overlap_sum", "lq_norm", "maximize_ratio",
-    "quadrature_l4hat", "quadrature_lq_pow", "ratio_report",
-    "revalidate_certificate", "tensor_power",
-    "trivial_lower_bound", "write_manifest", "write_results",
+    "gaussian_ratio", "interval_overlap_sum", "lq_norm", "manifest_document",
+    "maximize_ratio", "quadrature_l4hat", "quadrature_lq_pow", "ratio_report",
+    "results_document", "revalidate_certificate", "tensor_power",
+    "trivial_lower_bound",
 ]

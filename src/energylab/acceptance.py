@@ -303,16 +303,16 @@ def run_all(seed: int = DEFAULT_SEED) -> list[CriterionResult]:
     return results
 
 
-def write_report(results, seed: int, path) -> None:
+def report_document(results, seed: int) -> str:
+    """The deterministic selftest result document, as JSON without its final
+    newline."""
     doc = {
         "seed": seed,
         "all_passed": all(r.passed for r in results),
         "criteria": [{"number": r.number, "name": r.name, "passed": r.passed,
                       "details": r.details} for r in results],
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, default=_json_default)
-        fh.write("\n")
+    return json.dumps(doc, indent=2, default=_json_default)
 
 
 def _json_default(obj):

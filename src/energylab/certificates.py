@@ -322,11 +322,14 @@ def certificate_json(cert: Certificate) -> str:
 
 
 def _exact_float(i: int, s) -> float:
-    """The float64 number that s (value i) names: the number whose shortest
-    repr s is, or s's exact decimal value if that is a float64 number.
-    Anything else would be rounded, and the certificate revalidated against
-    another function, so it raises.  Decimal compares exactly without
-    expanding a huge exponent such as 1e-999999999."""
+    """The float64 number that the string s (value i) names: the number
+    whose shortest repr s is, or s's exact decimal value if that is a
+    float64 number.  Anything else would be rounded, and the certificate
+    revalidated against another function, so it raises, as it does for a
+    value that is not a string.  Decimal compares exactly without expanding
+    a huge exponent such as 1e-999999999."""
+    if type(s) is not str:
+        raise ValueError(f"certificate value {i} ({s!r}) is not a string")
     x = float(s)
     if not (math.isfinite(x) and (repr(x) == s or Decimal(s) == Decimal(x))):
         raise ValueError(f"certificate value {i} ({s!r}) is not a finite float64 number")
@@ -349,13 +352,15 @@ def _exact_floats(strs: list) -> list[float]:
 
 def certificate_from_dict(d: dict) -> Certificate:
     strs = d["values"]
+    if not isinstance(strs, list):
+        raise ValueError(f"certificate values must be a list, got {type(strs).__name__}")
     m = len(strs)
     # a palindrome reads its first half only; a bad value there is also
     # the first bad value of the whole list
     symmetric = strs == strs[::-1]
     head = _exact_floats(strs[:(m + 1) // 2] if symmetric else strs)
     vals = _mirror(head, m) if symmetric else head
-    f = DiscreteFunction(int(d["offset"]), vals)
+    f = DiscreteFunction(d["offset"], vals)
     return Certificate(kind=d["kind"], n=int(d["n"]), q=float(d["q"]), f=f,
                        lhs=float(d["lhs"]), rhs=float(d["rhs"]),
                        margin=float(d["margin"]), err=float(d["err"]),

@@ -81,7 +81,8 @@ def _points_to_set(values: list[int], dims: set[int], where: str) -> discrete_co
 
 
 def read_function_file(path: str) -> discrete_core.DiscreteFunction:
-    """JSON {offset, values[]}; values may be numbers or decimal strings."""
+    """JSON {offset, values[]}: offset an integer, values an array of
+    numbers or decimal strings."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -92,16 +93,25 @@ def read_function_file(path: str) -> discrete_core.DiscreteFunction:
         raise InputError(f"{path}, line {exc.lineno}: {exc.msg}") from None
     if not isinstance(doc, dict) or "offset" not in doc or "values" not in doc:
         raise InputError(f"{path}: expected an object with 'offset' and 'values'")
+    values = doc["values"]
+    # bool is a subclass of int, so the types are compared exactly
+    if not isinstance(values, list) or not all(type(v) in (int, float, str) for v in values):
+        raise InputError(f"{path}: 'values' must be an array of numbers or numeric strings")
     try:
-        vals = tuple(float(v) for v in doc["values"])
-        return discrete_core.DiscreteFunction(int(doc["offset"]), vals)
-    except (TypeError, ValueError, OverflowError) as exc:
+        vals = [float(v) for v in values]
+    except (ValueError, OverflowError) as exc:
+        raise InputError(f"{path}: 'values': {exc}") from None
+    try:
+        return discrete_core.DiscreteFunction(doc["offset"], vals)
+    except ValueError as exc:
         raise InputError(f"{path}: {exc}") from None
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(text: str, out: str | Path | None) -> None:
+    """Every output of the CLI: text and a final newline, to the file out or
+    to stdout."""
     if out:
-        Path(out).write_text(text if text.endswith("\n") else text + "\n")
+        Path(out).write_text(text + "\n")
     else:
         print(text)
 
@@ -164,17 +174,13 @@ def _cmd_bounds_table(args) -> int:
         raise InputError(f"need 2 <= n-min <= n-max, got [{args.n_min}, {args.n_max}]")
     rows = experiments.bounds_table(range(args.n_min, args.n_max + 1), eps=args.eps,
                                     with_optimizer=args.with_optimizer, seed=args.seed)
+    _emit(experiments.results_document(rows, "bounds", args.format), args.out)
     if args.out:
-        experiments.write_results(rows, args.out, format=args.format, kind="bounds")
-        experiments.write_manifest(
-            {"command": "bounds-table", "n_min": args.n_min, "n_max": args.n_max,
-             "eps": args.eps, "with_optimizer": args.with_optimizer,
-             "format": args.format},
-            args.seed, __version__, str(args.out) + ".manifest.json")
-    elif args.format == "json":
-        print(experiments._json_document(rows, "bounds"))
-    else:
-        print(experiments._csv_document(rows, "bounds"))
+        config = {"command": "bounds-table", "n_min": args.n_min, "n_max": args.n_max,
+                  "eps": args.eps, "with_optimizer": args.with_optimizer,
+                  "format": args.format}
+        _emit(experiments.manifest_document(config, args.seed, __version__),
+              args.out + ".manifest.json")
     return 0
 
 
@@ -186,8 +192,7 @@ def _cmd_ball(args) -> int:
         except ValueError as exc:
             raise InputError(f"--center: {exc}") from None
     rows = experiments.ball_energy_experiment([args.d], [args.radius], center=center)
-    document = experiments._csv_document if args.format == "csv" else experiments._json_document
-    _emit(document(rows, "ball"), args.out)
+    _emit(experiments.results_document(rows, "ball", args.format), args.out)
     return 0
 
 
@@ -198,7 +203,7 @@ def _cmd_selftest(args) -> int:
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        acceptance.write_report(results, args.seed, out_dir / "selftest_results.json")
+        _emit(acceptance.report_document(results, args.seed), out_dir / "selftest_results.json")
     return 0 if all(r.passed for r in results) else 1
 
 

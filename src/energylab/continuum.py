@@ -1,4 +1,5 @@
-"""Closed-form Gaussian norms on the real line and Simpson-quadrature oracles.
+"""Closed-form Gaussian norms on the real line and quadrature oracles: composite
+Simpson, and an endpoint-corrected trapezoid for the truncated Gaussian.
 
 For g(x) = exp(-x^2/A):
     ||g^||_4^4 = (1/2) (pi A)^{3/2}
@@ -22,6 +23,10 @@ BECKNER_L4_POW4 = 4.0 * math.sqrt(3.0) / 9.0
 # Companion constant 3*sqrt(3)/4 = 1/BECKNER_L4_POW4; its base-n logarithm is
 # the gap between 3 and the asymptotic energy exponent.
 ASYMPTOTIC_LOG_BASE = 3.0 * math.sqrt(3.0) / 4.0
+
+QUADRATURE_REL_TOL = 1e-9  # largest relative move of a Simpson oracle at half its step
+TRUNCATED_SAMPLES = 4000  # trapezoid samples per side of [-M, M] for g_M
+TRUNCATED_REL_TOL = 1e-6  # largest relative move of g_M's oracle at twice the samples
 
 
 class QuadratureError(RuntimeError):
@@ -87,39 +92,31 @@ def _l4hat_pow4_simpson(a_param: float, truncation: float, step: float) -> float
     return float(np.sum(wz * (conv * conv)))
 
 
-def quadrature_l4hat(spec: GaussianSpec, truncation: float | None = None,
-                     step: float | None = None, rel_tol: float = 1e-9) -> float:
+def quadrature_l4hat(spec: GaussianSpec) -> float:
     """Independent oracle for ||g^||_4^4 = ||g*g||_2^2 by composite Simpson.
 
-    Defaults scale with sqrt(A): truncation where the tail drops below 1e-18
-    of the peak, step at sqrt(A)/800.  Raises QuadratureError when halving the
-    step moves the result by more than rel_tol.
+    The grid scales with sqrt(A): truncation where the tail drops below
+    1e-18 of the peak, step at sqrt(A)/800.  Raises QuadratureError when
+    halving the step moves the result by more than QUADRATURE_REL_TOL.
     """
     a = spec.a_param
-    if truncation is None:
-        truncation = math.sqrt(41.5 * a)
-    if step is None:
-        step = math.sqrt(a) / 800.0
-    if truncation <= 0 or step <= 0:
-        raise ValueError("truncation and step must be positive")
+    truncation, step = math.sqrt(41.5 * a), math.sqrt(a) / 800.0
     coarse = _l4hat_pow4_simpson(a, truncation, step)
     fine = _l4hat_pow4_simpson(a, truncation, step / 2.0)
-    if abs(coarse - fine) > rel_tol * abs(fine):
+    if abs(coarse - fine) > QUADRATURE_REL_TOL * abs(fine):
         raise QuadratureError(
             f"l4hat quadrature did not converge: {coarse!r} vs {fine!r} at step {step}")
     return fine
 
 
-def quadrature_lq_pow(spec: GaussianSpec, q: float, truncation: float | None = None,
-                      step: float | None = None, rel_tol: float = 1e-9) -> float:
-    """Independent oracle for ||g||_q^q = integral of exp(-q x^2 / A)."""
+def quadrature_lq_pow(spec: GaussianSpec, q: float) -> float:
+    """Independent oracle for ||g||_q^q = integral of exp(-q x^2 / A), by
+    composite Simpson to the tail where exp(-q x^2 / A) drops below 1e-18,
+    step sqrt(A)/2000, checked as quadrature_l4hat is."""
     if q <= 1:
         raise InvalidExponentError(f"quadrature_lq_pow needs q > 1, got {q}")
     a = spec.a_param
-    if truncation is None:
-        truncation = math.sqrt(41.5 * a / q)
-    if step is None:
-        step = math.sqrt(a) / 2000.0
+    truncation, step = math.sqrt(41.5 * a / q), math.sqrt(a) / 2000.0
 
     def one(h: float) -> float:
         half = int(math.ceil(truncation / h))
@@ -129,25 +126,25 @@ def quadrature_lq_pow(spec: GaussianSpec, q: float, truncation: float | None = N
         return float(np.sum(_simpson_weights(y.size) * y) * (h / 3.0))
 
     coarse, fine = one(step), one(step / 2.0)
-    if abs(coarse - fine) > rel_tol * abs(fine):
+    if abs(coarse - fine) > QUADRATURE_REL_TOL * abs(fine):
         raise QuadratureError(
             f"lq quadrature did not converge: {coarse!r} vs {fine!r} at step {step}")
     return fine
 
 
-def truncated_gaussian_l4hat_pow4(a_param: float, m_trunc: int,
-                                  samples_per_side: int = 4000,
-                                  rel_tol: float = 1e-6) -> float:
+def truncated_gaussian_l4hat_pow4(a_param: float, m_trunc: int) -> float:
     """||g_M^||_4^4 for the truncation of g to [-M, M], by quadrature.
 
     Trapezoid with explicit endpoint correction: the truncated integrand jumps
-    at +-M, so grids are pinned to the truncation endpoints.
+    at +-M, so grids are pinned to the truncation endpoints.  Raises
+    QuadratureError when doubling TRUNCATED_SAMPLES moves the result
+    by more than TRUNCATED_REL_TOL.
     """
     if m_trunc < 1:
         raise ValueError("m_trunc must be >= 1")
-    coarse = _truncated_pow4_trapezoid(a_param, m_trunc, samples_per_side)
-    fine = _truncated_pow4_trapezoid(a_param, m_trunc, 2 * samples_per_side)
-    if abs(coarse - fine) > rel_tol * abs(fine):
+    coarse = _truncated_pow4_trapezoid(a_param, m_trunc, TRUNCATED_SAMPLES)
+    fine = _truncated_pow4_trapezoid(a_param, m_trunc, 2 * TRUNCATED_SAMPLES)
+    if abs(coarse - fine) > TRUNCATED_REL_TOL * abs(fine):
         raise QuadratureError(
             f"truncated l4hat quadrature did not converge: {coarse!r} vs {fine!r}")
     return fine

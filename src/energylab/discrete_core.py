@@ -57,6 +57,9 @@ class CapExceededError(RuntimeError):
 # under 2^53: exact in float64 and, summed k at a time, in int64.  The check
 # runs before the pack buffers are allocated.
 _PACK_BITS_CAP = 1 << 25
+QUADRUPLE_CAP = 64  # largest support of the O(m^3) quadruple-sum oracle
+BRUTEFORCE_CAP = 300  # most points of the brute-force energy oracle
+TENSOR_CAP = 2_000_000  # most points |A|^d of a tensor power
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,7 +67,8 @@ class DiscreteFunction:
     """Real-valued function on Z carried as (offset, values).
 
     values is the constructor's input copied into one read-only C-contiguous
-    float64 array; every value must be finite.  Canonical form: values is
+    float64 array; every value must be finite, and offset must equal an
+    integer (1.0 does, 1.5 and True do not).  Canonical form: values is
     empty (the zero function, offset 0) or has nonzero first and last
     entries.  Equal when offset and values are; not hashable.
     """
@@ -73,6 +77,9 @@ class DiscreteFunction:
     values: np.ndarray = ()
 
     def __post_init__(self):
+        if isinstance(self.offset, (bool, np.bool_)):
+            raise ValueError(f"offset {self.offset!r} is not an integer")
+        offset = _integral(self.offset, "offset")
         try:
             arr = np.asarray(self.values, dtype=np.float64)
         except OverflowError as exc:  # an int beyond float64 range, such as 10**400
@@ -86,7 +93,7 @@ class DiscreteFunction:
         lo, hi = (int(nonzero[0]), int(nonzero[-1]) + 1) if nonzero.size else (0, 0)
         vals = arr[lo:hi].copy()  # later changes to the input do not reach f
         vals.flags.writeable = False
-        object.__setattr__(self, "offset", int(self.offset) + lo if hi else 0)
+        object.__setattr__(self, "offset", offset + lo if hi else 0)
         object.__setattr__(self, "values", vals)
 
     def __eq__(self, other):
@@ -98,7 +105,8 @@ class DiscreteFunction:
 
     @classmethod
     def indicator(cls, support) -> "DiscreteFunction":
-        pts = np.unique(np.array([int(a) for a in support], dtype=np.int64))
+        pts = np.unique(np.array([_integral(a, "support point") for a in support],
+                                 dtype=np.int64))
         if not pts.size:
             return cls()
         vals = np.zeros(int(pts[-1] - pts[0]) + 1)
@@ -343,13 +351,13 @@ def fourier_l4_pow4(f: DiscreteFunction):
     return float(np.ldexp(t, k))
 
 
-def fourier_l4_pow4_quadruple(f: DiscreteFunction, cap: int = 64):
+def fourier_l4_pow4_quadruple(f: DiscreteFunction):
     """O(m^3) quadruple-sum oracle: sum f(a)f(b)f(c)f(a+b-c), exactly, as a
     Fraction.  Each value is taken as its exact Fraction and the products are
     summed over their common denominator."""
     m = len(f.values)
-    if m > cap:
-        raise CapExceededError(f"quadruple-sum oracle capped at support {cap}, got {m}")
+    if m > QUADRUPLE_CAP:
+        raise CapExceededError(f"quadruple-sum oracle capped at support {QUADRUPLE_CAP}, got {m}")
     if m == 0:
         return Fraction(0)
     exact = [Fraction(x) for x in f.values.tolist()]
@@ -442,13 +450,13 @@ def _int_array(values: list) -> np.ndarray:
         return np.array(values, dtype=object)
 
 
-def _integral(v) -> int:
+def _integral(v, what: str = "coordinate") -> int:
     try:
         if int(v) == v:
             return int(v)
     except (TypeError, ValueError, OverflowError):  # None, "x", nan, inf
         pass
-    raise ValueError(f"coordinate {v!r} is not an integer")
+    raise ValueError(f"{what} {v!r} is not an integer")
 
 
 @dataclass(frozen=True, eq=False)
@@ -648,11 +656,11 @@ def _energy_sorted(keys) -> int:
     return int(np.dot(r, r))
 
 
-def energy_bruteforce(A: LatticeSet, cap: int = 300) -> int:
+def energy_bruteforce(A: LatticeSet) -> int:
     """Independent oracle: enumerate (a1,a2,a3) and membership-test a1+a2-a3."""
     npts = A.size
-    if npts > cap:
-        raise CapExceededError(f"brute-force oracle capped at {cap} points, got {npts}")
+    if npts > BRUTEFORCE_CAP:
+        raise CapExceededError(f"brute-force oracle capped at {BRUTEFORCE_CAP} points, got {npts}")
     if npts == 0:
         return 0
     d, n = A.dim, A.side
@@ -671,7 +679,7 @@ def energy_bruteforce(A: LatticeSet, cap: int = 300) -> int:
     return total
 
 
-def tensor_power(A: LatticeSet, d: int, cap: int = 2_000_000) -> LatticeSet:
+def tensor_power(A: LatticeSet, d: int) -> LatticeSet:
     """Cartesian power A^d; satisfies E(A^d) = E(A)^d."""
     if d < 1:
         raise ValueError("d must be >= 1")
@@ -679,8 +687,8 @@ def tensor_power(A: LatticeSet, d: int, cap: int = 2_000_000) -> LatticeSet:
         return A
     if A.dim != 1:
         raise ValueError("tensor_power needs a 1-dimensional base set")
-    if A.size ** d > cap:
-        raise CapExceededError(f"|A|^d = {A.size ** d} exceeds cap {cap}")
+    if A.size ** d > TENSOR_CAP:
+        raise CapExceededError(f"|A|^d = {A.size ** d} exceeds cap {TENSOR_CAP}")
     index = np.indices((A.size,) * d).reshape(d, -1).T  # every d-tuple of row indices
     return LatticeSet(d, A.side, A.points[:, 0][index])
 

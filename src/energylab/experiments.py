@@ -1,5 +1,5 @@
-"""Bounds tables per n, the ball lattice-set energy experiment, and
-deterministic result/manifest serialization."""
+"""Bounds tables per n, the ball lattice-set energy experiment, and the
+deterministic result and manifest documents."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .certificates import (GaussianScheduleParams, build_gaussian_certificate,
+from .certificates import (GaussianScheduleParams, _check_eps, build_gaussian_certificate,
                            build_perturbation_certificate)
 from .continuum import ASYMPTOTIC_LOG_BASE, BECKNER_L4_POW4
 from .discrete_core import CapExceededError, LatticeSet, energy_of_set, trivial_lower_bound
@@ -23,6 +23,8 @@ BOUNDS_CSV_COLUMNS = ("n", "trivial_lower", "perturbation_lower", "gaussian_lowe
                       "asymptotic_target", "empirical_t", "reference")
 BALL_CSV_COLUMNS = ("d", "radius", "center", "set_size", "energy",
                     "energy_ratio", "reference_ratio")
+BALL_POINT_CAP = 2_000_000  # most points of a ball lattice set
+BALL_SIDE_CAP = 4096  # longest side of its bounding box
 
 
 @dataclass(frozen=True)
@@ -62,6 +64,7 @@ def conjecture_target(n: int, eps: float) -> float:
 
 def bounds_row(n: int, eps: float = 0.5, with_optimizer: bool = False,
                seed: int = 0, tol: float = 1e-3) -> BoundsRow:
+    _check_eps(eps)  # at every n: the conjecture target is reported at n = 2 too
     trivial = trivial_lower_bound(n)
     pert, strict = trivial, False
     gaussian_lower = None
@@ -99,10 +102,10 @@ def bounds_table(n_values, eps: float = 0.5, with_optimizer: bool = False,
 # Ball lattice sets
 # ---------------------------------------------------------------------------
 
-def ball_lattice_set(d: int, radius: float, center=None,
-                     point_cap: int = 2_000_000, side_cap: int = 4096) -> LatticeSet:
+def ball_lattice_set(d: int, radius: float, center=None) -> LatticeSet:
     """Integer points within Euclidean distance radius of center, translated
-    so all coordinates lie in [0, n-1] with n the minimal enclosing side."""
+    so all coordinates lie in [0, n-1] with n the minimal enclosing side.
+    Raises CapExceededError past BALL_SIDE_CAP or BALL_POINT_CAP."""
     if d < 1:
         raise ValueError("d must be >= 1")
     if not 0 < radius < math.inf:
@@ -117,8 +120,8 @@ def ball_lattice_set(d: int, radius: float, center=None,
     r2 = radius * radius
     for c in center:
         width = math.floor(c + radius) - math.ceil(c - radius) + 1
-        if width > side_cap:
-            raise CapExceededError(f"bounding side {width} exceeds cap {side_cap}")
+        if width > BALL_SIDE_CAP:
+            raise CapExceededError(f"bounding side {width} exceeds cap {BALL_SIDE_CAP}")
     # build coordinates one dimension at a time, pruning on partial distance
     pts = np.zeros((1, 0), dtype=np.int64)
     sq = np.zeros(1)
@@ -129,12 +132,12 @@ def ball_lattice_set(d: int, radius: float, center=None,
         dd = (coords.astype(np.float64) - center[i]) ** 2
         total = sq[:, None] + dd[None, :]
         keep_row, keep_col = np.nonzero(total <= r2)
-        if keep_row.size > point_cap * 4:
+        if keep_row.size > BALL_POINT_CAP * 4:
             raise CapExceededError(f"intermediate point count {keep_row.size} exceeds cap")
         pts = np.hstack([pts[keep_row], coords[keep_col, None]])
         sq = total[keep_row, keep_col]
-    if pts.shape[0] > point_cap:
-        raise CapExceededError(f"{pts.shape[0]} points exceed cap {point_cap}")
+    if pts.shape[0] > BALL_POINT_CAP:
+        raise CapExceededError(f"{pts.shape[0]} points exceed cap {BALL_POINT_CAP}")
     if pts.shape[0] == 0:
         return LatticeSet(d, 1, pts)
     mins = pts.min(axis=0)
@@ -143,8 +146,7 @@ def ball_lattice_set(d: int, radius: float, center=None,
     return LatticeSet(d, side, shifted)
 
 
-def ball_energy_experiment(d_values, radius_schedule, center=None,
-                           point_cap: int = 2_000_000) -> list[BallExperimentRow]:
+def ball_energy_experiment(d_values, radius_schedule, center=None) -> list[BallExperimentRow]:
     """Exact energies of ball lattice sets against the (4*sqrt(3)/9)^d line.
 
     Centers: the given center, or by default the lattice origin and the
@@ -158,7 +160,7 @@ def ball_energy_experiment(d_values, radius_schedule, center=None,
         centers = [(0.0,) * d, (0.5,) * d] if center is None else [tuple(center)]
         for radius in radius_schedule:
             for c in centers:
-                ball = ball_lattice_set(d, float(radius), c, point_cap=point_cap)
+                ball = ball_lattice_set(d, float(radius), c)
                 if ball.size == 0:
                     continue
                 energy = energy_of_set(ball)
@@ -188,44 +190,25 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _json_document(rows, kind: str) -> str:
-    """The JSON results document of write_results, without its final newline."""
-    return json.dumps({"kind": kind, "rows": [asdict(r) for r in rows]}, indent=2)
+def results_document(rows, kind: str, format: str) -> str:
+    """The deterministic results document of bounds (kind "bounds") or ball
+    (kind "ball") rows, as JSON or as CSV, without its final newline.
 
-
-def _csv_document(rows, kind: str) -> str:
-    """The CSV results document of write_results, without its final newline.
-
-    Lines end in LF; _fmt never yields a comma or a quote, so no field is quoted.
+    CSV lines end in LF; _fmt never yields a comma or a quote, so no field
+    is quoted.
     """
+    if kind not in ("bounds", "ball") or format not in ("json", "csv"):
+        raise ValueError(f"unknown result kind {kind!r} or format {format!r}")
+    if format == "json":
+        return json.dumps({"kind": kind, "rows": [asdict(r) for r in rows]}, indent=2)
     columns = BALL_CSV_COLUMNS if kind == "ball" else BOUNDS_CSV_COLUMNS
     lines = [",".join(columns)]
     lines += [",".join(_fmt(getattr(row, col)) for col in columns) for row in rows]
     return "\n".join(lines)
 
 
-def write_results(rows, path, format: str = "json", kind: str | None = None) -> None:
-    """Deterministic serialization of bounds or ball rows (json or csv)."""
-    if format not in ("json", "csv"):
-        raise ValueError(f"unknown format {format!r}")
-    if kind is None:
-        if rows and isinstance(rows[0], BallExperimentRow):
-            kind = "ball"
-        else:
-            kind = "bounds"
-    if kind not in ("bounds", "ball"):
-        raise ValueError(f"unknown result kind {kind!r}")
-    document = _json_document if format == "json" else _csv_document
-    with open(path, "w") as fh:
-        fh.write(document(rows, kind) + "\n")
-
-
-def write_manifest(config: dict, seed: int, tool_version: str, path) -> None:
-    """Record everything needed to reproduce a run.
-
-    It carries no timestamp, so identical runs write identical bytes.
-    """
-    doc = {"tool_version": tool_version, "seed": seed, "config": config}
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+def manifest_document(config: dict, seed: int, tool_version: str) -> str:
+    """Everything needed to reproduce a run, as JSON without its final
+    newline.  It carries no timestamp, so identical runs give identical
+    bytes."""
+    return json.dumps({"tool_version": tool_version, "seed": seed, "config": config}, indent=2)

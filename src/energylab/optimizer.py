@@ -168,7 +168,7 @@ def _canonical_starts(n: int) -> list[np.ndarray]:
     return [delta, ones, gauss, perturbed]
 
 
-def _start_rows(config: OptimizerConfig) -> np.ndarray:
+def _initial_rows(config: OptimizerConfig) -> np.ndarray:
     """The (starts x n) array of chain starts: the canonical starts, then
     seeded draws, each clipped at 0.  A degenerate start (no positive or a
     non-finite entry) is redrawn from its own stream [seed, start_id,
@@ -189,42 +189,28 @@ def _start_rows(config: OptimizerConfig) -> np.ndarray:
     return np.array(rows)
 
 
-def maximize_ratio(config: OptimizerConfig, start_rows: np.ndarray | None = None,
-                   start_steps: np.ndarray | None = None) -> OptimizerResult:
+def maximize_ratio(config: OptimizerConfig,
+                   previous: OptimizerResult | None = None) -> OptimizerResult:
     """Multi-start search for sup ||f^||_4 / ||f||_q over f >= 0 on {0..n-1}.
 
-    The chains start from start_rows, a (starts x n) array of finite,
-    nonnegative rows each with a positive maximum (a previous result's rows,
-    say); None means _start_rows(config).  Their first trial steps are
-    start_steps, a (starts,) array of finite positive steps (a previous
-    result's steps, say); None means STEP_INIT each.  Chains are ranked by
-    their float64 objective; only the winner is evaluated with rounding
-    bounds, once, by evaluate_certificate, so the result carries its
-    explicit certificate with a rigorous err.  Deterministic for a fixed config and
-    start_rows and start_steps: chains are independent and ties go to the
-    smaller start_id.
+    The chains start from _initial_rows(config) at STEP_INIT each or, given a
+    previous result whose rows have shape (starts, n), from its final rows,
+    each chain at its final step floored at STEP_INIT (a step that collapsed
+    ended its chain, so it starts afresh).  Chains are ranked by their
+    float64 objective; only the winner is evaluated with rounding bounds,
+    once, by evaluate_certificate, so the result carries its explicit
+    certificate with a rigorous err.  Deterministic for a fixed config and
+    previous: chains are independent and ties go to the smaller start_id.
     """
     n, q = config.n, config.q
-    if start_rows is None:
-        start_rows = _start_rows(config)
+    if previous is None:
+        rows, steps = _initial_rows(config), None
+    elif previous.rows.shape != (config.starts, n):
+        raise ValueError(f"previous rows must have shape {(config.starts, n)}, "
+                         f"got {previous.rows.shape}")
     else:
-        start_rows = np.asarray(start_rows, dtype=np.float64)
-        if start_rows.shape != (config.starts, n):
-            raise ValueError(f"start_rows must have shape {(config.starts, n)}, "
-                             f"got {start_rows.shape}")
-        if not np.all(np.isfinite(start_rows)) or np.any(start_rows < 0):
-            raise ValueError("start_rows must be finite and nonnegative")
-        if not np.all(start_rows.max(axis=1) > 0):
-            raise ValueError("every row of start_rows must have a positive maximum")
-    if start_steps is not None:
-        start_steps = np.asarray(start_steps, dtype=np.float64)
-        if start_steps.shape != (config.starts,):
-            raise ValueError(f"start_steps must have shape {(config.starts,)}, "
-                             f"got {start_steps.shape}")
-        if not np.all(np.isfinite(start_steps) & (start_steps > 0)):
-            raise ValueError("start_steps must be finite and positive")
-    X, values, iters, steps, rounds = _ascend_rows(start_rows, q, MAX_ITERS, ASCENT_TOL,
-                                                   start_steps)
+        rows, steps = previous.rows, np.maximum(previous.steps, STEP_INIT)
+    X, values, iters, steps, rounds = _ascend_rows(rows, q, MAX_ITERS, ASCENT_TOL, steps)
     X.flags.writeable = False
     steps.flags.writeable = False
     sid = int(np.argmax(values))  # the first maximum: ties go to the smaller start_id
@@ -272,11 +258,9 @@ def estimate_qn(n: int, tol: float = 1e-3, seed: int = 0, starts: int = 16) -> Q
     A probe at q runs maximize_ratio and fires exactly when the winner's
     certificate is valid (margin > err); that certificate is the probe's
     witness, so each probe evaluates one function with rounding bounds once.
-    The first probe (q = 2) starts from _start_rows at STEP_INIT; every
-    later probe starts from the previous probe's final rows, each chain at
-    its previous final step floored at STEP_INIT (a step that collapsed
-    ends a chain, so it starts afresh), since the maximizer moves little
-    between neighbouring q and the chains then stop in fewer rounds.
+    The first probe (q = 2) starts afresh; every later probe starts from
+    the previous probe's result, since the maximizer moves little between
+    neighbouring q and the chains then stop in fewer rounds.
     The witness returned is the one from the smallest firing q.  If the
     predicate never fires, q_hat = 2 and witness is None.  tol must lie in
     [1e-4, 2/3), below the width of [4/3, 2].
@@ -284,12 +268,11 @@ def estimate_qn(n: int, tol: float = 1e-3, seed: int = 0, starts: int = 16) -> Q
     if not 1e-4 <= tol < 2.0 / 3.0:
         raise ValueError(f"bisection tol must lie in [1e-4, 2/3), got {tol}")
     probes = []
-    rows = steps = None
+    res = None
 
     def probe(q: float) -> Certificate | None:
-        nonlocal rows, steps
-        res = maximize_ratio(OptimizerConfig(n=n, q=q, starts=starts, seed=seed), rows, steps)
-        rows, steps = res.rows, np.maximum(res.steps, STEP_INIT)
+        nonlocal res
+        res = maximize_ratio(OptimizerConfig(n=n, q=q, starts=starts, seed=seed), res)
         cert = res.certificate
         probes.append(ProbeRecord(q=q, ratio=cert.lhs / cert.rhs, err=cert.err,
                                   fired=cert.valid, start_id=res.start_id,

@@ -29,7 +29,7 @@ def criterion(number):
     return fn(SEED)
 
 
-def test_crash_traceback_on_stderr_only(monkeypatch, capsys, tmp_path):
+def test_crash_traceback_on_stderr_only(monkeypatch, capsys):
     def criterion_3(seed):
         """A criterion that crashes."""
         raise ZeroDivisionError("boom")
@@ -40,8 +40,7 @@ def test_crash_traceback_on_stderr_only(monkeypatch, capsys, tmp_path):
     assert "Traceback" in err and "ZeroDivisionError: boom" in err
     assert [(r.number, r.passed, r.details) for r in results] == \
         [(3, False, {"error": "ZeroDivisionError('boom')"})]
-    acceptance.write_report(results, SEED, tmp_path / "report.json")
-    assert "Traceback" not in (tmp_path / "report.json").read_text()
+    assert "Traceback" not in acceptance.report_document(results, SEED)
 
 
 def test_criterion_1_interval_energy():

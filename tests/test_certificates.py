@@ -278,6 +278,29 @@ class TestSerialization:
         with pytest.raises(ValueError, match="value 1 "):
             certificate_from_dict(d)
 
+    @pytest.mark.parametrize("offset", [-1.9, 0.5, "1", True])
+    def test_from_dict_rejects_non_integral_offset(self, offset):
+        # an offset is read as the integer it equals, never truncated
+        d = certificate_to_dict(build_perturbation_certificate(3))
+        d["offset"] = offset
+        with pytest.raises(ValueError, match="offset"):
+            certificate_from_dict(d)
+        d["offset"] = -2.0
+        assert certificate_from_dict(d).f.offset == -2
+
+    @pytest.mark.parametrize("values, match", [
+        ("101", "must be a list"), ({"0": "1.0"}, "must be a list"),
+        (["1.0", 0.5, "1.0"], "value 1 .* not a string"),
+        (["1.0", True, "1.0"], "value 1 .* not a string"),
+        (["1.0", ["0.5"], "1.0"], "value 1 .* not a string")])
+    def test_from_dict_rejects_values_not_written_as_strings(self, values, match):
+        # certificate_to_dict writes a list of strings; a string such as "101"
+        # must not be read character by character
+        d = certificate_to_dict(build_perturbation_certificate(3))
+        d["values"] = values
+        with pytest.raises(ValueError, match=match):
+            certificate_from_dict(d)
+
     @pytest.mark.parametrize("bad_at", [1, 2])
     def test_palindrome_reports_first_bad_index(self, bad_at):
         # a palindrome reads its first half only: the bad value is reported at

@@ -22,6 +22,22 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def strict_json(text):
+    """json.loads that refuses the NaN, Infinity and -Infinity tokens, which
+    are not JSON, so a command that prints one fails its test."""
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_strict_json_refuses_non_finite_tokens():
+    assert strict_json('{"a": 1.5e308}') == {"a": 1.5e308}
+    for token in ("NaN", "Infinity", "-Infinity"):
+        with pytest.raises(ValueError, match=f"{token} is not JSON"):
+            strict_json(f'{{"a": {token}}}')
+
+
 class TestInlineParsing:
     def test_comma_only_is_1d(self):
         lattice = parse_inline_set("0,1")
@@ -114,7 +130,7 @@ class TestNormsCommand:
         path.write_text(json.dumps({"offset": 0, "values": [1.0, 1.0]}))
         code, out, _ = run(capsys, "norms", "--f", str(path), "--q", "1.8", "--format", "json")
         assert code == 1
-        assert json.loads(out)["ratio"] > 1
+        assert strict_json(out)["ratio"] > 1
 
     def test_malformed_json(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
@@ -127,7 +143,7 @@ class TestNormsCommand:
         path = tmp_path / "tiny.json"
         path.write_text(json.dumps({"offset": 0, "values": [1e-320, 1e-320]}))
         code, out, _ = run(capsys, "norms", "--f", str(path), "--q", "1.5", "--format", "json")
-        doc = json.loads(out)
+        doc = strict_json(out)
         assert code == 0
         assert abs(doc["ratio"] - 6 ** 0.25 / 2 ** (1 / 1.5)) <= doc["err"]
 
@@ -138,9 +154,9 @@ class TestNormsCommand:
         huge.write_text(json.dumps({"offset": 0, "values": [1e200] * 3000}))
         unit.write_text(json.dumps({"offset": 0, "values": [1.0] * 3000}))
         code, out, _ = run(capsys, "norms", "--f", str(huge), "--q", "1.5", "--format", "json")
-        doc = json.loads(out)
+        doc = strict_json(out)
         assert code == 1 and doc["l4hat"] > 1e200 and doc["err"] < 1e-11
-        base = json.loads(run(capsys, "norms", "--f", str(unit), "--q", "1.5",
+        base = strict_json(run(capsys, "norms", "--f", str(unit), "--q", "1.5",
                               "--format", "json")[1])
         assert abs(doc["ratio"] - base["ratio"]) <= (doc["err"] + base["err"]) * base["ratio"]
 
@@ -151,6 +167,38 @@ class TestNormsCommand:
         code, out, err = run(capsys, "norms", "--f", str(path), "--q", "1.5",
                              "--format", "json")
         assert code == 2 and out == "" and "finite" in err
+
+    @pytest.mark.parametrize("doc", [
+        {"offset": 0, "values": "123"}, {"offset": 0, "values": {"1": 2}},
+        {"offset": 0, "values": True}, {"offset": 0, "values": 1.5},
+        {"offset": 0, "values": [1.0, True]}, {"offset": 0, "values": [1.0, None]},
+        {"offset": 0, "values": [1.0, [2.0]]}, {"offset": 0, "values": [{"v": 1.0}]}],
+        ids=["string", "object", "true", "number", "true-value", "null-value", "list-value",
+             "object-value"])
+    def test_values_not_an_array_of_numbers(self, capsys, tmp_path, doc):
+        # neither a string such as "123" nor an object may be iterated into values,
+        # and true is no number
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "norms", "--f", str(path), "--q", "1.5")
+        assert (code, out) == (2, "")
+        assert err == (f"error: {path}: 'values' must be an array of numbers "
+                       "or numeric strings\n")
+
+    def test_value_string_not_a_number(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"offset": 0, "values": ["1.0", "one"]}))
+        code, out, err = run(capsys, "norms", "--f", str(path), "--q", "1.5")
+        assert (code, out) == (2, "") and err.startswith(f"error: {path}: 'values': ")
+
+    @pytest.mark.parametrize("offset", [1.7, -1.9, 0.5, "3", True, None])
+    def test_non_integral_offset(self, capsys, tmp_path, offset):
+        # an offset is read as the integer it equals, never truncated
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"offset": offset, "values": [1.0, 2.0]}))
+        code, out, err = run(capsys, "norms", "--f", str(path), "--q", "1.5")
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: offset {offset!r} is not an integer\n"
 
     def test_integer_beyond_float64_range(self, capsys, tmp_path):
         # a 401-digit JSON integer is an input error, not an OverflowError traceback
@@ -164,7 +212,7 @@ class TestCertifyCommand:
     def test_perturbation_valid(self, capsys):
         code, out, _ = run(capsys, "certify", "perturbation", "--n", "3")
         assert code == 0
-        doc = json.loads(out)
+        doc = strict_json(out)
         assert doc["valid"] is True
         assert doc["kind"] == "perturbation"
         assert doc["n"] == 3
@@ -172,7 +220,7 @@ class TestCertifyCommand:
     def test_gaussian_invalid_exit(self, capsys):
         code, out, _ = run(capsys, "certify", "gaussian", "--n", "5", "--eps", "0.5")
         assert code == 1
-        assert json.loads(out)["valid"] is False
+        assert strict_json(out)["valid"] is False
 
     def test_gaussian_needs_eps(self, capsys):
         code, _, err = run(capsys, "certify", "gaussian", "--n", "5")
@@ -258,7 +306,7 @@ class TestBallCommand:
     def test_unit_cross(self, capsys):
         code, out, _ = run(capsys, "ball", "--d", "2", "--radius", "1", "--center", "0,0")
         assert code == 0
-        doc = json.loads(out)
+        doc = strict_json(out)
         assert doc["rows"][0]["set_size"] == 5
 
     def test_center_counts_one_energy(self, capsys, monkeypatch):
@@ -272,12 +320,12 @@ class TestBallCommand:
         monkeypatch.setattr(discrete_core, "energy_of_set", counted)
         code, out, _ = run(capsys, "ball", "--d", "2", "--radius", "1", "--center", "0,0")
         assert code == 0 and calls == [5]
-        assert [r["set_size"] for r in json.loads(out)["rows"]] == [5]
+        assert [r["set_size"] for r in strict_json(out)["rows"]] == [5]
 
     def test_both_centers_by_default(self, capsys):
         code, out, _ = run(capsys, "ball", "--d", "2", "--radius", "1.5")
         assert code == 0
-        assert len(json.loads(out)["rows"]) == 2
+        assert len(strict_json(out)["rows"]) == 2
 
 
 @pytest.mark.parametrize("argv", [("bounds-table", "--n-min", "2", "--n-max", "4"),
@@ -302,7 +350,7 @@ class TestBoundsTableCommand:
         path = tmp_path / "rows.json"
         argv = ("bounds-table", "--n-min", "2", "--n-max", "4", "--format", "json")
         code, out, _ = run(capsys, *argv)
-        assert code == 0 and json.loads(out)["kind"] == "bounds"
+        assert code == 0 and strict_json(out)["kind"] == "bounds"
         assert run(capsys, *argv, "--out", str(path))[0] == 0
         assert out == path.read_text()
 
@@ -316,19 +364,29 @@ class TestBoundsTableCommand:
         code, _, err = run(capsys, "bounds-table", "--n-min", "5", "--n-max", "2")
         assert code == 2
 
+    @pytest.mark.parametrize("eps", ["nan", "5", "0", "inf"])
+    @pytest.mark.parametrize("n_max", ["2", "3"])
+    def test_eps_checked_without_certificates(self, capsys, eps, n_max):
+        # at n = 2 no certificate checks eps, yet the row reports a conjecture
+        # target at eps (NaN for --eps nan, which is not JSON)
+        code, out, err = run(capsys, "bounds-table", "--n-min", "2", "--n-max", n_max,
+                             "--eps", eps, "--format", "json")
+        assert (code, out) == (2, "")
+        assert err == f"error: eps must lie in (0, 1], got {float(eps)}\n"
+
 
 class TestEstimateCommand:
     def test_n2(self, capsys):
         code, out, _ = run(capsys, "estimate", "--n", "2", "--seed", "7")
         assert code == 0
-        doc = json.loads(out)
+        doc = strict_json(out)
         assert 1.546 <= doc["q_hat"] <= 1.549
         assert doc["witness"]["valid"] is True
 
     def test_probe_trace_on_stderr_only(self, capsys):
         code, out, err = run(capsys, "estimate", "--n", "3", "--seed", "7", "--starts", "6")
         assert code == 0
-        assert sorted(json.loads(out)) == ["empirical_c", "n", "q_hat", "t_hat", "witness"]
+        assert sorted(strict_json(out)) == ["empirical_c", "n", "q_hat", "t_hat", "witness"]
         lines = err.splitlines()
         assert len(lines) > 1
         pattern = (r"probe q=\S+ ratio=\S+ err=\S+ fired=[01] start=[0-5] agreeing=[1-6]/6"
@@ -364,9 +422,8 @@ def test_selftest_times_only_on_stderr(capsys, monkeypatch, tmp_path):
     results = acceptance.run_all(acceptance.DEFAULT_SEED)
     capsys.readouterr()
     assert out == "".join(r.line() + "\n" for r in results)
-    acceptance.write_report(results, acceptance.DEFAULT_SEED, tmp_path / "direct.json")
-    assert ((tmp_path / "cli" / "selftest_results.json").read_bytes()
-            == (tmp_path / "direct.json").read_bytes())
+    direct = acceptance.report_document(results, acceptance.DEFAULT_SEED) + "\n"
+    assert (tmp_path / "cli" / "selftest_results.json").read_bytes() == direct.encode()
 
 
 def test_read_function_round_trip(tmp_path):

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from energylab import continuum
 from energylab.continuum import (BECKNER_L4_POW4, GaussianSpec, QuadratureError,
                                  gaussian_l4hat, gaussian_lq, gaussian_ratio,
                                  quadrature_l4hat, quadrature_lq_pow,
@@ -67,11 +68,6 @@ class TestQuadrature:
         closed = 0.5 * (math.pi * a) ** 1.5
         assert quadrature_l4hat(GaussianSpec(a)) == pytest.approx(closed, rel=1e-8)
 
-    def test_l4hat_explicit_grid(self):
-        # truncation 12, step 1e-3 reproduces the closed form at A = 1
-        got = quadrature_l4hat(GaussianSpec(1.0), truncation=12.0, step=1e-3)
-        assert got == pytest.approx(math.pi ** 1.5 / 2, rel=1e-8)
-
     def test_l4hat_collapse_target(self):
         assert quadrature_l4hat(GaussianSpec(1 / math.pi)) == pytest.approx(0.5, rel=1e-8)
 
@@ -81,13 +77,16 @@ class TestQuadrature:
                 closed = (math.pi * a / q) ** 0.5
                 assert quadrature_lq_pow(GaussianSpec(a), q) == pytest.approx(closed, rel=1e-8)
 
-    def test_nonconvergence_flagged(self):
-        with pytest.raises(QuadratureError):
-            quadrature_l4hat(GaussianSpec(1.0), truncation=6.0, step=1.5, rel_tol=1e-12)
-
-    def test_bad_grid_rejected(self):
-        with pytest.raises(ValueError):
-            quadrature_l4hat(GaussianSpec(1.0), truncation=-1.0, step=0.1)
+    def test_nonconvergence_flagged(self, monkeypatch):
+        # a negative tolerance is exceeded by any two refinements, equal ones included
+        monkeypatch.setattr(continuum, "QUADRATURE_REL_TOL", -1.0)
+        with pytest.raises(QuadratureError, match="l4hat quadrature did not converge"):
+            quadrature_l4hat(GaussianSpec(1.0))
+        with pytest.raises(QuadratureError, match="lq quadrature did not converge"):
+            quadrature_lq_pow(GaussianSpec(1.0), 1.5)
+        monkeypatch.setattr(continuum, "TRUNCATED_REL_TOL", -1.0)
+        with pytest.raises(QuadratureError, match="truncated l4hat quadrature"):
+            truncated_gaussian_l4hat_pow4(4.0, 5)
 
 
 class TestTruncated:

@@ -66,10 +66,27 @@ class TestDiscreteFunction:
         with pytest.raises(TypeError):
             hash(DiscreteFunction(0, (1.0,)))
 
+    @pytest.mark.parametrize("bad", [1.5, -1.9, 1.7, math.nan, math.inf, "3", None, True,
+                                     np.True_])
+    def test_non_integral_offset_rejected(self, bad):
+        # an offset is read as the integer it equals, never truncated
+        with pytest.raises(ValueError, match=r"^offset .* is not an integer$"):
+            DiscreteFunction(bad, [1.0])
+
+    def test_integral_offsets_read_as_ints(self):
+        for offset, expected in ((1.0, 1), (-3.0, -3), (np.int64(4), 4), (10 ** 30, 10 ** 30)):
+            f = DiscreteFunction(offset, [0.0, 1.0])
+            assert f.offset == expected + 1 and type(f.offset) is int
+
     def test_indicator_and_support(self):
         f = indicator(1, -1, 0, 1)
         assert f.offset == -1 and f.values.tolist() == [1.0, 1.0, 1.0]
         assert DiscreteFunction.indicator([]).is_zero
+
+    def test_indicator_rejects_non_integral_points(self):
+        assert indicator(2.0, 0) == indicator(0, 2)
+        with pytest.raises(ValueError, match="support point 1.5 is not an integer"):
+            indicator(0, 1.5)
 
 
 class TestNorms:

@@ -8,7 +8,7 @@ from energylab import experiments
 from energylab.discrete_core import CapExceededError, energy_bruteforce, energy_of_set
 from energylab.experiments import (BALL_CSV_COLUMNS, BOUNDS_CSV_COLUMNS,
                                    ball_energy_experiment, ball_lattice_set, bounds_row,
-                                   bounds_table, write_manifest, write_results)
+                                   bounds_table, manifest_document, results_document)
 
 
 class TestBoundsTable:
@@ -57,6 +57,13 @@ class TestBoundsTable:
         assert row.empirical_t is not None
         assert row.empirical_t == pytest.approx(math.log2(6), abs=5e-3)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("eps", [math.nan, 5.0, 0.0, -0.5, math.inf])
+    def test_eps_checked_at_every_n(self, n, eps):
+        # n = 2 builds no certificate, but its row still reports a target at eps
+        with pytest.raises(ValueError, match=r"eps must lie in \(0, 1\], got"):
+            bounds_row(n, eps=eps)
+
     def test_certificate_errors_propagate(self, monkeypatch):
         def broken(n, eps=None):
             raise RuntimeError("perturbation certificate failed")
@@ -89,13 +96,21 @@ class TestBallSets:
         ball = ball_lattice_set(3, 2.0, (10.0, -4.0, 0.5))
         assert all(0 <= c < ball.side for p in ball.points for c in p)
 
-    def test_point_cap(self):
-        with pytest.raises(CapExceededError):
-            ball_lattice_set(2, 300.0, (0.0, 0.0), point_cap=1000)
+    def test_point_cap(self, monkeypatch):
+        monkeypatch.setattr(experiments, "BALL_POINT_CAP", 1000)
+        with pytest.raises(CapExceededError, match="exceed"):
+            ball_lattice_set(2, 300.0, (0.0, 0.0))
+        with pytest.raises(CapExceededError, match="points exceed cap 1000"):
+            ball_energy_experiment([2], [18.0], center=(0.0, 0.0))  # 1009 points
+        assert ball_lattice_set(2, 17.5, (0.0, 0.0)).size == 973
 
-    def test_side_cap(self):
+    def test_side_cap(self, monkeypatch):
         with pytest.raises(CapExceededError):
             ball_lattice_set(1, 1e7, (0.0,))
+        monkeypatch.setattr(experiments, "BALL_SIDE_CAP", 10)
+        with pytest.raises(CapExceededError, match="bounding side 11 exceeds cap 10"):
+            ball_lattice_set(2, 5.0, (0.0, 0.0))
+        assert ball_lattice_set(2, 4.5, (0.0, 0.0)).side == 9
 
 
 class TestBallExperiment:
@@ -112,69 +127,56 @@ class TestBallExperiment:
 
 
 class TestSerialization:
-    def test_json_round_trip(self, tmp_path):
+    def test_json_round_trip(self):
         rows = bounds_table([2, 3])
-        path = tmp_path / "bounds.json"
-        write_results(rows, path, format="json")
-        with open(path) as fh:
-            doc = json.load(fh)
+        doc = json.loads(results_document(rows, "bounds", "json"))
         assert doc == {"kind": "bounds", "rows": [dataclasses.asdict(r) for r in rows]}
 
-    def test_ball_round_trip(self, tmp_path):
+    def test_ball_round_trip(self):
         rows = ball_energy_experiment([2], [1.5])
-        path = tmp_path / "ball.json"
-        write_results(rows, path, format="json")
-        with open(path) as fh:
-            doc = json.load(fh)
+        doc = json.loads(results_document(rows, "ball", "json"))
         assert doc["kind"] == "ball"
         # JSON has no tuples: the center comes back as a list
         back = [{**d, "center": tuple(d["center"])} for d in doc["rows"]]
         assert back == [dataclasses.asdict(r) for r in rows]
 
-    def test_csv_golden(self, tmp_path):
+    def test_csv_golden(self):
         rows = bounds_table([2, 3])
-        path = tmp_path / "bounds.csv"
-        write_results(rows, path, format="csv")
-        lines = path.read_text().splitlines()
+        lines = results_document(rows, "bounds", "csv").splitlines()
         assert lines[0] == "n,trivial_lower,perturbation_lower,gaussian_lower,asymptotic_target,empirical_t,reference"
         assert lines[1] == "2,2.58496250072,2.58496250072,,2.62255624892,,2.58496250072"
         assert lines[2] == "3,2.68014385925,2.68014385925,2.64278926071,2.76185950714,,"
         assert len(lines) == 3
 
-    def test_empty_rows_header_only(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        write_results([], path, format="csv", kind="ball")
-        assert path.read_text().splitlines() == [",".join(BALL_CSV_COLUMNS)]
-        jpath = tmp_path / "empty.json"
-        write_results([], jpath, format="json", kind="bounds")
-        assert json.loads(jpath.read_text()) == {"kind": "bounds", "rows": []}
+    def test_empty_rows_header_only(self):
+        assert results_document([], "ball", "csv").splitlines() == [",".join(BALL_CSV_COLUMNS)]
+        assert json.loads(results_document([], "bounds", "json")) == {"kind": "bounds",
+                                                                     "rows": []}
 
     def test_csv_columns_complete(self):
         assert BOUNDS_CSV_COLUMNS == ("n", "trivial_lower", "perturbation_lower",
                                       "gaussian_lower", "asymptotic_target",
                                       "empirical_t", "reference")
 
-    def test_bad_format_rejected(self, tmp_path):
+    def test_bad_format_rejected(self):
         with pytest.raises(ValueError):
-            write_results([], tmp_path / "x", format="xml")
+            results_document([], "bounds", "xml")
+        with pytest.raises(ValueError):
+            results_document([], "table", "json")
 
 
 class TestManifest:
-    def test_fields(self, tmp_path):
-        path = tmp_path / "manifest.json"
-        write_manifest({"command": "bounds-table", "n_min": 2}, seed=7,
-                       tool_version="0.1.0", path=path)
-        doc = json.loads(path.read_text())
+    def test_fields(self):
+        doc = json.loads(manifest_document({"command": "bounds-table", "n_min": 2}, seed=7,
+                                           tool_version="0.1.0"))
         assert set(doc) == {"tool_version", "seed", "config"}
         assert doc["seed"] == 7 and doc["config"]["n_min"] == 2
 
-    def test_source_date_epoch(self, tmp_path, monkeypatch):
-        # no timestamp: two writes with no environment set are identical,
+    def test_source_date_epoch(self, monkeypatch):
+        # no timestamp: two documents with no environment set are identical,
         # and SOURCE_DATE_EPOCH changes nothing
         monkeypatch.delenv("SOURCE_DATE_EPOCH", raising=False)
-        a, b, c = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "c.json"
-        write_manifest({}, 1, "0.1.0", a)
-        write_manifest({}, 1, "0.1.0", b)
+        a = manifest_document({}, 1, "0.1.0")
+        b = manifest_document({}, 1, "0.1.0")
         monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
-        write_manifest({}, 1, "0.1.0", c)
-        assert a.read_bytes() == b.read_bytes() == c.read_bytes()
+        assert a == b == manifest_document({}, 1, "0.1.0")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -7,8 +8,9 @@ import pytest
 from energylab import certificates, discrete_core, optimizer
 from energylab.certificates import revalidate_certificate
 from energylab.discrete_core import DiscreteFunction, ratio_report
-from energylab.optimizer import (STEP_INIT, OptimizerConfig, estimate_qn, maximize_ratio,
-                                 _ascend_rows, _objective_rows, _pow4_rows, _start_rows)
+from energylab.optimizer import (ASCENT_TOL, MAX_ITERS, STEP_INIT, OptimizerConfig, estimate_qn,
+                                 maximize_ratio, _ascend_rows, _initial_rows, _objective_rows,
+                                 _pow4_rows)
 
 
 def _ratio(res):
@@ -90,7 +92,7 @@ class TestObjective:
         n = 5
         starts = [np.zeros(n), np.array([1.0, np.nan, 0, 0, 0]), -np.ones(n), np.ones(n)]
         monkeypatch.setattr(optimizer, "_canonical_starts", lambda _: [s.copy() for s in starts])
-        X0 = _start_rows(OptimizerConfig(n=n, q=1.5, starts=4, seed=9))
+        X0 = _initial_rows(OptimizerConfig(n=n, q=1.5, starts=4, seed=9))
         for sid in range(3):
             assert np.array_equal(X0[sid], np.random.default_rng([9, sid, 1]).random(n) + 1e-6)
         assert np.array_equal(X0[3], np.ones(n))
@@ -110,7 +112,7 @@ class TestObjective:
     @pytest.mark.parametrize("n", [2, 3, 8, 16, 33])
     def test_batch_independence(self, n):
         # each chain run alone ends where it ends inside the 16-row batch, bit for bit
-        X0 = _start_rows(OptimizerConfig(n=n, q=1.45, seed=3))
+        X0 = _initial_rows(OptimizerConfig(n=n, q=1.45, seed=3))
         assert X0.shape == (16, n)
         X, values, iters, _, _ = _ascend_rows(X0, 1.45, 5000, 1e-12)
         for sid in range(16):
@@ -257,51 +259,30 @@ class TestMaximize:
         assert a == b  # bit-for-bit, including the function values
 
     def test_start_rows_default(self):
-        # start_rows=None means _start_rows(config); rows are the final iterates
+        # without a previous result the chains start from _initial_rows(config)
+        # at STEP_INIT each; rows and steps are their final iterates and steps
         cfg = OptimizerConfig(n=5, q=1.5, starts=6, seed=2)
         res = maximize_ratio(cfg)
-        assert maximize_ratio(cfg, _start_rows(cfg)) == res
+        X, _, _, steps, _ = _ascend_rows(_initial_rows(cfg), 1.5, MAX_ITERS, ASCENT_TOL,
+                                         np.full(6, STEP_INIT))
+        assert np.array_equal(res.rows, X) and np.array_equal(res.steps, steps)
         assert res.rows.shape == (6, 5) and not res.rows.flags.writeable
         assert res.steps.shape == (6,) and not res.steps.flags.writeable
-        assert maximize_ratio(cfg, None, np.full(6, STEP_INIT)) == res
         assert np.array_equal(res.rows[res.start_id], res.certificate.f.values)
         assert np.all(res.rows.max(axis=1) == 1.0)
 
-    @pytest.mark.parametrize("case, match", [
-        ("rows", "shape"), ("columns", "shape"), ("flat", "shape"), ("nan", "nonnegative"),
-        ("inf", "nonnegative"), ("negative", "nonnegative"), ("zero_row", "positive maximum")])
+    @pytest.mark.parametrize("case, match", [("rows", "shape"), ("columns", "shape"),
+                                             ("flat", "shape")])
     def test_start_rows_rejected(self, case, match):
-        cfg = OptimizerConfig(n=5, q=1.5, starts=4, seed=2)
-        rows = _start_rows(cfg)
-
-        def with_row(values):
-            bad = rows.copy()
-            bad[2] = values
-            return bad
-
-        bad = {"rows": rows[:3], "columns": rows[:, :4], "flat": rows.ravel(),
-               "nan": with_row([1.0, np.nan, 0, 0, 0]), "inf": with_row([1.0, np.inf, 0, 0, 0]),
-               "negative": with_row([1.0, -1e-300, 0, 0, 0]), "zero_row": with_row(0.0)}[case]
-        with pytest.raises(ValueError, match=match):
-            maximize_ratio(cfg, bad)
-
-    @pytest.mark.parametrize("case", ["short", "long", "column", "nan", "inf", "zero",
-                                      "negative"])
-    def test_start_steps_rejected(self, case):
-        cfg = OptimizerConfig(n=5, q=1.5, starts=4, seed=2)
-        steps = np.full(4, STEP_INIT)
-
-        def with_step(value):
-            bad = steps.copy()
-            bad[2] = value
-            return bad
-
-        bad = {"short": steps[:3], "long": np.full(5, STEP_INIT), "column": steps[:, None],
-               "nan": with_step(np.nan), "inf": with_step(np.inf), "zero": with_step(0.0),
-               "negative": with_step(-1e-300)}[case]
-        match = "shape" if case in ("short", "long", "column") else "finite and positive"
-        with pytest.raises(ValueError, match=match):
-            maximize_ratio(cfg, None, bad)
+        # a previous result warm-starts only a config with its n and its starts
+        previous = maximize_ratio(OptimizerConfig(n=5, q=1.5, starts=4, seed=2))
+        cfg = {"rows": OptimizerConfig(n=5, q=1.45, starts=5, seed=2),
+               "columns": OptimizerConfig(n=6, q=1.45, starts=4, seed=2),
+               "flat": OptimizerConfig(n=5, q=1.45, starts=4, seed=2)}[case]
+        if case == "flat":
+            previous = dataclasses.replace(previous, rows=previous.rows.ravel())
+        with pytest.raises(ValueError, match=f"previous rows must have {match}"):
+            maximize_ratio(cfg, previous)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -345,8 +326,8 @@ class TestEstimate:
             calls.append(args)
             return norm_pair(*args)
 
-        def recording_maximize(config, start_rows=None, start_steps=None):
-            res = maximize(config, start_rows, start_steps)
+        def recording_maximize(config, previous=None):
+            res = maximize(config, previous)
             probes.append(res)
             return res
 
@@ -371,8 +352,8 @@ class TestEstimate:
         results = []
         maximize = optimizer.maximize_ratio
 
-        def recording_maximize(config, start_rows=None, start_steps=None):
-            results.append((config.q, maximize(config, start_rows, start_steps)))
+        def recording_maximize(config, previous=None):
+            results.append((config.q, maximize(config, previous)))
             return results[-1][1]
 
         monkeypatch.setattr(optimizer, "maximize_ratio", recording_maximize)
@@ -389,13 +370,13 @@ class TestEstimate:
 
     def test_one_start_rows_per_estimate(self, monkeypatch):
         calls = []
-        start_rows = optimizer._start_rows
+        initial_rows = optimizer._initial_rows
 
-        def counting_start_rows(config):
+        def counting_initial_rows(config):
             calls.append(config)
-            return start_rows(config)
+            return initial_rows(config)
 
-        monkeypatch.setattr(optimizer, "_start_rows", counting_start_rows)
+        monkeypatch.setattr(optimizer, "_initial_rows", counting_initial_rows)
         est = estimate_qn(8, seed=1)
         assert len(est.probes) > 1
         assert [c.q for c in calls] == [2.0]
@@ -403,24 +384,21 @@ class TestEstimate:
     @pytest.mark.parametrize("n", [3, 8, 16])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_warm_start_matches_fresh_start(self, monkeypatch, n, seed):
-        # every probe after the first starts from the previous probe's rows and
-        # steps; a fresh start at the same q fires alike and ends no higher, up
-        # to 1e-10
+        # every probe after the first starts from the previous probe's result;
+        # a fresh start at the same q fires alike and ends no higher, up to 1e-10
         runs = []
         maximize = optimizer.maximize_ratio
 
-        def recording_maximize(config, start_rows=None, start_steps=None):
-            runs.append((config, start_rows, start_steps,
-                         maximize(config, start_rows, start_steps)))
-            return runs[-1][3]
+        def recording_maximize(config, previous=None):
+            runs.append((config, previous, maximize(config, previous)))
+            return runs[-1][2]
 
         monkeypatch.setattr(optimizer, "maximize_ratio", recording_maximize)
         estimate_qn(n, seed=seed)
-        assert runs[0][1] is None and runs[0][2] is None and len(runs) > 1
-        for (_, _, _, before), (_, start_rows, start_steps, _) in zip(runs, runs[1:]):
-            assert start_rows is before.rows
-            assert np.array_equal(start_steps, np.maximum(before.steps, STEP_INIT))
-        for config, _, _, warm in runs[1:]:
+        assert runs[0][1] is None and len(runs) > 1
+        for (_, _, before), (_, previous, _) in zip(runs, runs[1:]):
+            assert previous is before
+        for config, _, warm in runs[1:]:
             fresh = maximize(config)
             assert warm.certificate.valid == fresh.certificate.valid
             best = [_objective_rows(res.rows, config.q)[0].max() for res in (warm, fresh)]
@@ -429,16 +407,22 @@ class TestEstimate:
     def test_steps_carried_floored(self, monkeypatch):
         # later probes start at the previous probe's steps floored at STEP_INIT:
         # in this run some carried steps are floored and some kept above it
-        runs = []
-        maximize = optimizer.maximize_ratio
+        received, results = [], []
+        ascend, maximize = optimizer._ascend_rows, optimizer.maximize_ratio
 
-        def recording_maximize(config, start_rows=None, start_steps=None):
-            runs.append((start_steps, maximize(config, start_rows, start_steps)))
-            return runs[-1][1]
+        def recording_ascend(X0, q, max_iters, tol, steps=None):
+            received.append(steps)
+            return ascend(X0, q, max_iters, tol, steps)
 
+        def recording_maximize(config, previous=None):
+            results.append(maximize(config, previous))
+            return results[-1]
+
+        monkeypatch.setattr(optimizer, "_ascend_rows", recording_ascend)
         monkeypatch.setattr(optimizer, "maximize_ratio", recording_maximize)
         estimate_qn(3, seed=7)
-        carried = [(before.steps, steps) for (_, before), (steps, _) in zip(runs, runs[1:])]
+        assert received[0] is None and len(received) == len(results) > 1
+        carried = [(before.steps, steps) for before, steps in zip(results, received[1:])]
         assert all(np.array_equal(steps, np.maximum(prev, STEP_INIT)) for prev, steps in carried)
         assert any(np.any(prev < STEP_INIT) for prev, _ in carried)
         assert any(np.any(steps > STEP_INIT) for _, steps in carried)
