@@ -95,10 +95,10 @@ def read_function_file(path: str) -> discrete_core.DiscreteFunction:
         raise InputError(f"{path}: expected an object with 'offset' and 'values'")
     values = doc["values"]
     # bool is a subclass of int, so the types are compared exactly
-    if not isinstance(values, list) or not all(type(v) in (int, float, str) for v in values):
+    if not isinstance(values, list) or not set(map(type, values)) <= {int, float, str}:
         raise InputError(f"{path}: 'values' must be an array of numbers or numeric strings")
     try:
-        vals = [float(v) for v in values]
+        vals = list(map(float, values))
     except (ValueError, OverflowError) as exc:
         raise InputError(f"{path}: 'values': {exc}") from None
     try:

@@ -58,6 +58,9 @@ class CapExceededError(RuntimeError):
 # runs before the pack buffers are allocated.
 _PACK_BITS_CAP = 1 << 25
 QUADRUPLE_CAP = 64  # largest support of the O(m^3) quadruple-sum oracle
+# Fewest terms that _exact_sum extracts with numpy: below it math.fsum over a
+# list is faster (measured crossover about 400-600 terms on a 2-vCPU Xeon).
+_EXACT_SUM_MIN = 512
 BRUTEFORCE_CAP = 300  # most points of the brute-force energy oracle
 TENSOR_CAP = 2_000_000  # most points |A|^d of a tensor power
 
@@ -77,8 +80,6 @@ class DiscreteFunction:
     values: np.ndarray = ()
 
     def __post_init__(self):
-        if isinstance(self.offset, (bool, np.bool_)):
-            raise ValueError(f"offset {self.offset!r} is not an integer")
         offset = _integral(self.offset, "offset")
         try:
             arr = np.asarray(self.values, dtype=np.float64)
@@ -172,6 +173,44 @@ def _autoconvolve(x):
     return c, e, delta
 
 
+def _exact_sum(r) -> float:
+    """math.fsum(r), bit for bit, for a float64 array r of nonnegative finite
+    terms: their exact sum rounded once.  r is overwritten.
+
+    Error-free extraction (Rump, Ogita and Oishi, SIAM J. Sci. Comput. 31
+    (2008), Algorithm 3.2).  Each pass takes sigma = 2^(E + b) with
+    max|r| < 2^E and 2^b > m + 2, splits every term into q = fl(fl(sigma +
+    r) - sigma), a multiple of ulp(sigma)/2 = 2^-53 sigma (or of 2^-1074),
+    and r - q, which is exact (the rounding error of sigma + r), and keeps
+    the remainder as the next r.  Every |q| <= max|r| + 2^-53 sigma, so
+    every partial sum of the q is such a multiple of magnitude below sigma:
+    it holds in 53 bits, and np.sum adds the q exactly in any order.  The
+    remainder is signed, hence max|r|; it is at most 2^-53 sigma, so each
+    pass lowers E by at least 52 - b, and once sigma <= 2^-1022 the
+    additions are exact (their grid is 2^-1074), q = r and the remainder is
+    zero.  math.fsum then rounds the exact total of the few pass sums once,
+    as it would have rounded the total of r.  Fewer than _EXACT_SUM_MIN
+    terms, or a sigma beyond float64 range, go to math.fsum directly.
+    """
+    m = len(r)
+    if m < _EXACT_SUM_MIN:
+        return math.fsum(r.tolist())
+    shift = (m + 2).bit_length()
+    top = float(r.max())
+    if math.frexp(top)[1] + shift > sys.float_info.max_exp - 1:
+        return math.fsum(r.tolist())
+    q = np.empty_like(r)
+    parts = []
+    while top:
+        sigma = math.ldexp(1.0, math.frexp(top)[1] + shift)
+        np.add(r, sigma, out=q)
+        q -= sigma
+        r -= q
+        parts.append(float(q.sum()))
+        top = max(float(r.max()), -float(r.min()))
+    return math.fsum(parts)
+
+
 # ---------------------------------------------------------------------------
 # Norms with rounding bounds
 # ---------------------------------------------------------------------------
@@ -182,12 +221,13 @@ def lq_norm_with_error(f: DiscreteFunction, q: float):
 
     y = f 2^-e, e = _pow2_exponent(f.values), is an exact power-of-two
     prescale with max|y| in [1, 2), so no power overflows (q <= 512) and
-    T = fsum(|y|^q) exceeds 1/2.  x = T ** fl(1/q).  With u = 2^-53 the unit
-    roundoff and S = sum |y|^q the true sum, term by term:
+    T = _exact_sum(|y|^q) exceeds 1/2.  x = T ** fl(1/q).  With u = 2^-53
+    the unit roundoff and S = sum |y|^q the true sum, term by term:
 
     - power: np.power is taken to be within 4 ulps, 8u;
-    - sum: math.fsum returns the exact sum of the nonnegative float64 terms
-      rounded once, u (Shewchuk, Discrete Comput. Geom. 18 (1997));
+    - sum: _exact_sum adds the nonnegative float64 terms exactly by
+      error-free extraction and rounds the exact sum once with math.fsum,
+      u (Shewchuk, Discrete Comput. Geom. 18 (1997));
 
     so T = S (1 + s) with |s| <= sigma = 9u (1 + 2^-40), and s contributes
     (1+s)^(1/q) - 1 <= sigma / (q (1 - sigma)) to the root.  The factor
@@ -211,7 +251,7 @@ def lq_norm_with_error(f: DiscreteFunction, q: float):
     if f.is_zero:
         return 0.0, 0, 0.0
     e = _pow2_exponent(f.values)
-    total = math.fsum(np.power(np.abs(np.ldexp(f.values, -e)), q))
+    total = _exact_sum(np.power(np.abs(np.ldexp(f.values, -e)), q))
     u = FLOAT64_EPS / 2.0
     sigma = 9.0 * u * (1.0 + 2.0 ** -40)
     rel = (sigma / (q * (1.0 - sigma)) + (abs(math.log(total)) / q + 8.0) * u) * (1.0 + 2.0 ** -40)
@@ -317,8 +357,8 @@ def fourier_l4_pow4_with_error(f: DiscreteFunction):
     is one float64 FFT autoconvolution of y with a proved bound
     delta >= max_s |c(s) - (y*y)(s)| (Percival 2003, stated in
     _autoconvolve).  Then |sum c^2 - sum (y*y)^2| <= 2 delta ||c||_1 +
-    (2m-1) delta^2, and the squares and the compensated sum t = fsum(c^2)
-    add a rounding each.
+    (2m-1) delta^2, and the squares and the sum t = _exact_sum(c^2), the
+    exact sum of the rounded squares rounded once, add a rounding each.
     """
     if f.is_zero:
         return 0.0, 0, 0.0
@@ -329,9 +369,10 @@ def fourier_l4_pow4_with_error(f: DiscreteFunction):
         num, den = _pow4_exact(f.values).as_integer_ratio()
         return (num << max(-k, 0)) / (den << max(k, 0)), k, u
     c, e, delta = _autoconvolve(f.values)
-    total = math.fsum(c * c)  # >= 1: sum (y*y)^2 >= ||y||_2^4 >= max|y|^4
     # a float64 sum of 2m-1 nonnegative terms is within 2m u of the exact sum
     l1 = float(np.sum(np.abs(c))) * (1.0 + 2 * m * u)
+    # c is squared in place: >= 1, as sum (y*y)^2 >= ||y||_2^4 >= max|y|^4
+    total = _exact_sum(np.square(c, out=c))
     abs_err = 2.0 * delta * l1 + (2 * m - 1) * delta * delta + 2.0 * u * total
     return total, 4 * e, abs_err / total * (1.0 + 2.0 ** -40)
 
@@ -440,8 +481,8 @@ def ratio_report(f: DiscreteFunction, q: float) -> RatioReport:
 def _int_array(values: list) -> np.ndarray:
     """A flat list of integers as an int64 array, or as Python ints in an
     object array when some value does not fit in int64.  A value equal to
-    an integer, such as 1.0, is read as that integer; any other value
-    raises ValueError naming the first one."""
+    an integer, such as 1.0, is read as that integer; any other value, a
+    bool included, raises ValueError naming the first one."""
     if set(map(type, values)) - {int}:
         values = list(map(_integral, values))
     try:
@@ -451,8 +492,9 @@ def _int_array(values: list) -> np.ndarray:
 
 
 def _integral(v, what: str = "coordinate") -> int:
+    """v as the int it equals; a bool, though equal to 0 or 1, is refused."""
     try:
-        if int(v) == v:
+        if int(v) == v and not isinstance(v, (bool, np.bool_)):
             return int(v)
     except (TypeError, ValueError, OverflowError):  # None, "x", nan, inf
         pass
@@ -464,9 +506,9 @@ class LatticeSet:
     """Finite set of d-dimensional integer points inside a side-n cube.
 
     points may be any iterable of length-d integer sequences or a (k, d)
-    array; a coordinate that is not an integer (1.0 is one, 0.5 is not)
-    raises ValueError.  It is range-checked as one array and stored as a
-    read-only C-contiguous (k, d) array of its distinct rows in
+    array; a coordinate that is not an integer (1.0 is one, 0.5 and True
+    are not) raises ValueError.  It is range-checked as one array and
+    stored as a read-only C-contiguous (k, d) array of its distinct rows in
     colexicographic order (the last coordinate most significant): int64, or
     Python ints in an object array when some coordinate does not fit.  For
     any base b > n - 1 the keys sum_i p_i b^i are then strictly increasing,

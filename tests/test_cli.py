@@ -248,12 +248,19 @@ class TestCertifyCommand:
 
 # SHA-256 of stdout, recorded before the exact ||f^||_4^4 kernel packed and
 # unpacked with numpy; every certificate, norm report and estimate must stay
-# byte-identical.  "norms" reads the seeded signed 256-value file.
+# byte-identical.  "norms" reads a seeded signed file, of 256 values or of
+# the length given after --f.  The support-3941 certificate and the
+# 4096-value norms, recorded before the norm sums left math.fsum, pin the
+# FFT side of the precision cap.
 GOLDEN_STDOUT = {
     "certify perturbation --n 300":
         "e6e5af6af38693d94c9769d32e535d1303d4a1369fea517bfe015ae8cc4a95e2",
     "certify gaussian --n 401 --eps 0.5":
         "4fb01963d1e223edb34253d662984e39dec824cef96a06ccf1bd818ddb6ba7de",
+    "certify gaussian --n 4097 --eps 0.5":
+        "2a4d67c8598d5db65c38701b080d17df30ecfb0134ab51ba0e2d477f6743c175",
+    "norms --f 4096 --q 1.3333333333333333 --format json":
+        "dfd76c0c38e0be18721ac6ea44d7744aa48d44af45954eab3294c00ac367a19a",
     "norms --q 1.3333333333333333 --format json":
         "627841d29d37dbdef96e2bec15bf4707382af26927d47471e0929186005fac5a",
     "estimate --n 8 --seed 0":
@@ -265,10 +272,14 @@ GOLDEN_STDOUT = {
 def test_golden_stdout(capsys, tmp_path, command):
     argv = command.split()
     if argv[0] == "norms":
-        path = tmp_path / "signed256.json"
-        values = np.random.default_rng(0).standard_normal(256).tolist()
+        if "--f" not in argv:
+            argv[1:1] = ["--f", "256"]
+        at = argv.index("--f") + 1
+        size = int(argv[at])
+        path = tmp_path / f"signed{size}.json"
+        values = np.random.default_rng(0).standard_normal(size).tolist()
         path.write_text(json.dumps({"offset": 0, "values": values}))
-        argv[1:1] = ["--f", str(path)]
+        argv[at] = str(path)
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[command]

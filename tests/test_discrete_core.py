@@ -379,6 +379,19 @@ class TestEnergies:
                                              r"is not an integer"):
             make()
 
+    @pytest.mark.parametrize("make", [
+        lambda: LatticeSet.from_values([True, False]),
+        lambda: LatticeSet(1, 2, [(np.True_,)]),
+        lambda: LatticeSet(2, 2, np.array([[True, False]])),
+        lambda: LatticeSet.from_values(np.array([False, True])),
+        lambda: DiscreteFunction.indicator([True]),
+    ], ids=["list", "numpy-scalar", "bool-array", "from_values-array", "indicator"])
+    def test_bool_coordinates_rejected(self, make):
+        # bool is an int subclass equal to 0 or 1, but it is not a coordinate
+        with pytest.raises(ValueError, match=r"^(coordinate|support point) "
+                                             r"(np\.)?(True|False)_? is not an integer$"):
+            make()
+
     def test_lattice_reads_integral_values_as_ints(self):
         big = 2 ** 70
         assert LatticeSet(2, 3, [(1.0, 2)]).points.tolist() == [[1, 2]]

@@ -1,9 +1,10 @@
 """Property tests: the exact ||f^||_4^4 kernel against the quadruple-sum
 oracle and against the per-value, per-slot loop kernel kept here as a
 reference (equal value and type), the FFT kernel above the precision cap
-against the exact one, the float64 lq norm against a 300-bit oracle, FFT
-lattice energies against the sorted pair-sum count and both against the
-brute-force oracle, the canonical point array of lattice sets, scale
+against the exact one, the exact vectorized sum against math.fsum bit for
+bit, the float64 lq norm against a 300-bit oracle, FFT lattice energies
+against the sorted pair-sum count and both against the brute-force
+oracle, the canonical point array of lattice sets, scale
 invariance of the ratio report, certificate JSON round trips, and the
 optimizer's row-wise FFT energy and gradient against np.convolve and
 finite differences."""
@@ -186,6 +187,54 @@ def test_exact_pow4_cap_matches_reference(values):
             for kernel in (reference_pow4_exact, _pow4_exact):
                 with pytest.raises(discrete_core.CapExceededError) if raises else nullcontext():
                     kernel(values)
+
+
+# Nonnegative terms for _exact_sum: any float up to 2^1012 (so no sum of the
+# at most 2^10 terms drawn below overflows), subnormals, and 2^k, its
+# neighbours and its ties, spread over more than 2000 bits of exponent.
+POWERS = st.integers(-1022, 1011).map(lambda k: math.ldexp(1.0, k))
+SUM_TERMS = st.one_of(
+    st.floats(0.0, 2.0 ** 1012), SUBNORMALS.map(abs), POWERS,
+    POWERS.map(lambda x: math.nextafter(x, 0.0)), POWERS.map(lambda x: math.nextafter(x, 1.0)),
+    POWERS.map(lambda x: x * (1.0 + 2.0 ** -52)), POWERS.map(lambda x: x * 2.0 ** -53))
+
+
+@st.composite
+def sum_arrays(draw):
+    """Up to twice _EXACT_SUM_MIN terms, either drawn from a few SUM_TERMS or
+    a tie: 2^k (1 + j 2^-52) plus half its ulp, cut into 2^s equal pieces
+    among zeros, whose sum rounds to the even neighbour unless a term 2^-far
+    times smaller tips it upwards."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    m = draw(st.integers(0, 2 * discrete_core._EXACT_SUM_MIN))
+    if draw(st.booleans()):
+        return rng.choice(np.array(draw(st.lists(SUM_TERMS, min_size=1, max_size=6))), m)
+    k, j, s = draw(st.integers(-960, 1000)), draw(st.integers(0, 3)), draw(st.integers(0, 10))
+    far = draw(st.sampled_from([None, 60, 150]))
+    head = [math.ldexp(1.0 + j * 2.0 ** -52, k)] + [math.ldexp(1.0, k - 53 - s)] * 2 ** s
+    if far:
+        head.append(math.ldexp(1.0, k - far))
+    return rng.permutation(np.array(head + [0.0] * max(m - len(head), 0)))
+
+
+@settings(max_examples=300, deadline=None)
+@example(terms=np.zeros(0), through_extraction=False)
+@example(terms=np.zeros(600), through_extraction=False)
+@example(terms=np.array([2.0 ** 1000] + [2.0 ** -1074] * 600), through_extraction=False)
+@example(terms=np.array([1.0] + [2.0 ** -62] * 512), through_extraction=False)  # tie, down
+@example(terms=np.array([1.0 + 2.0 ** -52] + [2.0 ** -62] * 512), through_extraction=False)
+@example(terms=np.array([1.0] + [2.0 ** -62] * 512 + [2.0 ** -200]),  # tie tipped up
+         through_extraction=False)
+@example(terms=np.array([3.0]), through_extraction=True)
+@given(terms=sum_arrays(), through_extraction=st.booleans())
+def test_exact_sum_is_fsum(terms, through_extraction):
+    # through_extraction sends arrays of any length through the extraction
+    expected = math.fsum(terms.tolist()).hex()
+    permuted = np.random.default_rng(len(terms)).permutation(terms)
+    with (mock.patch.object(discrete_core, "_EXACT_SUM_MIN", 1) if through_extraction
+          else nullcontext()):
+        assert discrete_core._exact_sum(terms.copy()).hex() == expected
+        assert discrete_core._exact_sum(permuted).hex() == expected
 
 
 def assert_lq_within_own_bound(f, q):
