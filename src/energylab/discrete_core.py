@@ -5,10 +5,13 @@ starts from exact inputs and its bound covers only the arithmetic done.
 The L4 norm of the Fourier transform is always evaluated through the
 autoconvolution identity  ||f^||_4^4 = ||f*f||_2^2 = sum_s (f*f)(s)^2,
 which for an indicator function 1_A reduces to the additive energy E(A).
-Both norms are evaluated in float64 on the values' exact power-of-two
-prescale y = f 2^-e, max|y| in [1, 2), and returned as a scaled value, e
-and a relative bound for the arithmetic done; sharing e, the two sides of a
+Both norms have one evaluation path at every support: float64 on the
+values' exact power-of-two prescale y = f 2^-e, max|y| in [1, 2), with
+f*f one FFT autoconvolution, each returned as a scaled value, e and a
+relative bound for the arithmetic done; sharing e, the two sides of a
 norm comparison are compared without leaving float64 range (_norm_pair).
+Only fourier_l4_pow4 on integer-valued f, which no certificate uses,
+returns the exact integer instead.
 Energies of lattice sets are counted exactly in arbitrary precision via the
 representation function r(s) = #{(a,b) in A^2 : a+b = s}.
 """
@@ -21,10 +24,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-
-# Support length above which ||f^||_4^4 is one float64 FFT autoconvolution
-# with a proved bound instead of the exact big-integer one.
-HP_SUPPORT_CAP = 2048
 
 FLOAT64_EPS = 2.0 ** -52
 
@@ -48,14 +47,9 @@ class CapExceededError(RuntimeError):
     """Input larger than the configured safety cap."""
 
 
-# Largest packed operand of the exact autoconvolution, in bits.  Float64
-# values at the precision cap (support 2048) pack into at most ~8.6e6 bits
-# (exponent spread 2^-1074..2^1024); only integer-valued input above the cap,
-# which fourier_l4_pow4 still sums exactly, can need more.  It also bounds
-# the support at 2^20 (32 m bits at least beyond that), which keeps the
-# unpacking's uint16-limb Gram entries, sums of 2m-1 products below 2^32,
-# under 2^53: exact in float64 and, summed k at a time, in int64.  The check
-# runs before the pack buffers are allocated.
+# Largest packed operand of _pow4_int, the exact autoconvolution of
+# integer-valued functions, in bits: 4 MiB per operand, so its square and
+# unpacking stay a few times that.  The check runs before the packing.
 _PACK_BITS_CAP = 1 << 25
 QUADRUPLE_CAP = 64  # largest support of the O(m^3) quadruple-sum oracle
 # Fewest terms that _exact_sum extracts with numpy: below it math.fsum over a
@@ -263,86 +257,30 @@ def lq_norm(f: DiscreteFunction, q: float) -> float:
     return float(np.ldexp(x, e))
 
 
-def _integer_scaled(values):
-    """(index, negative, mant, e, exp) for the nonzero values[index]:
-    |values[index]| == mant * 2**(e - 53) exactly, with mant the 53-bit
-    integer significand (int64 in [2^52, 2^53)), e the frexp exponent and
-    negative the signs.
+def _pow4_int(values) -> int:
+    """sum_s (f*f)(s)^2, exactly, for a nonzero integer-valued float64 array.
 
-    exp = min(0, the lowest set-bit exponent of any value), so every
-    a = mant * 2**(e - 53 - exp) is an integer, of bit length e - exp; a
-    negative power only drops trailing zero bits of mant.
+    Kronecker substitution: the integers a_i, of at most b bits, go into
+    slot i of w bytes of X = P - N, where P holds the positive a_i and N the
+    negative ones' magnitudes.  Then X^2 = sum_s c(s) 2^(8ws) with c = a*a,
+    and |c(s)| < m 2^(2b) <= 2^(8w-2) for w = ceil((2b + bit_length(m) + 2)/8),
+    so adding the bias B = 2^(8w-1) to every slot leaves each digit
+    c(s) + B in [0, 2^(8w)): no slot borrows from the next.
     """
-    index = values.nonzero()[0]
-    frac, e = np.frexp(values[index])
-    signed = np.ldexp(frac, 53).astype(np.int64)
-    # signed & -signed is 2^z for z trailing zero bits; its frexp exponent is z + 1
-    low = np.frexp(signed & -signed)[1]
-    exp = min(0, int(np.minimum.reduce(e + low)) - 54)
-    return index, np.signbit(frac), np.abs(signed), e, exp
-
-
-def _pow4_exact(values):
-    """sum_s (f*f)(s)^2 for a nonzero float64 array, exactly, as an int or
-    Fraction.
-
-    Kronecker substitution: the values, scaled to integers a_i = |f_i| 2^-exp
-    of at most b bits (_integer_scaled), are packed into X = P - N, where P
-    holds the positive a_i and N the negative ones' magnitudes, each in slot
-    i of w bits: X = sum sign_i a_i 2^(w i).  Then X^2 = sum_s c(s) 2^(w s)
-    with c = a*a signed, and |c(s)| < m 2^(2b), so w >= 2b + bit_length(m) + 2
-    leaves headroom below 2^(w-1).
-
-    Packing: each a_i is one 64-bit word, mant << (o mod 8), written at byte
-    o // 8 for its bit offset o, into a buffer whose rows carry 8 spare bytes
-    on each side of the slot, so no two words overlap and no value needs a
-    Python step.  mant's lowest bit lands e - 53 - exp >= -52 bits into the
-    slot; any bits before the slot are trailing zeros of mant, which the
-    left spare bytes take.
-
-    Unpacking: adding the bias B = 2^(w-1) to every slot makes each slot of
-    Z = X^2 + sum_s B 2^(w s) the digit u_s = c(s) + B in [0, 2^w), so no
-    slot borrows from the next.  Z's bytes, read as a (2m-1, k) array L of
-    uint16 limbs (the last limb of an odd-byte slot padded with a zero
-    byte), give c(s) = sum_j L_sj 2^(16 j) - B, so B is taken off the last
-    limb's column, and sum_s c(s)^2 = sum_jl (L^T L)_jl 2^(16 (j + l)): the
-    Gram matrix of the limbs, summed along its 2k-1 anti-diagonals.  Each
-    Gram entry sums 2m-1 products of magnitude below 2^32.  The pack cap
-    keeps m <= 2^20 (a larger m needs w >= 32 and 32 m > _PACK_BITS_CAP), so
-    every entry and every partial sum is an integer of magnitude below 2^53
-    (2^44 up to support 2048): float64 and BLAS hold it exactly in any
-    summation order, and the k-term anti-diagonal sums fit in int64.
-    """
-    index, negative, mant, e, exp = _integer_scaled(values)
-    m = len(values)
-    width = (2 * (int(np.maximum.reduce(e)) - exp) + m.bit_length() + 2 + 7) // 8
-    if 8 * width * m > _PACK_BITS_CAP:
-        raise CapExceededError(
-            f"exact autoconvolution would pack {8 * width * m} bits, cap {_PACK_BITS_CAP}")
-    row = width + 16
-    buf = np.zeros(2 * m * row, dtype=np.uint8)  # P's m rows, then N's
-    # bit offset of mant: 64 spare bits, then e - 53 - exp into its slot
-    at = (index + m * negative) * (8 * row) + (e + (11 - exp))
-    words = np.ndarray(len(buf) - 7, "<i8", buf, 0, (1,))  # words[o] = buf[o:o+8], unaligned
-    byte, bit = np.divmod(at, 8)
-    words[byte] = mant << bit
-    packed = memoryview(buf.reshape(2, m, row)[:, :, 8:8 + width].tobytes())
-    x = int.from_bytes(packed[:m * width], "little") - int.from_bytes(packed[m * width:], "little")
-    terms, k = 2 * m - 1, (width + 1) // 2
-    bias = int.from_bytes((bytes(width - 1) + b"\x80") * terms, "little")
-    z = np.frombuffer((x * x + bias).to_bytes(width * terms, "little"), dtype=np.uint8)
-    limbs = np.zeros((terms, 2 * k), dtype=np.uint8)
-    limbs[:, :width] = z.reshape(terms, width)
-    limbs = limbs.view("<u2").astype(np.float64)
-    limbs[:, -1] -= 1 << 8 * width - 16 * k + 15  # B on the last limb's scale
-    gram = np.zeros((k, 2 * k), dtype=np.int64)
-    gram[:, :k] = limbs.T @ limbs
-    # row j shifted right by j: column d sums the anti-diagonal j + l = d
-    diagonals = gram.ravel()[:k * (2 * k - 1)].reshape(k, 2 * k - 1).sum(axis=0)
-    total = sum(v << 16 * d for d, v in enumerate(diagonals.tolist()))
-    if exp >= 0:
-        return total << 4 * exp
-    return Fraction(total, 1 << -4 * exp)
+    ints = [int(v) for v in values.tolist()]
+    m = len(ints)
+    w = (2 * max(map(abs, ints)).bit_length() + m.bit_length() + 2 + 7) // 8
+    if 8 * w * m > _PACK_BITS_CAP:
+        raise CapExceededError(f"exact autoconvolution would pack {8 * w * m} bits, "
+                               f"cap {_PACK_BITS_CAP}")
+    zero = bytes(w)
+    pos = b"".join(a.to_bytes(w, "little") if a > 0 else zero for a in ints)
+    neg = b"".join((-a).to_bytes(w, "little") if a < 0 else zero for a in ints)
+    x = int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+    terms, bias = 2 * m - 1, 1 << 8 * w - 1
+    biased = x * x + int.from_bytes((zero[1:] + b"\x80") * terms, "little")
+    z = biased.to_bytes(w * terms, "little")
+    return sum((int.from_bytes(z[i:i + w], "little") - bias) ** 2 for i in range(0, len(z), w))
 
 
 def fourier_l4_pow4_with_error(f: DiscreteFunction):
@@ -351,23 +289,17 @@ def fourier_l4_pow4_with_error(f: DiscreteFunction):
     k = 4e for the exact power-of-two prescale y = f 2^-e of
     _pow2_exponent, with max|y| in [1, 2), so t approximates
     sum (y*y)^2 >= ||y||_2^4 >= 1 and no scale overflows or underflows.
-    Up to support HP_SUPPORT_CAP the sum is computed exactly (_pow4_exact)
-    and t is its quotient by 2^k, one int/int true division, which Python
-    rounds correctly: rel = u = 2^-53.  Above it, c = _autoconvolve(values)
-    is one float64 FFT autoconvolution of y with a proved bound
-    delta >= max_s |c(s) - (y*y)(s)| (Percival 2003, stated in
-    _autoconvolve).  Then |sum c^2 - sum (y*y)^2| <= 2 delta ||c||_1 +
-    (2m-1) delta^2, and the squares and the sum t = _exact_sum(c^2), the
-    exact sum of the rounded squares rounded once, add a rounding each.
+    c = _autoconvolve(values) is one float64 FFT autoconvolution of y with a
+    proved bound delta >= max_s |c(s) - (y*y)(s)| (Percival 2003, stated in
+    _autoconvolve), at every support.  Then |sum c^2 - sum (y*y)^2| <=
+    2 delta ||c||_1 + (2m-1) delta^2, and the squares and the sum
+    t = _exact_sum(c^2), the exact sum of the rounded squares rounded once,
+    add a rounding each.
     """
     if f.is_zero:
         return 0.0, 0, 0.0
     m = len(f.values)
     u = FLOAT64_EPS / 2.0
-    if m <= HP_SUPPORT_CAP:
-        k = 4 * _pow2_exponent(f.values)
-        num, den = _pow4_exact(f.values).as_integer_ratio()
-        return (num << max(-k, 0)) / (den << max(k, 0)), k, u
     c, e, delta = _autoconvolve(f.values)
     # a float64 sum of 2m-1 nonnegative terms is within 2m u of the exact sum
     l1 = float(np.sum(np.abs(c))) * (1.0 + 2 * m * u)
@@ -380,14 +312,14 @@ def fourier_l4_pow4_with_error(f: DiscreteFunction):
 def fourier_l4_pow4(f: DiscreteFunction):
     """||f^||_4^4 via the autoconvolution identity.
 
-    Returns the exact int when every value is an integer (an indicator 1_A
-    gives its energy E(A)), the float t 2^k of fourier_l4_pow4_with_error
-    otherwise.
+    Returns the exact int of _pow4_int when every value is an integer (an
+    indicator 1_A gives its energy E(A)), the float t 2^k of
+    fourier_l4_pow4_with_error otherwise.
     """
     if f.is_zero:
         return 0
     if np.array_equal(np.trunc(f.values), f.values):
-        return _pow4_exact(f.values)
+        return _pow4_int(f.values)
     t, k, _ = fourier_l4_pow4_with_error(f)
     return float(np.ldexp(t, k))
 

@@ -246,25 +246,25 @@ class TestCertifyCommand:
         assert path.read_text() == expected
 
 
-# SHA-256 of stdout, recorded before the exact ||f^||_4^4 kernel packed and
-# unpacked with numpy; every certificate, norm report and estimate must stay
+# SHA-256 of stdout; every certificate, norm report and estimate must stay
 # byte-identical.  "norms" reads a seeded signed file, of 256 values or of
 # the length given after --f.  The support-3941 certificate and the
-# 4096-value norms, recorded before the norm sums left math.fsum, pin the
-# FFT side of the precision cap.
+# 4096-value norms were recorded before the norm sums left math.fsum; the
+# other four when supports up to 2048 moved from an exact ||f^||_4^4 to the
+# FFT, which changed their err alone.
 GOLDEN_STDOUT = {
     "certify perturbation --n 300":
-        "e6e5af6af38693d94c9769d32e535d1303d4a1369fea517bfe015ae8cc4a95e2",
+        "9c09afb48533960ae2711dedd9d9816c8eda8e0b2b7ca2560fbd720f81fd9c7d",
     "certify gaussian --n 401 --eps 0.5":
-        "4fb01963d1e223edb34253d662984e39dec824cef96a06ccf1bd818ddb6ba7de",
+        "ac0524ec6806c3f9d3f1df939713db5bda06d2ed7e959049de8e48dd7ccdca4b",
     "certify gaussian --n 4097 --eps 0.5":
         "2a4d67c8598d5db65c38701b080d17df30ecfb0134ab51ba0e2d477f6743c175",
     "norms --f 4096 --q 1.3333333333333333 --format json":
         "dfd76c0c38e0be18721ac6ea44d7744aa48d44af45954eab3294c00ac367a19a",
     "norms --q 1.3333333333333333 --format json":
-        "627841d29d37dbdef96e2bec15bf4707382af26927d47471e0929186005fac5a",
+        "3c83cebcace22eeb8891443a9646974a5947bea620a7e26cef524213889e1115",
     "estimate --n 8 --seed 0":
-        "89674a2ca885b407c2442a5113684fd518fdc0f131b92fcb55154a533d8fa90f",
+        "7fb5ade2d758199ac21e65f845d11d282cd4450d0fca992d2901a945f7e3ef46",
 }
 
 
@@ -283,6 +283,19 @@ def test_golden_stdout(capsys, tmp_path, command):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[command]
+
+
+def test_certified_norms_never_use_integer_kernel(capsys, monkeypatch):
+    # every norm behind a ratio or certificate is the FFT one, even on
+    # integer-valued input, which only fourier_l4_pow4 sums exactly
+    def refuse(values):
+        raise AssertionError("integer pow4 kernel reached")
+
+    monkeypatch.setattr(discrete_core, "_pow4_int", refuse)
+    rep = discrete_core.ratio_report(discrete_core.DiscreteFunction(0, (2.0, -1.0, 3.0)), 1.5)
+    assert rep.ratio > 0
+    code, out, _ = run(capsys, "certify", "gaussian", "--n", "401", "--eps", "0.5")
+    assert code == 0 and strict_json(out)["valid"] is True
 
 
 def test_certify_independent_of_blas_threads():

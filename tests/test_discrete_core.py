@@ -411,14 +411,3 @@ class TestTrivialBound:
     def test_invalid_n(self):
         with pytest.raises(ValueError):
             trivial_lower_bound(1)
-
-
-def test_float_path_matches_extended_precision(monkeypatch):
-    # the two norm regimes must agree far beyond their error bounds
-    rng = np.random.default_rng(9)
-    f = DiscreteFunction(0, tuple(float(v) for v in rng.random(600) + 0.1))
-    hp = ratio_report(f, 1.6)
-    monkeypatch.setattr(discrete_core, "HP_SUPPORT_CAP", 100)
-    fl = ratio_report(f, 1.6)
-    assert fl.ratio == pytest.approx(hp.ratio, rel=1e-12)
-    assert fl.err < 1e-9 and hp.err < fl.err

@@ -1,12 +1,12 @@
-"""Property tests: the exact ||f^||_4^4 kernel against the quadruple-sum
-oracle and against the per-value, per-slot loop kernel kept here as a
-reference (equal value and type), the FFT kernel above the precision cap
-against the exact one, the exact vectorized sum against math.fsum bit for
-bit, the float64 lq norm against a 300-bit oracle, FFT lattice energies
-against the sorted pair-sum count and both against the brute-force
-oracle, the canonical point array of lattice sets, scale
-invariance of the ratio report, certificate JSON round trips, and the
-optimizer's row-wise FFT energy and gradient against np.convolve and
+"""Property tests: the FFT ||f^||_4^4 within its own bound of the
+quadruple-sum oracle and of the per-value, per-slot loop kernel kept here
+as the exact reference, the integer kernel equal to both (value and type),
+the certified ratio against the exact reference, the exact vectorized sum
+against math.fsum bit for bit, the float64 lq norm against a 300-bit
+oracle, FFT lattice energies against the sorted pair-sum count and both
+against the brute-force oracle, the canonical point array of lattice sets,
+scale invariance of the ratio report, certificate JSON round trips, and
+the optimizer's row-wise FFT energy and gradient against np.convolve and
 finite differences."""
 
 import json
@@ -28,7 +28,7 @@ from energylab.certificates import (Certificate, GaussianScheduleParams,
                                     build_perturbation_certificate, certificate_from_dict,
                                     certificate_json, certificate_to_dict, revalidate_certificate)
 from energylab.discrete_core import (DiscreteFunction, LatticeSet, _autoconvolve,
-                                     _energy_fft, _energy_sorted, _lattice_keys, _pow4_exact,
+                                     _energy_fft, _energy_sorted, _lattice_keys, _pow4_int,
                                      energy_bruteforce, energy_interval_formula, energy_of_set,
                                      fourier_l4_pow4, fourier_l4_pow4_quadruple,
                                      fourier_l4_pow4_with_error, lq_norm_with_error,
@@ -53,17 +53,6 @@ def values_of(scalars):
     return st.lists(scalars, min_size=1, max_size=40)
 
 
-def float_path():
-    """Every support above the precision cap: the float64 FFT regime."""
-    return mock.patch.object(discrete_core, "HP_SUPPORT_CAP", 0)
-
-
-def assert_within_own_bound(f):
-    t, k, rel = fourier_l4_pow4_with_error(f)
-    exact = Fraction(_pow4_exact(f.values))
-    assert abs(scaled_fraction(t, k) - exact) <= Fraction(rel) * exact
-
-
 @settings(max_examples=100, deadline=None)
 # 39 * 31^2 > 2^15 = 2^(2b + bit_length(m) - 1): slots without headroom would overflow
 @example(offset=0, values=[31.0] * 39)
@@ -77,16 +66,15 @@ def test_exact_pow4_matches_quadruple_oracle(offset, values):
     if f.is_zero:
         return
     oracle = fourier_l4_pow4_quadruple(f)
-    assert _pow4_exact(f.values) == oracle
     if all(v.is_integer() for v in values):
         assert fourier_l4_pow4(f) == oracle
     t, k, rel = fourier_l4_pow4_with_error(f)
     assert abs(scaled_fraction(t, k) - oracle) <= Fraction(rel) * oracle
 
 
-# The loop kernel, one Python step per value and per slot, kept as the
-# reference for _pow4_exact, which must return the same int or Fraction on
-# every input.
+# The loop kernel, one Python step per value and per slot: the exact oracle
+# for the FFT kernel's bound at any support, and the reference for _pow4_int,
+# which must return the same int on every integer-valued input.
 def reference_integer_scaled(values):
     """(ints, exp) with values[i] == ints[i] * 2**exp exactly."""
     parts = []
@@ -134,28 +122,34 @@ def reference_pow4_exact(values):
     return Fraction(total, 1 << -4 * exp)
 
 
+def assert_within_own_bound(f):
+    t, k, rel = fourier_l4_pow4_with_error(f)
+    exact = Fraction(reference_pow4_exact(f.values))
+    assert abs(scaled_fraction(t, k) - exact) <= Fraction(rel) * exact
+
+
 def assert_pow4_matches_reference(values):
     values = np.asarray(values, dtype=np.float64)
     expected = reference_pow4_exact(values)
-    got = _pow4_exact(values)
-    assert type(got) is type(expected) and got == expected
+    got = _pow4_int(values)
+    assert type(got) is int and got == expected
 
 
 # every float64 at or above 2^53 is an integer; these reach 2^1023
 BIG_INTEGER_FLOATS = st.builds(lambda x, sign: sign * x,
                                st.floats(2.0 ** 53, 1.7e308), st.sampled_from([1.0, -1.0]))
+INTEGERS = st.one_of(INTEGER_FLOATS, BIG_INTEGER_FLOATS)
 
 
 @settings(max_examples=300, deadline=None)
 @example(values=[0.0, 1.0, 0.0, -0.0, 3.0, 0.0])
-@example(values=[-5e-324, -1e300, -1.0])
+@example(values=[-1.0, -1e300, -1.0])
 @example(values=[2.0 ** 53, -(2.0 ** 1023), 1.0])
-@example(values=[1.5] * 40)
+@example(values=[-(2.0 ** 53)] * 40)
 @given(values=st.one_of(
-    values_of(FLOATS), values_of(INTEGER_FLOATS), values_of(SUBNORMALS), values_of(MIXED),
-    values_of(BIG_INTEGER_FLOATS),
-    values_of(st.one_of(MIXED, st.just(0.0), st.just(-0.0))),  # zeros inside the support
-    values_of(MIXED.map(lambda v: -abs(v)))))  # every value negative (or zero)
+    values_of(INTEGER_FLOATS), values_of(BIG_INTEGER_FLOATS), values_of(INTEGERS),
+    values_of(st.one_of(INTEGERS, st.just(0.0), st.just(-0.0))),  # zeros inside the support
+    values_of(INTEGERS.map(lambda v: -abs(v)))))  # every value negative (or zero)
 def test_exact_pow4_matches_reference(values):
     assume(any(values))
     assert_pow4_matches_reference(values)
@@ -164,19 +158,22 @@ def test_exact_pow4_matches_reference(values):
 @pytest.mark.parametrize("m", [1, 2, 2047, 2048])
 @pytest.mark.parametrize("kind", ["normal", "wide", "integer"])
 def test_exact_pow4_reference_fixed_cases(m, kind):
+    # the FFT kernel at every kind, the integer kernel where it applies
     rng = np.random.default_rng(m)
     values = {"normal": lambda: rng.standard_normal(m),
               "wide": lambda: rng.standard_normal(m) * 2.0 ** rng.integers(-60, 61, m),
               "integer": lambda: rng.integers(-2 ** 40, 2 ** 40, m).astype(np.float64)}[kind]()
-    assert_pow4_matches_reference(values)
+    assert_within_own_bound(DiscreteFunction(0, values))
+    if kind == "integer":
+        assert_pow4_matches_reference(values)
 
 
 @pytest.mark.parametrize("eps", [Fraction(1, 2 ** j) for j in range(1, 21)])
 def test_exact_pow4_reference_perturbed_indicator(eps):
-    assert_pow4_matches_reference(build_perturbation_certificate(300, float(eps)).f.values)
+    assert_within_own_bound(build_perturbation_certificate(300, float(eps)).f)
 
 
-@pytest.mark.parametrize("values", [[1.0] * 40, [1e300, -1e-300, 3.0], [5e-324, 1.0]])
+@pytest.mark.parametrize("values", [[1.0] * 40, [1e300, -3.0, 3.0], [-(2.0 ** 53), 0.0, 1.0]])
 def test_exact_pow4_cap_matches_reference(values):
     # both kernels raise exactly when the pack would exceed the cap
     values = np.asarray(values)
@@ -184,7 +181,7 @@ def test_exact_pow4_cap_matches_reference(values):
                                .bit_length() + len(values).bit_length() + 2 + 7) // 8)
     for cap, raises in ((bits, False), (bits - 1, True)):
         with mock.patch.object(discrete_core, "_PACK_BITS_CAP", cap):
-            for kernel in (reference_pow4_exact, _pow4_exact):
+            for kernel in (reference_pow4_exact, _pow4_int):
                 with pytest.raises(discrete_core.CapExceededError) if raises else nullcontext():
                     kernel(values)
 
@@ -278,7 +275,6 @@ def test_lq_bound_does_not_grow_with_support():
     # depends on the support m, through ln T <= ln m here (max f = 1)
     f = _sampled_gaussian(GaussianScheduleParams.from_n_eps(30001, 0.5))
     m, q = len(f.values), 1.5
-    assert m > discrete_core.HP_SUPPORT_CAP
     _, _, rel = lq_norm_with_error(f, q)
     _, _, rel_small = lq_norm_with_error(DiscreteFunction(0, (1.0, 0.5, 0.25)), q)
     assert rel < 1e-13
@@ -286,17 +282,16 @@ def test_lq_bound_does_not_grow_with_support():
 
 
 @settings(max_examples=100, deadline=None)
-@example(ks=[1, 1], e=-1074, q=1.5, float_regime=False)  # both norms round to 2 * 2^-1074
-@example(ks=[1, 1], e=-1063, q=1.5, float_regime=False)  # values near 1e-320
-@example(ks=[1, 1], e=1000, q=1.0, float_regime=True)  # squares overflow unscaled
-@example(ks=[3, 1], e=-540, q=1.5, float_regime=True)  # squares underflow unscaled
+@example(ks=[1, 1], e=-1074, q=1.5)  # both norms round to 2 * 2^-1074
+@example(ks=[1, 1], e=-1063, q=1.5)  # values near 1e-320
+@example(ks=[1, 1], e=1000, q=1.0)  # squares overflow unscaled
+@example(ks=[3, 1], e=-540, q=1.5)  # squares underflow unscaled
 @given(ks=st.lists(st.integers(1, 15), min_size=1, max_size=12),
-       e=st.integers(-1074, 1000), q=st.floats(1.0, 3.0), float_regime=st.booleans())
-def test_ratio_report_scale_invariant(ks, e, q, float_regime):
+       e=st.integers(-1074, 1000), q=st.floats(1.0, 3.0))
+def test_ratio_report_scale_invariant(ks, e, q):
     # k * 2^e is exact in float64, so both functions have the same true ratio
-    with float_path() if float_regime else nullcontext():
-        base = ratio_report(DiscreteFunction(0, tuple(ks)), q)
-        scaled = ratio_report(DiscreteFunction(0, tuple(math.ldexp(k, e) for k in ks)), q)
+    base = ratio_report(DiscreteFunction(0, tuple(ks)), q)
+    scaled = ratio_report(DiscreteFunction(0, tuple(math.ldexp(k, e) for k in ks)), q)
     bound = (base.err + scaled.err) * base.ratio / (1.0 - base.err)
     assert abs(scaled.ratio - base.ratio) <= bound
 
@@ -357,8 +352,7 @@ def test_fft_pow4_within_its_bound(values):
     f = DiscreteFunction(0, values)
     if f.is_zero:
         return
-    with float_path():
-        assert_within_own_bound(f)
+    assert_within_own_bound(f)
 
 
 @pytest.mark.parametrize("m", [2049, 4096])
@@ -376,8 +370,21 @@ def test_fft_pow4_fixed_cases(m, kind):
 
 def test_fft_pow4_gaussian_witness():
     f = _sampled_gaussian(GaussianScheduleParams.from_n_eps(20001, 0.51))
-    assert len(f.values) > discrete_core.HP_SUPPORT_CAP
     assert_within_own_bound(f)
+
+
+def test_float_path_matches_extended_precision():
+    # the certified ratio against one from the exact pow4 and a 200-bit lq sum
+    rng = np.random.default_rng(9)
+    f = DiscreteFunction(0, tuple(float(v) for v in rng.random(600) + 0.1))
+    rep = ratio_report(f, 1.6)
+    with mp.workprec(200):
+        pow4 = reference_pow4_exact(f.values)
+        l4hat = (mp.mpf(pow4.numerator) / pow4.denominator) ** mp.mpf(0.25)
+        q = mp.mpf(1.6)
+        lq = mp.fsum(mp.mpf(v) ** q for v in f.values.tolist()) ** (1 / q)
+        assert abs(rep.ratio - l4hat / lq) <= mp.mpf(rep.err) * l4hat / lq
+    assert rep.err < 1e-13
 
 
 def percival_delta(y) -> mp.mpf:
