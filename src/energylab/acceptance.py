@@ -312,14 +312,4 @@ def report_document(results, seed: int) -> str:
         "criteria": [{"number": r.number, "name": r.name, "passed": r.passed,
                       "details": r.details} for r in results],
     }
-    return json.dumps(doc, indent=2, default=_json_default)
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, tuple):
-        return list(obj)
-    raise TypeError(f"not JSON serializable: {type(obj)!r}")
+    return json.dumps(doc, indent=2)

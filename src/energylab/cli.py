@@ -282,10 +282,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, discrete_core.CapExceededError, OSError) as exc:
+    except (InputError, ValueError, discrete_core.CapExceededError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

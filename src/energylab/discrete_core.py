@@ -29,8 +29,9 @@ FLOAT64_EPS = 2.0 ** -52
 
 # Longest key span of the FFT energy path: its transforms then hold at most
 # 2^22 entries (32 MiB each).  Sparser sets (large dimension) and sets of
-# fewer than 64 points sort and count their pair sums instead, in blocks of at
-# most _SORT_BLOCK sums (32 MiB of int64).
+# fewer than 64 points sort and count their pair sums instead, one range of
+# sum values at a time, each range holding at most _SORT_BLOCK pairs (32 MiB
+# of int64) or |A| if that is more.
 _FFT_SPAN_CAP = 1 << 21
 _SORT_BLOCK = 1 << 22
 
@@ -524,7 +525,7 @@ def energy_of_set(A: LatticeSet) -> int:
     counts the pairs with each sum vector.  Dense sets of at least 64 points
     go through one FFT autoconvolution of the indicator of their keys; sparse
     ones, whose key span exceeds _FFT_SPAN_CAP or |A|^2, and small ones sort
-    and count the pair sums.
+    and count the pair sums one range of sum values at a time.
     """
     if not A.size:
         return 0
@@ -567,65 +568,63 @@ def _energy_fft(keys):
     return int(np.dot(r, r))
 
 
-def _distinct_counts(sorted_sums, weights):
-    """(distinct values, total weight of each) of a sorted array; weights
-    is one weight per entry, or one weight for every entry."""
-    starts = np.flatnonzero(np.concatenate(([True], sorted_sums[1:] != sorted_sums[:-1])))
-    if np.ndim(weights):
-        counts = np.add.reduceat(weights, starts)
-    else:
-        counts = np.diff(np.append(starts, sorted_sums.size))
-        counts *= weights
-    return sorted_sums[starts], counts
-
-
-def _merge_counts(parts):
-    """One (distinct values, counts) pair for a list of them.  It empties
-    the list, and each input is freed once it is no longer needed."""
-    if len(parts) == 1:
-        return parts.pop()
-    sums = np.concatenate([s for s, _ in parts])
-    counts = np.concatenate([c for _, c in parts])
-    parts.clear()
-    order = np.argsort(sums, kind="stable")  # merges the sorted runs
-    sums = sums[order]
-    counts = counts[order]
-    del order
-    return _distinct_counts(sums, counts)
-
-
 def _energy_sorted(keys) -> int:
     """E(A) = sum_s r(s)^2 from the increasing keys K of A, by sorting their
-    pair sums.
+    pair sums one range of sum values at a time.
 
-    r(s) = 2c(s) + [s in 2K], where c(s) counts the pairs i < j with
-    keys[i] + keys[j] = s.  Those sums are written row by row into one
-    buffer of at most max(_SORT_BLOCK, |A|) entries; whenever the next row
-    does not fit, the buffer is sorted in place and reduced to its distinct
-    sums with twice their counts.  The doubled keys enter once each.  The
-    reduced blocks are merged whenever they hold _SORT_BLOCK more entries
-    than the last merge left, so memory stays O(_SORT_BLOCK + |A+A|).
-    Object keys (Python ints) go through the same code.
+    Each range [lo, hi) takes the largest hi that leaves at most
+    max(_SORT_BLOCK, |A|) pairs i <= j with keys[i] + keys[j] in it, found by
+    bisection on the sum value; no sum has more than |A| such pairs, so every
+    range is nonempty.  Row i's partners in the range are the j >= i between
+    two searchsorted bounds.  Ranges are disjoint, so their sums of r^2
+    simply add, and memory stays O(_SORT_BLOCK + |A|).  Object keys (Python
+    ints) go through the same code.
     """
     m = len(keys)
-    parts = [(2 * keys, np.ones(m, dtype=np.int64))]
-    held, merged = m, 0
-    buf = np.empty(min(max(_SORT_BLOCK, m), m * (m - 1) // 2), dtype=keys.dtype)
-    pos = 0
-    for i in range(m):
-        row = m - 1 - i  # the sums keys[i] + keys[j], j > i; none in the last row
-        if pos and (row == 0 or pos + row > buf.size):
-            block = buf[:pos]
-            block.sort()
-            parts.append(_distinct_counts(block, 2))
-            held += parts[-1][0].size
-            pos = 0
-            if held > merged + _SORT_BLOCK:
-                parts = [_merge_counts(parts)]
-                held = merged = parts[0][0].size
-        np.add(keys[i], keys[i + 1:], out=buf[pos:pos + row])
-        pos += row
-    r = _merge_counts(parts)[1]
+    block = max(_SORT_BLOCK, m)
+    doubled = 2 * keys
+
+    def past(x, first):  # row i's first partner j >= first[i] with sum >= x
+        return np.maximum(np.searchsorted(keys, x - keys), first)
+
+    energy = 0
+    lo, top = int(doubled[0]), int(doubled[-1]) + 1
+    first = np.arange(m)  # row i's first partner with sum >= lo
+    while lo < top:
+        hi = bad = top
+        if int((past(top, first) - first).sum()) > block:
+            hi = lo + 1
+            while bad - hi > 1:
+                mid = (hi + bad) // 2
+                if int((past(mid, first) - first).sum()) <= block:
+                    hi = mid
+                else:
+                    bad = mid
+        last = past(hi, first)
+        d0, d1 = np.searchsorted(doubled, (lo, hi))
+        energy += _range_energy(keys, first, last, doubled[d0:d1])
+        lo, first = hi, last
+    return energy
+
+
+def _range_energy(keys, first, last, twice) -> int:
+    """sum_s r(s)^2 over one range of sum values, whose pairs i <= j are
+    keys[i] + keys[j] for first[i] <= j < last[i] and whose doubled keys are
+    twice.  The sums are gathered, sorted in place and counted in runs:
+    r(s) = 2 run(s) - [s in twice]."""
+    counts = last - first
+    cols = np.repeat(first - (np.cumsum(counts) - counts), counts)  # j less the pair's index
+    cols += np.arange(cols.size)
+    sums = keys[cols]
+    del cols
+    sums += np.repeat(keys, counts)
+    sums.sort()
+    runs = np.flatnonzero(np.concatenate(([True], sums[1:] != sums[:-1], [True])))
+    diagonal = np.searchsorted(runs, np.searchsorted(sums, twice))
+    del sums
+    r = np.diff(runs)
+    r *= 2
+    r[diagonal] -= 1
     # E(A) <= |A|^3 < 2^63 below 2^21 points (2^42 pair sums): int64 holds it
     return int(np.dot(r, r))
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -277,7 +278,7 @@ class TestEnergies:
             assert energy_of_set(A) == energy_bruteforce(A)
 
     @pytest.mark.parametrize("pad", [0, 16], ids=["int64", "object"])
-    def test_sorted_blocks_merge(self, monkeypatch, pad):
+    def test_sorted_ranges(self, monkeypatch, pad):
         # {0, 1, 3}^4, padded to 20 coordinates in a side-13 cube for object keys
         base = LatticeSet.from_values([0, 1, 3])
         cube = tensor_power(base, 4)
@@ -286,9 +287,35 @@ class TestEnergies:
         assert (keys.dtype == object) == (pad > 0)
         want = energy_of_set(base) ** 4
         assert _energy_sorted(keys) == want
-        # one key per row block, and a merge after every second block
+        # at most 3|A|/2 of the 3321 pairs per range: dozens of ranges, each
+        # end found by bisection
         monkeypatch.setattr(discrete_core, "_SORT_BLOCK", 3 * len(keys) // 2)
         assert _energy_sorted(keys) == want
+
+    def test_sorted_range_of_one_popular_sum(self, monkeypatch):
+        # 2 * 50 is the sum of 51 pairs i <= j of {0..100}, about |A|/2, while a
+        # range holds at most |A| = 101 pairs
+        monkeypatch.setattr(discrete_core, "_SORT_BLOCK", 1)
+        keys = _lattice_keys(LatticeSet.from_range(101))
+        assert _energy_sorted(keys) == energy_interval_formula(101)
+
+    def test_sorted_memory_is_per_range(self, monkeypatch):
+        # 2000 points of {0..12}^10 have about 2M pairs, nearly all with
+        # distinct sums; holding every distinct sum at once (as a merge of
+        # sorted blocks does) takes tens of MiB, while ranges of 2^16 pairs
+        # need a few arrays of that length
+        block = 1 << 16
+        monkeypatch.setattr(discrete_core, "_SORT_BLOCK", block)
+        A = LatticeSet(10, 13, np.random.default_rng(5).integers(0, 13, (2000, 10)))
+        keys = _lattice_keys(A)
+        tracemalloc.start()
+        try:
+            energy = _energy_sorted(keys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert energy == 7998008  # pinned E(A) of this set
+        assert peak < 4 * 8 * block + 64 * A.size
 
     def test_bruteforce_cap(self):
         with pytest.raises(CapExceededError):

@@ -440,7 +440,13 @@ def test_sorted_energy_matches_bruteforce(seed, d, data):
     n = data.draw(st.integers(1, {1: 60, 2: 12, 3: 6, 4: 4, 5: 3, 6: 3}[d]))
     size = data.draw(st.integers(1, min(n ** d, 60)))
     A = random_set(np.random.default_rng(seed), d, n, size)
-    assert _energy_sorted(_lattice_keys(A)) == energy_bruteforce(A)
+    want = energy_bruteforce(A)
+    keys = _lattice_keys(A)
+    for k in (keys, keys.astype(object)):
+        assert _energy_sorted(k) == want
+        # at most |A| pairs per range: many ranges, each end found by bisection
+        with mock.patch.object(discrete_core, "_SORT_BLOCK", 1):
+            assert _energy_sorted(k) == want
 
 
 @st.composite
