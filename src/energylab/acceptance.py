@@ -209,8 +209,7 @@ def criterion_8(seed: int = DEFAULT_SEED) -> CriterionResult:
     """Optimizer calibration at n = 2 and the n = 3 violation at q = 1.48."""
     est = optimizer.estimate_qn(2, tol=1e-3, seed=seed)
     q2_ok = 1.546 <= est.q_hat <= 1.549
-    witness_ok = est.witness is not None and est.witness.valid \
-        and certificates.revalidate_certificate(est.witness).valid
+    witness_ok = est.witness.valid and certificates.revalidate_certificate(est.witness).valid
 
     cert3 = optimizer.maximize_ratio(optimizer.OptimizerConfig(n=3, q=1.48, seed=seed)).certificate
     fired3 = cert3.valid  # the firing rule of estimate_qn's probes

@@ -163,7 +163,7 @@ def _cmd_estimate(args) -> int:
         "q_hat": est.q_hat,
         "t_hat": est.t_hat,
         "empirical_c": est.empirical_c,
-        "witness": certificates.certificate_to_dict(est.witness) if est.witness else None,
+        "witness": certificates.certificate_to_dict(est.witness),
     }
     _emit(json.dumps(doc, indent=2), args.out)
     return 0

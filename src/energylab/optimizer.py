@@ -12,12 +12,11 @@ from the previous probe's final rows and step sizes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .certificates import Certificate, evaluate_certificate
+from .certificates import Certificate, GaussianScheduleParams, evaluate_certificate
 from .discrete_core import DiscreteFunction
 
 ARMIJO_C = 1e-4
@@ -154,15 +153,11 @@ def _canonical_starts(n: int) -> list[np.ndarray]:
     delta[0] = 1.0
     ones = np.ones(n)
     # sampled Gaussian on the window, schedule at eps = 0.5
-    k = max(1, (n - 1) // 2)
-    a_param = float(k) ** 1.95
-    m_trunc = min(int(math.floor(float(k) ** 0.995)), k)
+    params = GaussianScheduleParams.from_n_eps(max(n, 3), 0.5)
     center = (n - 1) / 2.0
     idx = np.arange(n, dtype=np.float64)
-    gauss = np.exp(-((idx - center) ** 2) / a_param)
-    gauss[np.abs(idx - center) > m_trunc + 0.5] = 0.0
-    if gauss.max() <= 0:
-        gauss = delta.copy()
+    gauss = np.exp(-((idx - center) ** 2) / params.a_param)
+    gauss[np.abs(idx - center) > params.m_trunc + 0.5] = 0.0
     perturbed = np.ones(n)
     perturbed[(n - 1) // 2] += 0.25
     return [delta, ones, gauss, perturbed]
@@ -247,7 +242,7 @@ class QnEstimate:
     n: int
     q_hat: float
     t_hat: float
-    witness: Certificate | None
+    witness: Certificate
     empirical_c: float
     probes: tuple[ProbeRecord, ...]
 
@@ -261,9 +256,11 @@ def estimate_qn(n: int, tol: float = 1e-3, seed: int = 0, starts: int = 16) -> Q
     The first probe (q = 2) starts afresh; every later probe starts from
     the previous probe's result, since the maximizer moves little between
     neighbouring q and the chains then stop in fewer rounds.
-    The witness returned is the one from the smallest firing q.  If the
-    predicate never fires, q_hat = 2 and witness is None.  tol must lie in
-    [1e-4, 2/3), below the width of [4/3, 2].
+    The witness returned is the one from the smallest firing q.  The probe
+    at q = 2 always fires, as the all-ones start has ratio^4 =
+    (2n^2 + 1)/(3n) >= 3/2 and an Armijo step never lowers a chain, so a
+    miss there raises ArithmeticError.  tol must lie in [1e-4, 2/3), below
+    the width of [4/3, 2].
     """
     if not 1e-4 <= tol < 2.0 / 3.0:
         raise ValueError(f"bisection tol must lie in [1e-4, 2/3), got {tol}")
@@ -283,8 +280,7 @@ def estimate_qn(n: int, tol: float = 1e-3, seed: int = 0, starts: int = 16) -> Q
     lo, hi = 4.0 / 3.0, 2.0
     witness = probe(hi)
     if witness is None:
-        return QnEstimate(n=n, q_hat=2.0, t_hat=2.0, witness=None,
-                          empirical_c=float(n) ** 1.0 - 1.0, probes=tuple(probes))
+        raise ArithmeticError(f"no valid witness at q = 2 for n = {n}")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         cert = probe(mid)

@@ -277,6 +277,41 @@ class TestEnergies:
                                              for _ in range(size)))
             assert energy_of_set(A) == energy_bruteforce(A)
 
+    @staticmethod
+    def _kernels_run(monkeypatch, A):
+        """energy_of_set(A) and the names of the kernels it called, in order."""
+        ran = []
+        for name in ("_energy_fft", "_energy_sorted"):
+            def counting(keys, kernel=getattr(discrete_core, name), name=name):
+                ran.append(name)
+                return kernel(keys)
+            monkeypatch.setattr(discrete_core, name, counting)
+        return energy_of_set(A), ran
+
+    def test_strip_routes_by_its_own_span(self, monkeypatch):
+        # key span 1999 + 3999 + 1 = 5999, though the side-2000 cube's keys reach ~8e6
+        strip = LatticeSet(2, 2000, [(x, y) for y in (0, 1) for x in range(2000)])
+        energy, ran = self._kernels_run(monkeypatch, strip)
+        assert ran == ["_energy_fft"]
+        assert energy == energy_interval_formula(2000) * energy_interval_formula(2)
+
+    def test_sparse_interval_subset_sorts(self, monkeypatch):
+        # span ~5e5 > 1024^2/16: the sorted path is the faster one here
+        values = np.random.default_rng(23).choice(500_000, size=1024, replace=False)
+        A = LatticeSet.from_values(values.tolist())
+        energy, ran = self._kernels_run(monkeypatch, A)
+        assert ran == ["_energy_sorted"]
+        _, r = np.unique(np.add.outer(values, values), return_counts=True)
+        assert energy == int(np.dot(r, r))
+
+    def test_object_keys_small_span_take_fft(self, monkeypatch):
+        # {0..12}^2 in the first two of 20 coordinates: object keys, span 313
+        A = LatticeSet(20, 13, [(a, b) + (12,) * 18 for a in range(13) for b in range(13)])
+        assert _lattice_keys(A).dtype == object
+        energy, ran = self._kernels_run(monkeypatch, A)
+        assert ran == ["_energy_fft"]
+        assert energy == energy_interval_formula(13) ** 2
+
     @pytest.mark.parametrize("pad", [0, 16], ids=["int64", "object"])
     def test_sorted_ranges(self, monkeypatch, pad):
         # {0, 1, 3}^4, padded to 20 coordinates in a side-13 cube for object keys

@@ -340,6 +340,18 @@ class TestEstimate:
         assert est.witness.valid
         assert any(est.witness is res.certificate for res in probes)
 
+    def test_unfired_first_probe_raises(self, monkeypatch):
+        maximize = optimizer.maximize_ratio
+
+        def invalid_maximize(config, previous=None):
+            res = maximize(config, previous)
+            cert = dataclasses.replace(res.certificate, valid=False)
+            return dataclasses.replace(res, certificate=cert)
+
+        monkeypatch.setattr(optimizer, "maximize_ratio", invalid_maximize)
+        with pytest.raises(ArithmeticError, match="q = 2"):
+            estimate_qn(2, seed=7)
+
     @pytest.mark.parametrize("n, q_hat", [(2, 1.5472005208333333), (3, 1.4703776041666665),
                                           (8, 1.4020182291666665), (16, 1.3831380208333333),
                                           (32, 1.3720703125), (64, 1.3649088541666665)])

@@ -429,6 +429,7 @@ def test_fft_energy_matches_sorted(seed, d, data):
     keys = _lattice_keys(A)
     want = _energy_sorted(keys)
     assert _energy_fft(keys) == want
+    assert _energy_fft(keys.astype(object)) == want
     assert energy_of_set(A) == want
     if size <= 120:
         assert energy_bruteforce(A) == want
