@@ -11,14 +11,36 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__, acceptance, certificates, discrete_core, experiments, optimizer
 
 
 class InputError(Exception):
     """Malformed user input; maps to exit code 2."""
+
+
+# A plain decimal token, of at most 18 digits: np.fromstring converts it
+# exactly (a token past int64 it clamps to 2^63 - 1 without a word).
+_PLAIN_TOKEN = r"[ \t]*+-?[0-9]{1,18}+[ \t]*+"
+
+
+def _plain_points(rows: list[str], sep: str):
+    """The rows, none of which contains sep, as one (k, d) int64 array when
+    each is d plain decimal tokens between commas, else None.  The check is
+    one regular expression over the rows joined by sep, and the conversion
+    one np.fromstring call."""
+    if not rows:
+        return None
+    d = rows[0].count(",") + 1
+    row = f"{_PLAIN_TOKEN}(?:,{_PLAIN_TOKEN})" + ("*" if len(rows) == 1 else f"{{{d - 1}}}")
+    if not re.fullmatch(f"{row}(?:{sep}{row})*+", sep.join(rows)):
+        return None
+    return np.fromstring(",".join(rows), dtype=np.int64, sep=",").reshape(len(rows), d)
 
 
 def _parse_int_list(text: str, where: str) -> list[int]:
@@ -36,48 +58,62 @@ def parse_inline_set(text: str) -> discrete_core.LatticeSet:
     trailing semicolon ("0,1;") to force a single multi-dimensional point.
     """
     if ";" not in text:
-        return _points_to_set(_parse_int_list(text, "inline set"), {1}, "inline set")
-    values, dims = [], set()
-    for i, tok in enumerate(t for t in text.split(";") if t.strip() != ""):
-        coords = _parse_int_list(tok, f"inline set, point {i + 1}")
-        if not coords:
-            raise InputError(f"inline set, point {i + 1}: empty point")
-        values += coords
-        dims.add(len(coords))
-    return _points_to_set(values, dims, "inline set")
+        arr = _plain_points([text], ";")
+        if arr is None:
+            arr = _token_points(_parse_int_list(text, "inline set"), {1}, "inline set")
+        return _points_to_set(arr.reshape(-1, 1))
+    points = [t for t in text.split(";") if t.strip() != ""]
+    arr = _plain_points(points, ";")
+    if arr is None:
+        values, dims = [], set()
+        for i, tok in enumerate(points):
+            coords = _parse_int_list(tok, f"inline set, point {i + 1}")
+            if not coords:
+                raise InputError(f"inline set, point {i + 1}: empty point")
+            values += coords
+            dims.add(len(coords))
+        arr = _token_points(values, dims, "inline set")
+    return _points_to_set(arr)
 
 
 def read_set_file(path: str) -> discrete_core.LatticeSet:
     """One point per line, comma-separated integer coordinates."""
-    values, dims = [], set()
     try:
         lines = Path(path).read_text().splitlines()
     except OSError as exc:
         raise InputError(f"cannot read set file {path}: {exc}") from None
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        coords = _parse_int_list(line, f"{path}, line {lineno}")
-        values += coords
-        dims.add(len(coords))
-    if not dims:
-        raise InputError(f"{path}: no points found")
-    return _points_to_set(values, dims, path)
+    arr = _plain_points(lines, "\n")
+    if arr is None:
+        values, dims = [], set()
+        for lineno, line in enumerate(lines, start=1):
+            if not line.strip() or line.lstrip().startswith("#"):
+                continue
+            coords = _parse_int_list(line, f"{path}, line {lineno}")
+            values += coords
+            dims.add(len(coords))
+        if not dims:
+            raise InputError(f"{path}: no points found")
+        arr = _token_points(values, dims, path)
+    return _points_to_set(arr)
 
 
-def _points_to_set(values: list[int], dims: set[int], where: str) -> discrete_core.LatticeSet:
+def _token_points(values: list[int], dims: set[int], where: str) -> np.ndarray:
+    """The per-token path's values as a (k, d) array: int64, or Python ints
+    past int64."""
     if not values:
         raise InputError(f"{where}: no points given")
     if len(dims) != 1:
         raise InputError(f"{where}: inconsistent point dimensions {sorted(dims)}")
-    d = dims.pop()
+    return discrete_core._int_array(values).reshape(-1, dims.pop())
+
+
+def _points_to_set(arr: np.ndarray) -> discrete_core.LatticeSet:
     # energy is translation invariant; shift into [0, n-1]^d
-    arr = discrete_core._int_array(values).reshape(-1, d)
     lo = arr.min(axis=0)
     span = max(h - l for h, l in zip(arr.max(axis=0).tolist(), lo.tolist()))
     if span >= 1 << 63:  # the shifted coordinates would wrap in int64
         arr, lo = arr.astype(object), lo.astype(object)
-    return discrete_core.LatticeSet(d, span + 1, arr - lo)
+    return discrete_core.LatticeSet(arr.shape[1], span + 1, arr - lo)
 
 
 def read_function_file(path: str) -> discrete_core.DiscreteFunction:

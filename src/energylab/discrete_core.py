@@ -577,9 +577,16 @@ def _energy_sorted(keys) -> int:
     bisection on the sum value; no sum has more than |A| such pairs, so every
     range is nonempty.  Row i's partners in the range are the j >= i between
     two searchsorted bounds.  Ranges are disjoint, so their sums of r^2
-    simply add, and memory stays O(_SORT_BLOCK + |A|).  Object keys (Python
-    ints) go through the same code.
+    simply add, and memory stays O(_SORT_BLOCK + |A|).  Energy is
+    translation invariant, so the code counts the offsets keys - keys[0],
+    in the narrowest of int32, int64 and Python ints (an object array) that
+    holds twice the largest one: every sum, bound and bisection point then
+    fits that width.
     """
+    keys = keys - keys[0]
+    top = 2 * int(keys[-1]) + 1
+    if top < 1 << 63:
+        keys = keys.astype(np.int32 if top < 1 << 31 else np.int64)
     m = len(keys)
     block = max(_SORT_BLOCK, m)
     doubled = 2 * keys
@@ -588,7 +595,7 @@ def _energy_sorted(keys) -> int:
         return np.maximum(np.searchsorted(keys, x - keys), first)
 
     energy = 0
-    lo, top = int(doubled[0]), int(doubled[-1]) + 1
+    lo = 0
     first = np.arange(m)  # row i's first partner with sum >= lo
     while lo < top:
         hi = bad = top
@@ -610,11 +617,17 @@ def _energy_sorted(keys) -> int:
 def _range_energy(keys, first, last, twice) -> int:
     """sum_s r(s)^2 over one range of sum values, whose pairs i <= j are
     keys[i] + keys[j] for first[i] <= j < last[i] and whose doubled keys are
-    twice.  The sums are gathered, sorted in place and counted in runs:
+    twice.  The sums are gathered in the keys' own width, which
+    _energy_sorted picks from the set's span (int32 keys are gathered by
+    int32 indices too), sorted in place and counted in runs:
     r(s) = 2 run(s) - [s in twice]."""
     counts = last - first
-    cols = np.repeat(first - (np.cumsum(counts) - counts), counts)  # j less the pair's index
-    cols += np.arange(cols.size)
+    # int32 keys are fewer than 2^30, and a range holds at most
+    # max(_SORT_BLOCK, |A|) < 2^31 pairs: int32 indexes both
+    index = np.int32 if keys.dtype == np.int32 else np.intp
+    shift = (first - (np.cumsum(counts) - counts)).astype(index)  # j less the pair's index
+    cols = np.repeat(shift, counts)
+    cols += np.arange(cols.size, dtype=index)
     sums = keys[cols]
     del cols
     sums += np.repeat(keys, counts)
@@ -625,7 +638,8 @@ def _range_energy(keys, first, last, twice) -> int:
     r = np.diff(runs)
     r *= 2
     r[diagonal] -= 1
-    # E(A) <= |A|^3 < 2^63 below 2^21 points (2^42 pair sums): int64 holds it
+    # r is int64 at every key width, and E(A) <= |A|^3 < 2^63 below 2^21
+    # points (2^42 pair sums): int64 holds it
     return int(np.dot(r, r))
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import re
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import energylab
-from energylab import acceptance, certificates, discrete_core, experiments
+from energylab import acceptance, certificates, cli, discrete_core, experiments
 from energylab.cli import (build_parser, main, parse_inline_set, read_function_file,
                            read_set_file)
 from energylab.discrete_core import energy_of_set
@@ -106,6 +107,32 @@ class TestEnergyCommand:
         code, out, err = run(capsys, "energy", "--inline", inline)
         assert (code, out) == (2, "")
         assert err == "error: inline set: no points given\n"
+
+    @pytest.mark.parametrize("form", ["interval", "points", "tensor-file"])
+    def test_plain_input_skips_token_path(self, capsys, monkeypatch, tmp_path, form):
+        # plain decimal rows are converted in one call: neither per-token
+        # helper runs, and the energy is the closed form or E(base)^6
+        if form == "interval":
+            argv = ["--inline", ",".join(map(str, range(8030)))]
+            want = discrete_core.energy_interval_formula(8030)
+        elif form == "points":
+            argv = ["--inline", "0,0;1,1;2,0"]
+            want = discrete_core.energy_bruteforce(
+                discrete_core.LatticeSet(2, 3, [(0, 0), (1, 1), (2, 0)]))
+        else:
+            base = (0, 5, 12)
+            path = tmp_path / "tensor.txt"
+            path.write_text("\n".join(",".join(map(str, p))
+                                      for p in itertools.product(base, repeat=6)))
+            argv = ["--set", str(path)]
+            want = discrete_core.energy_bruteforce(
+                discrete_core.LatticeSet.from_values(base)) ** 6
+
+        def refuse(*args):
+            raise AssertionError("per-token path taken")
+        monkeypatch.setattr(cli, "_parse_int_list", refuse)
+        monkeypatch.setattr(discrete_core, "_int_array", refuse)
+        assert run(capsys, "energy", *argv) == (0, f"{want}\n", "")
 
     def test_parser_built_once(self):
         assert build_parser() is build_parser()

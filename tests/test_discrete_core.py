@@ -327,6 +327,52 @@ class TestEnergies:
         monkeypatch.setattr(discrete_core, "_SORT_BLOCK", 3 * len(keys) // 2)
         assert _energy_sorted(keys) == want
 
+    @staticmethod
+    def _range_widths(monkeypatch):
+        """The key dtypes _range_energy is called with, in order."""
+        widths = []
+
+        def recording(keys, first, last, twice, kernel=discrete_core._range_energy):
+            widths.append(keys.dtype)
+            return kernel(keys, first, last, twice)
+        monkeypatch.setattr(discrete_core, "_range_energy", recording)
+        return widths
+
+    def test_tensor_pair_sums_are_int32(self, monkeypatch):
+        # {0, 5, 12}^6: twice the largest key offset is below 2 * 25^6 < 2^31
+        base = LatticeSet.from_values([0, 5, 12])
+        want = energy_bruteforce(base) ** 6
+        widths = self._range_widths(monkeypatch)
+        assert energy_of_set(tensor_power(base, 6)) == want
+        assert widths and set(widths) == {np.dtype(np.int32)}
+
+    @pytest.mark.parametrize("block", [None, 1], ids=["default", "one"])
+    @pytest.mark.parametrize("twice_max, width", [
+        (2 ** 31 - 4, np.int32), (2 ** 31 - 2, np.int32), (2 ** 31, np.int64),
+    ], ids=["below", "edge", "past"])
+    def test_sorted_width_boundaries(self, monkeypatch, twice_max, width, block):
+        # offsets up to twice_max / 2 from a first key of 2^40: the int32 sort
+        # holds every sum and bisection point only while 2 max + 1 < 2^31
+        h = twice_max // 2
+        A = LatticeSet.from_values([(1 << 40) + v for v in (0, 1, 2, 5, h // 2, h - 3, h - 2, h)])
+        want = energy_bruteforce(A)
+        if block is not None:
+            monkeypatch.setattr(discrete_core, "_SORT_BLOCK", block)
+        widths = self._range_widths(monkeypatch)
+        assert _energy_sorted(_lattice_keys(A)) == want
+        assert set(widths) == {np.dtype(width)}
+
+    def test_object_keys_narrow_to_int64(self, monkeypatch):
+        # {0, 1, 2}^2 in coordinates 0 and 7 of 20, side 13: object keys whose
+        # span 2 (25^7 + 1) is past int32 but well inside int64
+        A = LatticeSet(20, 13, [(a,) + (0,) * 6 + (b,) + (12,) * 12
+                                for a in range(3) for b in range(3)])
+        keys = _lattice_keys(A)
+        assert keys.dtype == object
+        widths = self._range_widths(monkeypatch)
+        assert _energy_sorted(keys) == energy_of_set(A) == energy_interval_formula(3) ** 2
+        assert set(widths) == {np.dtype(np.int64)}
+
     def test_sorted_range_of_one_popular_sum(self, monkeypatch):
         # 2 * 50 is the sum of 51 pairs i <= j of {0..100}, about |A|/2, while a
         # range holds at most |A| = 101 pairs

@@ -4,15 +4,18 @@ as the exact reference, the integer kernel equal to both (value and type),
 the certified ratio against the exact reference, the exact vectorized sum
 against math.fsum bit for bit, the float64 lq norm against a 300-bit
 oracle, FFT lattice energies against the sorted pair-sum count and both
-against the brute-force oracle, the canonical point array of lattice sets,
+against the brute-force oracle, the one-call set parser against the
+per-token one, the canonical point array of lattice sets,
 scale invariance of the ratio report, certificate JSON round trips, and
 the optimizer's row-wise FFT energy and gradient against np.convolve and
 finite differences."""
 
 import json
 import math
+import tempfile
 from contextlib import nullcontext
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -21,7 +24,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from energylab import discrete_core
+from energylab import cli, discrete_core
 from energylab.optimizer import _pow4_rows
 from energylab.certificates import (Certificate, GaussianScheduleParams,
                                     _sampled_gaussian, build_gaussian_certificate,
@@ -443,11 +446,88 @@ def test_sorted_energy_matches_bruteforce(seed, d, data):
     A = random_set(np.random.default_rng(seed), d, n, size)
     want = energy_bruteforce(A)
     keys = _lattice_keys(A)
-    for k in (keys, keys.astype(object)):
+    # the same keys narrowed, and far from 0 (only their offsets are counted)
+    for k in (keys, keys.astype(object), keys.astype(np.int32), keys + (1 << 40),
+              keys.astype(object) + (1 << 70)):
         assert _energy_sorted(k) == want
         # at most |A| pairs per range: many ranges, each end found by bisection
         with mock.patch.object(discrete_core, "_SORT_BLOCK", 1):
             assert _energy_sorted(k) == want
+
+
+# tokens the per-token path reads (or refuses) and the one-call path must
+# leave to it: 19 digits and more, int64's ends, signs, underscores,
+# non-ASCII digits, exponents, empty and blank tokens
+ODD_TOKENS = ["999999999999999999", "1000000000000000000", "9223372036854775807",
+              "-9223372036854775807", "-9223372036854775808", "9223372036854775808",
+              "-0", "+5", "1_000", "\uff11", "1e3", "", " ", "-", "x", "007", "1 2"]
+
+
+@st.composite
+def set_texts(draw):
+    """("inline" or "file", text): rows of comma-separated tokens, mostly
+    plain decimals padded with spaces and tabs, joined by ";" (inline) or
+    by LF or CRLF with comments and blank lines (file)."""
+    kind = draw(st.sampled_from(["inline", "file"]))
+    plain = draw(st.booleans())
+    pad = st.sampled_from(["", " ", "\t", " \t "])
+    value = st.integers(-10 ** 20, 10 ** 20).map(str)
+    token = st.builds("".join, st.tuples(pad, value if plain else st.one_of(
+        value, st.sampled_from(ODD_TOKENS)), pad))
+    d = draw(st.integers(1, 4))
+    widths = st.just(d) if plain else st.integers(0, 5)
+    rows = draw(st.lists(widths.flatmap(
+        lambda w: st.lists(token, min_size=w, max_size=w).map(",".join)), min_size=1, max_size=6))
+    if not plain:
+        junk = st.sampled_from(["", " ", "# note", ",", "0,"] if kind == "file" else ["", " ", ","])
+        rows = draw(st.lists(st.one_of(st.sampled_from(rows), junk), min_size=1, max_size=8))
+    if kind == "inline":  # one row and no ";" is the 1-dimensional form
+        return kind, ";".join(rows) + draw(st.sampled_from(["", ";"]))
+    return kind, draw(st.sampled_from(["\n", "\r\n"])).join(rows) + draw(
+        st.sampled_from(["", "\n", "\r\n"]))
+
+
+def _outcome(parse, arg):
+    """parse(arg): the LatticeSet, or the InputError's message."""
+    try:
+        return parse(arg)
+    except cli.InputError as exc:
+        return str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@example(case=("inline", "999999999999999999,-999999999999999999"))
+@example(case=("inline", "1000000000000000000,0"))
+@example(case=("inline", "9223372036854775807,-9223372036854775807"))
+@example(case=("inline", "-9223372036854775807;9223372036854775807;"))
+@example(case=("inline", "9223372036854775808,0"))
+@example(case=("file", "0\n-9223372036854775809"))
+@example(case=("inline", "-0,0;1,-0"))
+@example(case=("inline", "1_000,2"))
+@example(case=("inline", "\uff11,2"))
+@example(case=("inline", "0,,1"))
+@example(case=("inline", "0,1,"))
+@example(case=("inline", "1e3"))
+@example(case=("inline", "0,1;2"))
+@example(case=("file", "0,1\r\n2,3\r\n"))
+@example(case=("file", "# header\n0,1\n\n2,3\n"))
+@example(case=("file", "1000000000000000000,0\n1,1"))
+@example(case=("file", "0,1\n2"))
+@given(case=set_texts())
+def test_plain_parse_matches_token_path(case):
+    # the one-call path gives the per-token path's LatticeSet, or leaves the
+    # input to it and its error message
+    kind, text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        if kind == "inline":
+            parse, arg = cli.parse_inline_set, text
+        else:
+            parse, arg = cli.read_set_file, str(Path(tmp) / "set.txt")
+            Path(arg).write_bytes(text.encode())
+        fast = _outcome(parse, arg)
+        with mock.patch.object(cli, "_plain_points", return_value=None):
+            slow = _outcome(parse, arg)
+    assert type(fast) is type(slow) and fast == slow
 
 
 @st.composite
