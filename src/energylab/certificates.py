@@ -10,11 +10,13 @@ A = k^(2-eps/10), M = floor(k^(1-eps/100)).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import sys
 from dataclasses import dataclass
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 
@@ -274,6 +276,15 @@ def continuum_discretization_report(params: GaussianScheduleParams) -> Discretiz
 # Serialization
 # ---------------------------------------------------------------------------
 
+# The separator between two value strings of the indented JSON list.
+_SEP = '",\n    "'
+# Fewest values that _values_block formats with the _repr_block kernel:
+# below it map(repr) is faster (measured crossover about 500 values, and
+# 1000 for palindromes, which both paths format half of; 2-vCPU Xeon).
+_REPR_BLOCK_MIN = 1024
+_REPR_CHUNK = 4096  # rows per kernel pass
+
+
 def _mirror(head: list, m: int) -> list:
     """The palindrome of length m whose first ceil(m/2) entries are head."""
     return head + head[:m // 2][::-1]
@@ -289,13 +300,262 @@ def _value_reprs(values: np.ndarray) -> list[str]:
     return _mirror(list(map(repr, values[:(m + 1) // 2].tolist())), m)
 
 
-def certificate_to_dict(cert: Certificate) -> dict:
+def _u(x) -> np.uint64:
+    return np.uint64(x)
+
+
+_M32 = _u(0xFFFFFFFF)
+_M52 = _u((1 << 52) - 1)
+_M63 = _u((1 << 63) - 1)
+# _PREFIX_MASK[:, n]: the first n bytes of a 24-byte row set, one
+# little-endian word per row; _ASCII_PREFIX[:, n] holds "0" in them
+_PREFIX_MASK = np.array([[(1 << 8 * min(max(n - 8 * j, 0), 8)) - 1 for n in range(25)]
+                         for j in range(3)], dtype=np.uint64)
+_ASCII_PREFIX = _PREFIX_MASK & _u(0x3030303030303030)
+# after the sign byte: nothing, or "0." and z - 1 zeros for z = 1 - decpt
+_LEAD = np.array([0] + [int.from_bytes(b"\0" + b"0." + b"0" * (z - 1), "little")
+                        for z in range(1, 5)], dtype=np.uint64)
+_SEP_WORD = _u(int.from_bytes(_SEP.encode(), "little"))
+
+
+def _floor_log(x: Fraction, base: int) -> int:
+    """floor(log_base x) for a positive rational x, exactly."""
+    k = math.floor(math.log(x.numerator, base) - math.log(x.denominator, base))
+    while Fraction(base) ** k > x:
+        k -= 1
+    while Fraction(base) ** (k + 1) <= x:
+        k += 1
+    return k
+
+
+@functools.cache
+def _key_tables() -> tuple:
+    """Schubfach's h, g1 and g0 (g = g1 2^63 + g0) as uint64 rows, k, and
+    whether they are filled in, per key = biased exponent << 1 | irregular
+    spacing: a memo of constants that _fill_keys fills on first use."""
+    return (np.zeros((3, 4096), dtype=np.uint64), np.zeros(4096, dtype=np.int64),
+            np.zeros(4096, dtype=bool))
+
+
+def _fill_keys(keys: set) -> None:
+    """Schubfach's constants for the doubles 2^q c, q = key // 2 - 1075:
+    k = floor(log10 2^q), or floor(log10 (3/4) 2^q) at a power of two above
+    the lowest binade (key odd, where the gap below is half the gap above),
+    g = floor(10^-k 2^(125 - f)) + 1 with f = floor(log2 10^-k), so that
+    2^125 < g <= 2^126, and h = q + f + 2, from Python ints exactly."""
+    consts, ks, ready = _key_tables()
+    for key in keys:
+        q = (key >> 1) - 1075
+        k = _floor_log(Fraction(3, 4) * Fraction(2) ** q if key & 1 else Fraction(2) ** q, 10)
+        f = _floor_log(Fraction(10) ** -k, 2)
+        g = math.floor(Fraction(10) ** -k * Fraction(2) ** (125 - f)) + 1
+        consts[:, key] = (q + f + 2, g >> 63, g & ((1 << 63) - 1))
+        ks[key] = k
+        ready[key] = True
+
+
+def _mulhi(ah, al, bh, bl):
+    """floor(a b / 2^64) of a = ah 2^32 + al < 2^63 and b = bh 2^32 + bl
+    < 2^60, whose middle products then add up below 2^64."""
+    mid = (al * bl) >> _u(32)
+    mid += ah * bl
+    mid += al * bh
+    mid >>= _u(32)
+    mid += ah * bh
+    return mid
+
+
+def _shortest(bits):
+    """(d, k) with d 10^k the shortest decimal that rounds to v, and of
+    those the closest to v (ties to even d), for the positive normal
+    doubles v of raw bits; 10^15 <= d < 10^17.
+
+    This is R. Giulietti's Schubfach ("The Schubfach way to render doubles",
+    2020) as in Java's DoubleToDecimal.  With c the 53-bit significand and
+    cp = 4 c 2^h, vb, vbl and vbr are v and the ends of its rounding
+    interval, times 4 10^-k, each rounded to odd from g cp / 2^127: the
+    interval ends add -+g 2^(h+1) to g cp (g 2^h below a power of two).
+    g < 2^126 and cp < 2^60 (h <= 5) at every key, so g1 cp and g0 cp,
+    g = g1 2^63 + g0, are 128-bit words hi:lo computed exactly."""
+    frac = bits & _M52
+    irregular = (frac == _u(0)) & (bits >= _u(2 << 52))
+    key = ((bits >> _u(52)).astype(np.intp) << 1) | irregular
+    consts, ks, ready = _key_tables()
+    if not ready[key].all():
+        _fill_keys(set(key[~ready[key]].tolist()))
+    consts = consts.take(key, axis=1)
+    h, g = consts[0], consts[1:]
+    c = frac | _u(1 << 52)
+    cp = c << (h + _u(2))
+    # [vbl, vb, vbr] x [g1, g0] x values: the low and high words
+    lo = np.empty((3, 2, len(c)), dtype=np.uint64)
+    hi = np.empty((3, 2, len(c)), dtype=np.uint64)
+    hi[1] = _mulhi(g >> _u(32), g & _M32, cp >> _u(32), cp & _M32)
+    lo[1] = g * cp
+    up = h + _u(1)
+    down = up - irregular
+    np.subtract(lo[1], g << down, out=lo[0])
+    hi[0] = hi[1] - (g >> (_u(64) - down)) - (lo[1] < lo[0])
+    np.add(lo[1], g << up, out=lo[2])
+    hi[2] = hi[1] + (g >> (_u(64) - up)) + (lo[2] < lo[1])
+    # Java's rop: (g1 cp 2^63 + g0 cp) / 2^127, the low bit set if inexact
+    z = (lo[:, 0] >> _u(1)) + hi[:, 1]
+    vbl, vb, vbr = (hi[:, 0] + (z >> _u(63))) | (((z & _M63) + _M63) >> _u(63))
+    odd = c & _u(1)  # an odd c's interval excludes its ends
+    lower = vbl + odd
+    upper = vbr - odd
+    # s or s + 1, whichever alone lies in the interval, else the closer; a
+    # multiple of 10 if exactly one of the two around s does
+    s = vb >> _u(2)
+    uin = lower <= (s << _u(2))
+    win = ((s + _u(1)) << _u(2)) <= upper
+    nearest = ((vb & _u(3)) + (s & _u(1))) >= _u(3)
+    d = s + np.where(uin != win, win, nearest)
+    s10 = (s // _u(10)) * _u(10)
+    upin = lower <= (s10 << _u(2))
+    wpin = ((s10 + _u(10)) << _u(2)) <= upper
+    return np.where(upin != wpin, s10 + _u(10) * wpin, d), ks.take(key)
+
+
+def _digit_bytes(x):
+    """The 8 decimal digits of each x < 10^8 as byte values, the leading one
+    in the lowest byte: x splits in lanes of 32, 16 and then 8 bits, where
+    (v * 10486) >> 20 and (v * 103) >> 10 are v // 100 and v // 10 of each
+    lane."""
+    hi = (x * _u(109951163)) >> _u(40)  # x // 10000 below 5 10^8
+    v = hi | ((x - hi * _u(10000)) << _u(32))
+    t = ((v * _u(10486)) >> _u(20)) & _u(0x0000007F0000007F)
+    v = t | ((v - t * _u(100)) << _u(16))
+    t = ((v * _u(103)) >> _u(10)) & _u(0x000F000F000F000F)
+    return t | ((v - t * _u(10)) << _u(8))
+
+
+@functools.cache
+def _tails() -> np.ndarray:
+    """Little-endian words: nothing, ".", ".0", then "e-324" ... "e+308"."""
+    tails = [b"", b".", b".0"] + [f"e{e:+03d}".encode() for e in range(-324, 309)]
+    return np.array([int.from_bytes(t, "little") for t in tails], dtype=np.uint64)
+
+
+def _repr_rows(bits) -> np.ndarray:
+    """(m, 4) little-endian words: row i holds repr of the finite double of
+    raw bits[i] in bytes 1-23, its sign or NUL in byte 0 and NUL in the
+    unused bytes, then the separator."""
+    m = len(bits)
+    mag = bits & _M63
+    normal = mag >= _u(1 << 52)
+    if normal.all():
+        d, k = _shortest(mag)
+    else:  # zeros stay d = 0; subnormals take repr's digits
+        d = np.zeros(m, dtype=np.uint64)
+        k = np.zeros(m, dtype=np.int64)
+        d[normal], k[normal] = _shortest(mag[normal])
+        for i in np.flatnonzero(~normal & (mag != _u(0))).tolist():
+            mantissa, _, e = repr(float(mag[i:i + 1].view(np.float64)[0])).partition("e")
+            digits = mantissa.replace(".", "")
+            d[i] = int(digits) * 10 ** (17 - len(digits))
+            k[i] = int(e) - 16
+    # 18 digits, the leading one nonzero (unless d = 0), in three words
+    big = d >= _u(10 ** 16)
+    d *= np.where(big, _u(10), _u(100))
+    decpt = k + 16 + big  # d 10^k = 0.digits 10^decpt
+    w = np.empty((3, m), dtype=np.uint64)
+    w[0] = d // _u(10 ** 10)
+    d -= w[0] * _u(10 ** 10)
+    w[1] = d // _u(100)
+    d -= w[1] * _u(100)
+    w[:2] = _digit_bytes(w[:2])
+    w[2] = (d * _u(103)) >> _u(10)  # d // 10 below 179
+    w[2] |= (d - w[2] * _u(10)) << _u(8)
+    # nd digits up to the last nonzero one, from the float32 exponent of each
+    # word's top set bit (a byte holds at most 9, so rounding stays in it)
+    top = w.astype(np.float32).view(np.int32) >> 23
+    top += np.array([[-119], [64 - 119], [128 - 119]], dtype=np.int32)
+    nd = top.max(axis=0) >> 3  # 1 for d = 0, which prints as 0.0
+    decpt[w[0] == _u(0)] = 1
+    # repr's layout: exponent form unless -4 < decpt <= 16
+    expo = (decpt <= -4) | (decpt > 16)
+    lead = ~expo & (decpt > 0)
+    z = np.where(expo | lead, 0, 1 - decpt)
+    # digits [0, split) go from byte 1, digits [split, used) after a gap for
+    # the point, or after "0." and z - 1 zeros (split = 0)
+    used = np.where(lead, np.maximum(nd, decpt), nd)
+    w |= _ASCII_PREFIX.take(used, axis=1)
+    pointed = (expo | lead).any()
+    if pointed:
+        split = np.where(lead, decpt, expo.astype(np.int64))
+        low = w & _PREFIX_MASK.take(split, axis=1)
+        w ^= low
+    sh = ((z + 2) << 3).astype(np.uint64)
+    row = w << sh
+    row[1:] |= (w[:2] >> (_u(56) - sh)) >> _u(8)
+    row[0] |= _LEAD.take(z) | ((bits >> _u(63)) * _u(ord("-")))
+    if pointed:
+        row[0] |= low[0] << _u(8)
+        row[1:] |= (low[1:] << _u(8)) | (low[:2] >> _u(56))
+        # "." or ".0" in the gap, or the exponent after the digits (and the
+        # point at byte 2 if the mantissa has several digits)
+        tail = _tails().take(np.where(expo, decpt + 326, np.where(lead, 1 + (nd <= decpt), 0)))
+        at = np.where(expo, used + 1 + (nd > 1), split + 1)
+        sh = ((at & 7) << 3).astype(np.uint64)
+        word = at >> 3
+        lo = tail << sh
+        hi = (tail >> (_u(56) - sh)) >> _u(8)
+        row[0] |= np.where(word == 0, lo, _u(0)) | ((expo & (nd > 1)) * _u(ord(".") << 16))
+        row[1] |= np.where(word == 1, lo, np.where(word == 0, hi, _u(0)))
+        row[2] |= np.where(word == 2, lo, np.where(word == 1, hi, _u(0)))
+    out = np.empty((m, 4), dtype="<u8")
+    out[:, :3] = row.T
+    out[:, 3] = _SEP_WORD
+    return out
+
+
+def _repr_block(values: np.ndarray) -> str:
+    """Exactly '",\n    "'.join(map(repr, values)) for finite float64
+    values, with no Python object per value.
+
+    Each pass formats up to _REPR_CHUNK values as fixed rows of four words
+    (_repr_rows), whose NUL padding one bytes.translate drops; a bitwise
+    palindrome formats its first half and emits those rows again in
+    reverse order.  Digits come from _shortest on uint64 arrays,
+    except for subnormals, which take repr's digits one at a time.  The
+    kernel never mixes uint64 with signed arrays: numpy >= 1.24 (which
+    pyproject allows) promotes uint64 with int64 to float64 and would drop
+    bits silently, so every constant is an np.uint64 and every signed
+    array is cast explicitly first."""
+    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
+    m = len(bits)
+    if not m:
+        return ""
+    palindrome = np.array_equal(bits, bits[::-1])
+    head = (m + 1) // 2 if palindrome else m
+    forward, mirrored = [], []
+    for a in range(0, head, _REPR_CHUNK):
+        rows = _repr_rows(bits[a:min(a + _REPR_CHUNK, head)])
+        forward.append(rows.tobytes().translate(None, b"\0").decode("ascii"))
+        r = min(a + _REPR_CHUNK, m // 2) - a  # rows that come back mirrored
+        if palindrome and r > 0:
+            mirrored.append(rows[r - 1::-1].tobytes().translate(None, b"\0").decode("ascii"))
+    pieces = forward + mirrored[::-1]
+    pieces[-1] = pieces[-1][:-len(_SEP)]  # no separator after the last value
+    return "".join(pieces)
+
+
+def _values_block(values: np.ndarray) -> str:
+    """'",\n    "'.join(map(repr, values)): the kernel from _REPR_BLOCK_MIN
+    values on, map(repr) below."""
+    if len(values) < _REPR_BLOCK_MIN:
+        return _SEP.join(_value_reprs(values))
+    return _repr_block(values)
+
+
+def _certificate_fields(cert: Certificate, values: list) -> dict:
     return {
         "kind": cert.kind,
         "n": cert.n,
         "q": cert.q,
         "offset": cert.f.offset,
-        "values": _value_reprs(cert.f.values),
+        "values": values,
         "lhs": cert.lhs,
         "rhs": cert.rhs,
         "margin": cert.margin,
@@ -305,20 +565,22 @@ def certificate_to_dict(cert: Certificate) -> dict:
     }
 
 
+def certificate_to_dict(cert: Certificate) -> dict:
+    block = _values_block(cert.f.values)
+    return _certificate_fields(cert, block.split(_SEP) if block else [])
+
+
 def certificate_json(cert: Certificate) -> str:
     """Exactly json.dumps(certificate_to_dict(cert), indent=2).
 
     With indent, json.dumps runs CPython's pure-Python encoder, one step
     per value; here the value strings, which are float reprs and need no
-    escaping, go in as one joined block between the encoded other fields.
-    """
-    d = certificate_to_dict(cert)
-    values = d["values"]
-    if not values:
-        return json.dumps(d, indent=2)
-    head, tail = json.dumps({**d, "values": [0]}, indent=2).split("\n    0\n")
-    block = '",\n    "'.join(values)
-    return f'{head}\n    "{block}"\n{tail}'
+    escaping, go in as one block (_values_block) between the encoded other
+    fields."""
+    if not len(cert.f.values):
+        return json.dumps(_certificate_fields(cert, []), indent=2)
+    head, tail = json.dumps(_certificate_fields(cert, [0]), indent=2).split("\n    0\n")
+    return f'{head}\n    "{_values_block(cert.f.values)}"\n{tail}'
 
 
 def _exact_float(i: int, s) -> float:
@@ -338,15 +600,18 @@ def _exact_float(i: int, s) -> float:
 
 def _exact_floats(strs: list) -> list[float]:
     """[_exact_float(i, s) for i, s in enumerate(strs)], with the common
-    case, every s the shortest repr of a finite float, checked in C; any
-    other list takes the per-value path, which accepts the same values and
-    reports the first bad one."""
+    case, every s the shortest repr of a finite float, checked by comparing
+    the written block of the parsed values with the joined strings (no s
+    that parses as a float contains the separator's quote, so the blocks
+    agree only value by value); any other list takes the per-value path,
+    which accepts the same values and reports the first bad one."""
     try:
         xs = list(map(float, strs))
+        arr = np.array(xs, dtype=np.float64)
+        if np.isfinite(arr).all() and _values_block(arr) == _SEP.join(strs):
+            return xs
     except (TypeError, ValueError, OverflowError):
-        xs = None
-    if xs is not None and list(map(repr, xs)) == strs and all(map(math.isfinite, xs)):
-        return xs
+        pass
     return [_exact_float(i, s) for i, s in enumerate(strs)]
 
 

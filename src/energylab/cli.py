@@ -76,17 +76,25 @@ def parse_inline_set(text: str) -> discrete_core.LatticeSet:
     return _points_to_set(arr)
 
 
+def _point_line(line: str) -> bool:
+    """Whether a set file line holds a point: not blank, not a # comment."""
+    return bool(line.strip()) and not line.lstrip().startswith("#")
+
+
 def read_set_file(path: str) -> discrete_core.LatticeSet:
-    """One point per line, comma-separated integer coordinates."""
+    """One point per line, comma-separated integer coordinates; blank lines
+    and # comments are skipped."""
     try:
-        lines = Path(path).read_text().splitlines()
+        text = Path(path).read_text()
     except OSError as exc:
         raise InputError(f"cannot read set file {path}: {exc}") from None
-    arr = _plain_points(lines, "\n")
+    lines = text.splitlines()
+    rows = list(filter(_point_line, lines)) if "#" in text or "" in lines else lines
+    arr = _plain_points(rows, "\n")
     if arr is None:
         values, dims = [], set()
         for lineno, line in enumerate(lines, start=1):
-            if not line.strip() or line.lstrip().startswith("#"):
+            if not _point_line(line):
                 continue
             coords = _parse_int_list(line, f"{path}, line {lineno}")
             values += coords

@@ -617,20 +617,25 @@ def _energy_sorted(keys) -> int:
 def _range_energy(keys, first, last, twice) -> int:
     """sum_s r(s)^2 over one range of sum values, whose pairs i <= j are
     keys[i] + keys[j] for first[i] <= j < last[i] and whose doubled keys are
-    twice.  The sums are gathered in the keys' own width, which
-    _energy_sorted picks from the set's span (int32 keys are gathered by
-    int32 indices too), sorted in place and counted in runs:
-    r(s) = 2 run(s) - [s in twice]."""
+    twice.  The sums are formed in the keys' own width, which
+    _energy_sorted picks from the set's span, a quarter of the pairs at a
+    time (keys[j] taken by an int32 index, plus keys[i] repeated), so the
+    temporaries stay a fraction of the sums; they are then sorted in place
+    and counted in runs: r(s) = 2 run(s) - [s in twice]."""
     counts = last - first
-    # int32 keys are fewer than 2^30, and a range holds at most
-    # max(_SORT_BLOCK, |A|) < 2^31 pairs: int32 indexes both
-    index = np.int32 if keys.dtype == np.int32 else np.intp
-    shift = (first - (np.cumsum(counts) - counts)).astype(index)  # j less the pair's index
-    cols = np.repeat(shift, counts)
-    cols += np.arange(cols.size, dtype=index)
-    sums = keys[cols]
-    del cols
-    sums += np.repeat(keys, counts)
+    starts = np.cumsum(counts) - counts  # each row's first pair
+    sums = np.empty(int(counts.sum()), dtype=keys.dtype)
+    # a range holds at most max(_SORT_BLOCK, |A|) < 2^31 pairs: int32
+    # indexes every pair and every key
+    shift = (first - starts).astype(np.int32)  # j less the pair's index
+    rows = [0, *np.searchsorted(starts, np.arange(1, 4) * (len(sums) // 4)).tolist(), len(keys)]
+    for r0, r1 in zip(rows, rows[1:]):
+        if r0 == r1:
+            continue
+        c, p0 = counts[r0:r1], starts[r0]
+        cols = np.repeat(shift[r0:r1], c)
+        cols += np.arange(p0, p0 + len(cols), dtype=np.int32)
+        np.add(keys.take(cols), np.repeat(keys[r0:r1], c), out=sums[p0:p0 + len(cols)])
     sums.sort()
     runs = np.flatnonzero(np.concatenate(([True], sums[1:] != sums[:-1], [True])))
     diagonal = np.searchsorted(runs, np.searchsorted(sums, twice))

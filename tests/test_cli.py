@@ -278,7 +278,9 @@ class TestCertifyCommand:
 # the length given after --f.  The support-3941 certificate and the
 # 4096-value norms were recorded before the norm sums left math.fsum; the
 # other four when supports up to 2048 moved from an exact ||f^||_4^4 to the
-# FFT, which changed their err alone.
+# FFT, which changed their err alone; the support-28591 certificate, whose
+# values the numpy repr kernel writes, while they were still written by
+# float.__repr__.
 GOLDEN_STDOUT = {
     "certify perturbation --n 300":
         "9c09afb48533960ae2711dedd9d9816c8eda8e0b2b7ca2560fbd720f81fd9c7d",
@@ -292,6 +294,8 @@ GOLDEN_STDOUT = {
         "3c83cebcace22eeb8891443a9646974a5947bea620a7e26cef524213889e1115",
     "estimate --n 8 --seed 0":
         "7fb5ade2d758199ac21e65f845d11d282cd4450d0fca992d2901a945f7e3ef46",
+    "certify gaussian --n 30001 --eps 0.5":
+        "453cc9b9ec6b22051fecd387db749d2814c8eba9078364bb93b175f38c810a50",
 }
 
 
@@ -489,6 +493,21 @@ def test_read_set_skips_comments(tmp_path):
     path.write_text("# header\n0\n\n1\n")
     lattice = read_set_file(str(path))
     assert lattice.size == 2
+
+
+def test_read_set_comments_take_the_one_call_path(tmp_path, monkeypatch):
+    # blank and # lines are dropped before the one-call check, so a commented
+    # file never reaches the per-token path
+    base = discrete_core.LatticeSet.from_values([0, 5, 12])
+    points = discrete_core.tensor_power(base, 3).points.tolist()
+    path = tmp_path / "pts.txt"
+    path.write_text("# {0, 5, 12}^3\n" + "\n".join(",".join(map(str, p)) for p in points) + "\n\n")
+
+    def refuse(*args):
+        raise AssertionError("per-token path reached")
+
+    monkeypatch.setattr(cli, "_token_points", refuse)
+    assert energy_of_set(read_set_file(str(path))) == energy_of_set(base) ** 3
 
 
 def test_mpmath_not_a_runtime_dependency():

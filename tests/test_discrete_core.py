@@ -398,6 +398,23 @@ class TestEnergies:
         assert energy == 7998008  # pinned E(A) of this set
         assert peak < 4 * 8 * block + 64 * A.size
 
+    def test_range_gathers_int64_keys_by_int32_index(self):
+        # one range of all 2001000 pairs i <= j of 2000 int64 keys 2^31 apart
+        # (sums repeat, so few runs): the sums, an int32 index and a quarter
+        # of the pairs' temporaries take 13 bytes per pair; int64 indices and
+        # one repeat of the row keys for all pairs took 16
+        m = 2000
+        keys = np.arange(m, dtype=np.int64) << 31
+        first, last = np.arange(m), np.full(m, m)
+        tracemalloc.start()
+        try:
+            energy = discrete_core._range_energy(keys, first, last, 2 * keys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert energy == energy_interval_formula(m)
+        assert peak < 14.5 * m * (m + 1) // 2
+
     def test_bruteforce_cap(self):
         with pytest.raises(CapExceededError):
             energy_bruteforce(LatticeSet.from_range(301))

@@ -6,7 +6,8 @@ against math.fsum bit for bit, the float64 lq norm against a 300-bit
 oracle, FFT lattice energies against the sorted pair-sum count and both
 against the brute-force oracle, the one-call set parser against the
 per-token one, the canonical point array of lattice sets,
-scale invariance of the ratio report, certificate JSON round trips, and
+scale invariance of the ratio report, certificate JSON round trips, the
+numpy repr kernel against float.__repr__, and
 the optimizer's row-wise FFT energy and gradient against np.convolve and
 finite differences."""
 
@@ -24,9 +25,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from energylab import cli, discrete_core
+from energylab import certificates, cli, discrete_core
 from energylab.optimizer import _pow4_rows
-from energylab.certificates import (Certificate, GaussianScheduleParams,
+from energylab.certificates import (_REPR_BLOCK_MIN, Certificate, GaussianScheduleParams,
                                     _sampled_gaussian, build_gaussian_certificate,
                                     build_perturbation_certificate, certificate_from_dict,
                                     certificate_json, certificate_to_dict, revalidate_certificate)
@@ -313,14 +314,19 @@ WITNESS_VALUES = st.one_of(MIXED, st.sampled_from([0.0, -0.0, 1.0, 0.1, 5e-324, 
 
 @st.composite
 def witness_values(draw):
-    """1 to 64 values: arbitrary, a palindrome, or a palindrome with the
-    sign of one of its zeros flipped."""
+    """1 to 64 values, or those repeated to a length the repr kernel writes:
+    arbitrary, a palindrome, or a palindrome with the sign of one of its
+    zeros flipped."""
     values = draw(st.lists(WITNESS_VALUES, min_size=1, max_size=64))
+    if draw(st.booleans()):
+        size = draw(st.integers(_REPR_BLOCK_MIN, 3 * _REPR_BLOCK_MIN))
+        values = (values * size)[:size]
+    half = values[:len(values) // 2]
     shape = draw(st.sampled_from(["any", "palindrome", "signed_zero"]))
     if shape == "palindrome":
-        values = values[:31] + draw(st.lists(WITNESS_VALUES, max_size=1)) + values[30::-1]
+        values = half + draw(st.lists(WITNESS_VALUES, max_size=1)) + half[::-1]
     elif shape == "signed_zero":
-        values = values[:31] + [0.0] + values[30::-1]
+        values = half + [0.0] + half[::-1]
         i = draw(st.sampled_from([i for i, v in enumerate(values) if v == 0.0]))
         values[i] = -math.copysign(0.0, values[i])
     return values
@@ -330,6 +336,7 @@ def witness_values(draw):
 @example(values=[1.0, 0.0, -0.0, 1.0], fields=[1.0] * 5, valid=True)
 @example(values=[1.0, -0.0, 1.0], fields=[1.0] * 5, valid=False)
 @example(values=[0.0], fields=[1.0] * 5, valid=False)
+@example(values=[0.1, -0.0, 5e-324] * _REPR_BLOCK_MIN, fields=[1.0] * 5, valid=True)
 @given(values=witness_values(), fields=st.lists(FLOATS, min_size=5, max_size=5),
        valid=st.booleans())
 def test_certificate_json_is_json_dumps(values, fields, valid):
@@ -337,12 +344,62 @@ def test_certificate_json_is_json_dumps(values, fields, valid):
     lhs, rhs, margin, err, q = fields
     cert = Certificate(kind="explicit", n=max(2, len(values)), q=q, f=f, lhs=lhs, rhs=rhs,
                        margin=margin, err=err, implied_t_bound=q, valid=valid)
-    d = certificate_to_dict(cert)
-    assert d["values"] == [repr(v) for v in f.values.tolist()]
+    reprs = [repr(v) for v in f.values.tolist()]
+    oracle = {"kind": "explicit", "n": cert.n, "q": q, "offset": f.offset, "values": reprs,
+              "lhs": lhs, "rhs": rhs, "margin": margin, "err": err, "implied_t_bound": q,
+              "valid": valid}
+    assert certificate_to_dict(cert) == oracle
     text = certificate_json(cert)
-    assert text == json.dumps(d, indent=2)
+    assert text == json.dumps(oracle, indent=2)
     back = certificate_from_dict(json.loads(text))
     assert back.f.offset == f.offset and back.f.values.tobytes() == f.values.tobytes()
+
+
+@st.composite
+def double_arrays(draw):
+    """0 to 5000 finite doubles from raw uint64 bit patterns: signs, exponents
+    and significands uniform over every finite double, over the exponents of
+    both notations and their edges (2^-15 .. 2^55), or powers of two and
+    their neighbours (where the gap below is half the gap above), or short
+    decimals (integers over 10^j, with trailing zeros); raw patterns drawn
+    by Hypothesis first; half of them bitwise palindromes."""
+    m = draw(st.integers(0, 5000))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["any", "notations", "powers", "short"]))
+    if kind == "short":
+        bits = (rng.integers(-10 ** 7, 10 ** 7, m) / 10.0 ** rng.integers(0, 9, m)).view(np.uint64)
+    else:
+        low, high = (0, 2047) if kind != "notations" else (1023 - 15, 1023 + 55)
+        bits = ((rng.integers(0, 2, m, dtype=np.uint64) << np.uint64(63))
+                | (rng.integers(low, high, m, dtype=np.uint64) << np.uint64(52))
+                | rng.integers(0, 1 << 52, m, dtype=np.uint64))
+        if kind == "powers":  # significand 0, 1 or all ones: 2^e and its neighbours
+            bits = (bits & ~np.uint64((1 << 52) - 1)) | rng.choice(
+                np.array([0, 1, (1 << 52) - 1], dtype=np.uint64), m)
+    raw = draw(st.lists(st.integers(0, 2 ** 64 - 1), max_size=min(m, 20)))
+    bits[:len(raw)] = raw
+    if draw(st.booleans()):
+        bits = np.concatenate([bits[:(m + 1) // 2], bits[:m // 2][::-1]])
+    values = bits.view(np.float64)
+    return np.where(np.isfinite(values), values, 1.5)
+
+
+POWERS_OF_TWO = np.ldexp(1.0, np.arange(-1074, 1024))
+
+
+@settings(max_examples=60, deadline=None)
+@example(values=np.array([]))
+@example(values=np.concatenate([POWERS_OF_TWO, np.nextafter(POWERS_OF_TWO, 0),
+                                np.nextafter(POWERS_OF_TWO[:-1], np.inf)]))
+@example(values=np.array([5e-324, -0.0, 0.0, 1e-4, 1e-5, 1e16, 1e15, 2.0 ** 53, 9007199254740993.0,
+                          1.7976931348623157e308, 2.2250738585072014e-308, 0.1, 100.0, 1e22]))
+@given(values=double_arrays())
+def test_repr_block_is_joined_reprs(values):
+    # the kernel at every length, and _values_block with the crossover at 1
+    expected = '",\n    "'.join(map(repr, values.tolist()))
+    assert certificates._repr_block(values) == expected
+    with mock.patch.object(certificates, "_REPR_BLOCK_MIN", 1):
+        assert certificates._values_block(values) == expected
 
 
 @settings(max_examples=150, deadline=None)
