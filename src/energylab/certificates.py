@@ -621,8 +621,9 @@ def certificate_from_dict(d: dict) -> Certificate:
         raise ValueError(f"certificate values must be a list, got {type(strs).__name__}")
     m = len(strs)
     # a palindrome reads its first half only; a bad value there is also
-    # the first bad value of the whole list
-    symmetric = strs == strs[::-1]
+    # the first bad value of the whole list.  strs[:(m - 1) // 2:-1] is the
+    # second half reversed, so no reversed copy of the whole list is made.
+    symmetric = strs[:m // 2] == strs[:(m - 1) // 2:-1]
     head = _exact_floats(strs[:(m + 1) // 2] if symmetric else strs)
     vals = _mirror(head, m) if symmetric else head
     f = DiscreteFunction(d["offset"], vals)

@@ -617,11 +617,39 @@ def _energy_sorted(keys) -> int:
 def _range_energy(keys, first, last, twice) -> int:
     """sum_s r(s)^2 over one range of sum values, whose pairs i <= j are
     keys[i] + keys[j] for first[i] <= j < last[i] and whose doubled keys are
-    twice.  The sums are formed in the keys' own width, which
-    _energy_sorted picks from the set's span, a quarter of the pairs at a
-    time (keys[j] taken by an int32 index, plus keys[i] repeated), so the
-    temporaries stay a fraction of the sums; they are then sorted in place
-    and counted in runs: r(s) = 2 run(s) - [s in twice]."""
+    twice.  The sums from _pair_sums are sorted in place and counted in
+    runs of equal sums: r(s) = 2 run(s) - [s in twice], so sum_s r(s)^2 =
+    4 sum run^2 - 4 sum_twice run + |twice|.  The run edges (one bool per
+    pair) and the doubled keys' positions are taken before the sums are
+    freed, and the squared run lengths are added a quarter of the runs at a
+    time, so counting never holds more than gathering the sums did."""
+    sums = _pair_sums(keys, first, last)
+    sums.sort()
+    edge = np.empty(len(sums) + 1, dtype=bool)  # where a run starts, and the end
+    edge[0] = edge[-1] = True
+    np.not_equal(sums[1:], sums[:-1], out=edge[1:-1])
+    diagonal = np.searchsorted(sums, twice)
+    del sums
+    bounds = np.flatnonzero(edge)
+    del edge
+    diagonal = np.searchsorted(bounds, diagonal)  # the runs of the doubled keys
+    quarter = len(bounds) // 4 + 1
+    squares = 0
+    for r0 in range(0, len(bounds) - 1, quarter):
+        run = np.diff(bounds[r0:r0 + quarter + 1])
+        # a run is at most |A| long and a range holds < 2^31 pairs, so
+        # sum run^2 < 2^31 |A|: int64 holds it below 2^32 points
+        squares += int(np.dot(run, run))
+    on_diagonal = int((bounds[diagonal + 1] - bounds[diagonal]).sum())
+    return 4 * squares - 4 * on_diagonal + len(twice)
+
+
+def _pair_sums(keys, first, last) -> np.ndarray:
+    """The sums keys[i] + keys[j], first[i] <= j < last[i], row by row.  They
+    are formed in the keys' own width, which _energy_sorted picks from the
+    set's span, a quarter of the pairs at a time (keys[j] taken by an int32
+    index, plus keys[i] repeated), so the temporaries stay a fraction of the
+    sums."""
     counts = last - first
     starts = np.cumsum(counts) - counts  # each row's first pair
     sums = np.empty(int(counts.sum()), dtype=keys.dtype)
@@ -636,16 +664,7 @@ def _range_energy(keys, first, last, twice) -> int:
         cols = np.repeat(shift[r0:r1], c)
         cols += np.arange(p0, p0 + len(cols), dtype=np.int32)
         np.add(keys.take(cols), np.repeat(keys[r0:r1], c), out=sums[p0:p0 + len(cols)])
-    sums.sort()
-    runs = np.flatnonzero(np.concatenate(([True], sums[1:] != sums[:-1], [True])))
-    diagonal = np.searchsorted(runs, np.searchsorted(sums, twice))
-    del sums
-    r = np.diff(runs)
-    r *= 2
-    r[diagonal] -= 1
-    # r is int64 at every key width, and E(A) <= |A|^3 < 2^63 below 2^21
-    # points (2^42 pair sums): int64 holds it
-    return int(np.dot(r, r))
+    return sums
 
 
 def energy_bruteforce(A: LatticeSet) -> int:

@@ -64,14 +64,23 @@ class OptimizerResult:
 
 
 def _pow4_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """sum (x*x)^2 of each row x of X and its gradient 4 sum_b x(b) (x*x)(i+b),
-    from one rfft and one irfft along the rows.
+    """sum (x*x)^2 of each row x of X and its gradient 4 sum_b x(b) (x*x)(i+b)."""
+    e4, corr = _pow4_corr_rows(X)
+    return e4, 4.0 * corr
+
+
+def _pow4_corr_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sum (x*x)^2 of each row x of X and the correlation sum_b x(b) (x*x)(i+b),
+    a quarter of its gradient, from one rfft and one irfft along the rows.
 
     With F = rfft(x, N), c = irfft(F^2) is x*x and irfft(F^2 conj F) is the
     correlation of c with x; both come from one irfft over the stacked rows
     (F^2, F^2 conj F).  At N, the least power of two >= 2n-1, neither wraps
-    around.  Rows never mix, so a row's result does not depend on the
-    others.
+    around.  Rows never mix, but a row's last bits may depend on the batch:
+    numpy's complex multiply may round the product F^2 conj F differently for
+    a (k, N/2+1) array than for one row (seen at n >= 1000 on an AVX-512
+    build, never at n <= 256).  The correlation is a view into the irfft
+    output, which the caller owns.
     """
     k, n = X.shape
     N = 1 << (2 * n - 2).bit_length()
@@ -79,17 +88,21 @@ def _pow4_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     F2 = F * F
     out = np.fft.irfft(np.concatenate((F2, F2 * F.conj())), N, axis=1)
     c = out[:k, :2 * n - 1]
-    return (c * c).sum(axis=1), 4.0 * out[k:, :n]
+    return (c * c).sum(axis=1), out[k:, :n]
 
 
 def _objective_rows(X: np.ndarray, q: float) -> tuple[np.ndarray, np.ndarray]:
     """log ||x^||_4 - log ||x||_q of each row x of X and its gradient, for
-    rows x >= 0 with max(x) = 1; sum x^q shares x^(q-1) with the gradient."""
-    e4, grad4 = _pow4_rows(X)
+    rows x >= 0 with max(x) = 1; sum x^q shares x^(q-1) with the gradient.
+    The gradient corr / e4 - x^(q-1) / s is formed in place; it equals
+    grad4 / (4 e4) - ..., as both factors of 4 are exact."""
+    e4, corr = _pow4_corr_rows(X)
     xq1 = X ** (q - 1.0)
     s = (xq1 * X).sum(axis=1)
     values = 0.25 * np.log(e4) - np.log(s) / q
-    return values, grad4 / (4.0 * e4[:, None]) - xq1 / s[:, None]
+    corr /= e4[:, None]
+    xq1 /= s[:, None]
+    return values, np.subtract(corr, xq1, out=xq1)
 
 
 def _ascend_rows(X0: np.ndarray, q: float, max_iters: int, tol: float,
@@ -114,37 +127,48 @@ def _ascend_rows(X0: np.ndarray, q: float, max_iters: int, tol: float,
 
     The running chains' state is kept packed, one row per running chain in
     x, g, v, step and it; a chain's final state goes back to its own row of
-    X, values, eta and iters in the round it stops.
+    X, values, eta and iters in the round it stops.  A round builds the
+    trial and then the Armijo slope sum g (y - x) in one scratch array y,
+    and updates the packed state in place; one error-state scope covers
+    every round, since a trial whose top is 0 or not finite gives a NaN row
+    (0/0, inf/inf) and a huge step overflows the Armijo bound, and both are
+    rejected: a NaN value fails every comparison.
     """
     X = X0 / X0.max(axis=1, keepdims=True)
     values, g = _objective_rows(X, q)
     eta = np.full(len(X), STEP_INIT) if steps is None else np.array(steps, dtype=np.float64)
     iters = np.ones(len(X), dtype=np.int64)
     run = np.arange(len(X))
-    x, v, step, it = X, values, eta, iters
+    x, v, step, it = X.copy(), values.copy(), eta.copy(), iters.copy()
+    factor = np.array([BACKTRACK_SHRINK, STEP_GROW])  # indexed by acceptance
     rounds = 0
-    while run.size:
-        rounds += 1
-        # a trial whose top is 0 or not finite gives a NaN row (0/0, inf/inf),
-        # and a huge step overflows the Armijo bound: both are rejected
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            y = np.maximum(x + step[:, None] * g, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        while run.size:
+            rounds += 1
+            y = step[:, None] * g
+            y += x
+            np.maximum(y, 0.0, out=y)
             z = y / y.max(axis=1, keepdims=True)
             fz, gz = _objective_rows(z, q)
-            slope = (g * (y - x)).sum(axis=1)
-            ok = np.isfinite(fz) & (fz >= v + ARMIJO_C * step * slope) & (fz >= v)
+            y -= x
+            y *= g
+            ok = fz >= np.maximum(v, v + ARMIJO_C * step * y.sum(axis=1))
             done = ok & (((fz - v < tol * np.maximum(1.0, np.abs(fz))) & (it > 8))
                          | (it == max_iters))
-        x, g = np.where(ok[:, None], z, x), np.where(ok[:, None], gz, g)
-        v = np.where(ok, fz, v)
-        step = step * np.where(ok, STEP_GROW, BACKTRACK_SHRINK)
-        it = it + (ok & ~done)
-        stop = done | (~ok & ~(step > 1e-18))
-        if stop.any():
-            rows = run[stop]
-            X[rows], values[rows], eta[rows], iters[rows] = x[stop], v[stop], step[stop], it[stop]
-            keep = ~stop
-            run, x, g, v, step, it = run[keep], x[keep], g[keep], v[keep], step[keep], it[keep]
+            okc = ok[:, None]
+            np.copyto(x, z, where=okc)
+            np.copyto(g, gz, where=okc)
+            np.copyto(v, fz, where=ok)
+            step *= factor[ok.astype(np.intp)]
+            it += ok
+            it -= done
+            stop = done | ~(ok | (step > 1e-18))
+            if stop.any():
+                rows = run[stop]
+                X[rows], values[rows], eta[rows], iters[rows] = (x[stop], v[stop], step[stop],
+                                                                 it[stop])
+                keep = ~stop
+                run, x, g, v, step, it = run[keep], x[keep], g[keep], v[keep], step[keep], it[keep]
     return X, values, iters, eta, rounds
 
 
@@ -195,7 +219,8 @@ def maximize_ratio(config: OptimizerConfig,
     float64 objective; only the winner is evaluated with rounding bounds,
     once, by evaluate_certificate, so the result carries its explicit
     certificate with a rigorous err.  Deterministic for a fixed config and
-    previous: chains are independent and ties go to the smaller start_id.
+    previous: chains never read each other's rows and ties go to the
+    smaller start_id.
     """
     n, q = config.n, config.q
     if previous is None:

@@ -315,6 +315,19 @@ class TestSerialization:
         with pytest.raises(ValueError, match=f"value {bad_at} "):
             certificate_from_dict(d)
 
+    @pytest.mark.parametrize("m", [2, 3, 6, 7])
+    def test_palindrome_but_one_reads_as_written(self, m):
+        # a palindrome but for one value of its second half is no palindrome:
+        # all m values read back as written, none mirrored from the first half
+        d = certificate_to_dict(build_perturbation_certificate(7))
+        half = [repr(0.5 + i / 8) for i in range(m // 2)]
+        middle = ["1.0"] if m % 2 else []
+        for i in range((m + 1) // 2, m):
+            d["values"] = half + middle + half[::-1]
+            d["values"][i] = "0.125"
+            back = certificate_from_dict(d)
+            assert back.f.values.tolist() == [float(s) for s in d["values"]]
+
     @pytest.mark.parametrize("where", ["first", "second", "both"])
     def test_palindrome_inexact_value_reported_at_first_index(self, where):
         # an inexact string in the first half, the second half or both copies

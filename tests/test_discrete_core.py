@@ -415,6 +415,35 @@ class TestEnergies:
         assert energy == energy_interval_formula(m)
         assert peak < 14.5 * m * (m + 1) // 2
 
+    def test_range_counts_runs_below_the_gather_peak(self):
+        # one range of all 4501500 pairs of 3000 int64 keys of 40 bits whose
+        # pair sums are all distinct (the Sidon set 2pk + (k^2 mod p), p =
+        # 3001, scaled by 2^15 + 1): a run per sum is the most run bounds a
+        # range can have.  Counting them must not peak above gathering the
+        # sums (13 bytes per pair); holding the sorted sums, two bool arrays
+        # and the int64 run bounds at once took 18.  The allowance is the
+        # few Python objects of the enclosing call.
+        m, p = 3000, 3001
+        k = np.arange(m, dtype=np.int64)
+        keys = (2 * p * k + k * k % p) * ((1 << 15) + 1)
+        assert int(keys[-1]).bit_length() == 40
+        first, last = np.arange(m), np.full(m, m)
+        peaks = []
+        for kernel, args in ((discrete_core._pair_sums, ()), (discrete_core._range_energy,
+                                                                (2 * keys,))):
+            tracemalloc.start()
+            try:
+                result = kernel(keys, first, last, *args)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            del result
+        gather, whole = peaks
+        assert gather < 13.5 * m * (m + 1) // 2
+        assert whole <= gather + 4096
+        # a Sidon set's energy is 2m^2 - m: only the trivial solutions
+        assert discrete_core._range_energy(keys, first, last, 2 * keys) == 2 * m * m - m
+
     def test_bruteforce_cap(self):
         with pytest.raises(CapExceededError):
             energy_bruteforce(LatticeSet.from_range(301))

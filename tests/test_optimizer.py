@@ -13,6 +13,38 @@ from energylab.optimizer import (ASCENT_TOL, MAX_ITERS, STEP_INIT, OptimizerConf
                                  _pow4_rows)
 
 
+# (q, ratio, err, fired, start_id, agreeing, iterations, rounds) of each probe
+# of estimate_qn(n, tol=1e-3, seed=0)
+PROBE_TRACES = {
+    8: [
+        (2.0, 1.5332182800910197, 3.174454109162668e-14, True, 8, 15, 26, 29),
+        (1.6666666666666665, 1.250933407036366, 3.009451811936497e-14, True, 1, 15, 11, 15),
+        (1.5, 1.0948601964545257, 2.814748456648248e-14, True, 3, 15, 9, 14),
+        (1.4166666666666665, 1.0144223434353767, 2.6271403425359402e-14, True, 1, 15, 11, 16),
+        (1.375, 1.0, 2.0165523178231245e-15, False, 0, 1, 9, 27),
+        (1.3958333333333333, 1.0, 2.005706177012645e-15, False, 0, 1, 9, 18),
+        (1.40625, 1.0043707705484235, 2.5936117242781214e-14, True, 4, 15, 10, 15),
+        (1.4010416666666665, 1.0, 2.0030450420926024e-15, False, 0, 1, 9, 14),
+        (1.4036458333333333, 1.0018616596739982, 2.584657942699749e-14, True, 2, 15, 9, 13),
+        (1.40234375, 1.0006078044159616, 2.5800797180005528e-14, True, 3, 15, 9, 13),
+        (1.4016927083333333, 1.0, 2.0027137907416632e-15, False, 0, 1, 9, 13),
+    ],
+    16: [
+        (2.0, 1.82144076032467, 6.331303385050098e-14, True, 2, 15, 26, 28),
+        (1.6666666666666665, 1.386844251216842, 5.958423281659479e-14, True, 1, 15, 10, 14),
+        (1.5, 1.1592379474976913, 5.53740188122851e-14, True, 4, 15, 10, 15),
+        (1.4166666666666665, 1.0454657024037108, 5.1342080169153566e-14, True, 1, 15, 17, 24),
+        (1.375, 1.0, 2.0165523178231245e-15, False, 0, 1, 9, 35),
+        (1.3958333333333333, 1.0173892337710553, 4.980809563660067e-14, True, 13, 15, 17, 23),
+        (1.3854166666666665, 1.003462613804679, 4.888496211638319e-14, True, 10, 15, 18, 25),
+        (1.3802083333333333, 1.0, 2.0138100859955695e-15, False, 0, 1, 9, 28),
+        (1.3828125, 1.0, 2.0124467164993836e-15, False, 0, 1, 9, 25),
+        (1.3841145833333333, 1.0017283924777607, 4.875956077448313e-14, True, 7, 15, 15, 21),
+        (1.3834635416666665, 1.0008618879416646, 4.869622118969988e-14, True, 6, 15, 14, 19),
+    ],
+}
+
+
 def _ratio(res):
     return res.certificate.lhs / res.certificate.rhs
 
@@ -109,16 +141,23 @@ class TestObjective:
             assert all(b >= a - 1e-14 for a, b in zip(values, values[1:]))
             assert values[-1] == final[0]
 
-    @pytest.mark.parametrize("n", [2, 3, 8, 16, 33])
+    @pytest.mark.parametrize("n", [2, 3, 8, 16, 33, 1024])
     def test_batch_independence(self, n):
-        # each chain run alone ends where it ends inside the 16-row batch, bit for bit
+        # each chain run alone ends where it ends inside the 16-row batch: bit
+        # for bit at small n; at n = 1024 numpy's complex multiply may round a
+        # 16-row spectral product differently from one row's, so a chain alone
+        # takes the same iterations and steps and ends within rounding
         X0 = _initial_rows(OptimizerConfig(n=n, q=1.45, seed=3))
         assert X0.shape == (16, n)
-        X, values, iters, _, _ = _ascend_rows(X0, 1.45, 5000, 1e-12)
+        X, values, iters, steps, _ = _ascend_rows(X0, 1.45, 5000, 1e-12)
         for sid in range(16):
-            x, value, it, _, _ = _ascend_rows(X0[sid:sid + 1], 1.45, 5000, 1e-12)
-            assert np.array_equal(x[0], X[sid])
-            assert value[0] == values[sid] and it[0] == iters[sid]
+            x, value, it, step, _ = _ascend_rows(X0[sid:sid + 1], 1.45, 5000, 1e-12)
+            assert it[0] == iters[sid] and step[0] == steps[sid]
+            if n <= 33:
+                assert np.array_equal(x[0], X[sid]) and value[0] == values[sid]
+            else:
+                assert np.max(np.abs(x[0] - X[sid])) <= 1e-12
+                assert value[0] == pytest.approx(values[sid], rel=1e-13, abs=0)
 
     def test_one_fft_evaluation_per_round(self, monkeypatch):
         # one row-wise rfft for the starts, then one per round; a batch runs
@@ -359,6 +398,15 @@ class TestEstimate:
         # the values of the per-chain np.convolve ascent and of the cold-started
         # probes, which the lockstep ascent and the warm start both kept
         assert estimate_qn(n, tol=1e-3, seed=0).q_hat == q_hat
+
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_probe_trace_pinned(self, n):
+        # every probe's (q, ratio, err, fired, start_id, agreeing, iterations,
+        # rounds) at seed 0, tol 1e-3, as the ascent gave them before its round
+        # was rewritten in place; iterations and rounds reach only stderr, so
+        # no golden stdout hash would see the ascent drift there
+        est = estimate_qn(n, tol=1e-3, seed=0)
+        assert [dataclasses.astuple(p) for p in est.probes] == PROBE_TRACES[n]
 
     def test_probe_records(self, monkeypatch):
         results = []
