@@ -627,11 +627,27 @@ def certificate_from_dict(d: dict) -> Certificate:
     head = _exact_floats(strs[:(m + 1) // 2] if symmetric else strs)
     vals = _mirror(head, m) if symmetric else head
     f = DiscreteFunction(d["offset"], vals)
-    return Certificate(kind=d["kind"], n=int(d["n"]), q=float(d["q"]), f=f,
-                       lhs=float(d["lhs"]), rhs=float(d["rhs"]),
-                       margin=float(d["margin"]), err=float(d["err"]),
-                       implied_t_bound=float(d["implied_t_bound"]),
-                       valid=bool(d["valid"]))
+    n, valid = d["n"], d["valid"]
+    if type(n) is not int:
+        raise ValueError(f"certificate field 'n' must be an integer, got {n!r}")
+    if type(valid) is not bool:
+        raise ValueError(f"certificate field 'valid' must be true or false, got {valid!r}")
+    number = {name: _finite_number(name, d[name])
+              for name in ("q", "lhs", "rhs", "margin", "err", "implied_t_bound")}
+    return Certificate(kind=d["kind"], n=n, f=f, valid=valid, **number)
+
+
+def _finite_number(name: str, v) -> float:
+    """A certificate's number field v as a float: a finite int or float, not
+    a bool, nor a string such as "1e999" or "nan" that float() would read."""
+    if isinstance(v, (int, float)) and not isinstance(v, bool):
+        try:
+            x = float(v)
+        except OverflowError:  # an int beyond float64 range
+            x = math.inf
+        if math.isfinite(x):
+            return x
+    raise ValueError(f"certificate field {name!r} must be a finite number, got {v!r}")
 
 
 def revalidate_certificate(cert: Certificate) -> Certificate:

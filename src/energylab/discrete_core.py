@@ -7,9 +7,10 @@ autoconvolution identity  ||f^||_4^4 = ||f*f||_2^2 = sum_s (f*f)(s)^2,
 which for an indicator function 1_A reduces to the additive energy E(A).
 Both norms have one evaluation path at every support: float64 on the
 values' exact power-of-two prescale y = f 2^-e, max|y| in [1, 2), with
-f*f one FFT autoconvolution, each returned as a scaled value, e and a
-relative bound for the arithmetic done; sharing e, the two sides of a
-norm comparison are compared without leaving float64 range (_norm_pair).
+sum_s (y*y)(s)^2 taken by Parseval from one forward FFT of y, each
+returned as a scaled value, e and a relative bound for the arithmetic
+done; sharing e, the two sides of a norm comparison are compared without
+leaving float64 range (_norm_pair).
 Only fourier_l4_pow4 on integer-valued f, which no certificate uses,
 returns the exact integer instead.
 Energies of lattice sets are counted exactly in arbitrary precision via the
@@ -125,8 +126,21 @@ def _pow2_exponent(arr) -> int:
     return math.frexp(float(np.max(np.abs(arr))))[1] - 1
 
 
+def _norm2_upper(y) -> float:
+    """An upper bound on ||y||_2^2 for a float64 array y of m entries: the m
+    rounded squares summed in float64 in any order are within (m + 1) u of
+    the exact sum (u = 2^-53); np.sum, unlike a BLAS dot, fixes that order."""
+    return float(np.sum(y * y)) * (1.0 + (len(y) + 1) * FLOAT64_EPS / 2.0)
+
+
 def _autoconvolve(x):
     """FFT autoconvolution with a proved rounding bound: (c, e, delta).
+
+    Its users need c entry by entry: _energy_fft rounds every count to an
+    integer, and continuum's Simpson quadrature weights each entry of two
+    autoconvolutions combined by polarization.  The certified sum of c^2
+    needs no c and takes one forward transform instead
+    (fourier_l4_pow4_with_error).
 
     y = x * 2^-e is an exact power-of-two prescale with max|y| in [1, 2), so
     no product or sum below overflows or loses a normal value to underflow.
@@ -163,10 +177,7 @@ def _autoconvolve(x):
     u = FLOAT64_EPS / 2.0
     levels = size.bit_length() - 1
     big_s = 3 * levels * (u + 4.0 * u) + (3 * levels + 1) * math.sqrt(5.0) * u
-    # m rounded squares summed in float64 in any order are within (m + 1) u
-    # of the exact sum; np.sum, unlike a BLAS dot, fixes that order
-    norm2 = float(np.sum(y * y)) * (1.0 + (m + 1) * u)
-    delta = big_s * (1.0 + big_s) * norm2 * (1.0 + 2.0 ** -40)
+    delta = big_s * (1.0 + big_s) * _norm2_upper(y) * (1.0 + 2.0 ** -40)
     return c, e, delta
 
 
@@ -291,25 +302,71 @@ def fourier_l4_pow4_with_error(f: DiscreteFunction):
 
     k = 4e for the exact power-of-two prescale y = f 2^-e of
     _pow2_exponent, with max|y| in [1, 2), so t approximates
-    sum (y*y)^2 >= ||y||_2^4 >= 1 and no scale overflows or underflows.
-    c = _autoconvolve(values) is one float64 FFT autoconvolution of y with a
-    proved bound delta >= max_s |c(s) - (y*y)(s)| (Percival 2003, stated in
-    _autoconvolve), at every support.  Then |sum c^2 - sum (y*y)^2| <=
-    2 delta ||c||_1 + (2m-1) delta^2, and the squares and the sum
-    t = _exact_sum(c^2), the exact sum of the rounded squares rounded once,
-    add a rounding each.
+    T = sum_s (y*y)(s)^2 >= ||y||_2^4 >= 1 and no scale overflows or
+    underflows.  With N = 2^L the least power of two >= 2m - 1, the cyclic
+    autoconvolution of length N is y*y itself, so for Y = DFT_N(y),
+    Y^2 = DFT_N(y*y) and Parseval gives
+
+        T = (1/N) sum_k |Y_k|^4 = ||Y||_4^4 / N.
+
+    One forward transform suffices: rfft(y, N) holds the bins k <= N/2,
+    and Y_(N-k) = conj(Y_k), so the interior bins are weighted by 2.  With
+    p_k = (re^2 + im^2)^2 of the computed bins, t = _exact_sum(w p) / N;
+    the weights w and 1/N are exact powers of two.  The bound, with
+    u = 2^-53 the unit roundoff:
+
+    - transform: Percival's Theorem 5.1 (stated in _autoconvolve) composes
+      one bound per length-N transform, and one forward transform alone
+      obeys it under the same assumptions (pocketfft treated as L radix-2
+      levels, twiddle error beta = 4u): the computed spectrum Yc, the
+      half spectrum extended by conjugate symmetry, satisfies
+
+          ||Yc - Y||_2 <= rho_L ||Y||_2 = rho_L sqrt(N) ||y||_2,
+          rho_L = (1+u)^L (1+sqrt5 u)^L (1+beta)^L - 1,
+
+      its squared norm over the full spectrum being the weighted one over
+      the half spectrum.  With R = L (u + beta + sqrt5 u), rho_L <=
+      e^R - 1 <= R (1 + R), as R <= 1.
+    - spectrum to pow4: by the triangle inequality in l4 and
+      ||v||_4 <= ||v||_2, | ||Yc||_4 - ||Y||_4 | <= ||Yc - Y||_2 <= D :=
+      rho_L sqrt(N) ||y||_2, so ||Yc||_4 / ||Y||_4 lies within r =
+      D / ||Y||_4 of 1, and ||Yc||_4^4 = N T (1 + a), |a| <= (1 + r)^4 - 1.
+    - roundings: fl(re^2) + fl(im^2), rounded, is |Yc_k|^2 within
+      (1 +- u)^2, so its rounded square p_k is |Yc_k|^4 within (1 +- u)^5,
+      and the exact sum, rounded once, adds a sixth factor: t =
+      ||Yc||_4^4 (1 + b) / N with (1 - u)^6 <= 1 + b <= (1 + u)^6.
+
+    So t / T lies in [(1 - r)^4 (1 - u)^6, (1 + r)^4 (1 + u)^6], and
+    |t / T - 1| <= (1 + r)^4 (1 + u)^6 - 1 <= e^s - 1 <= s (1 + s) with
+    s = 4r + 6u.  r is bounded by computed values: ||Y||_4 >= ||Yc||_4 - D
+    and ||Yc||_4^4 = N t / (1 + b) >= N t (1 - 6u), so r <= D / (low - D)
+    with low = (N t (1 - 6u))^(1/4), and D <= R (1 + R) sqrt(N n2) for
+    n2 = _norm2_upper(y) >= ||y||_2^2.  low > D at every feasible N:
+    ||Y||_4^4 = N T >= N ||y||_2^4, so D / ||Y||_4 <= rho_L N^(1/4), which
+    is below 2^-20 for N <= 2^64.  The factor 1 + 2^-40 covers the float64
+    evaluation of the bound (a few u relative to r and s) and the absolute
+    errors below 2^-1074 of squares that underflow (N t >= N (1 - s), so
+    they weigh below 2^-1000 relative to it).
     """
     if f.is_zero:
         return 0.0, 0, 0.0
     m = len(f.values)
     u = FLOAT64_EPS / 2.0
-    c, e, delta = _autoconvolve(f.values)
-    # a float64 sum of 2m-1 nonnegative terms is within 2m u of the exact sum
-    l1 = float(np.sum(np.abs(c))) * (1.0 + 2 * m * u)
-    # c is squared in place: >= 1, as sum (y*y)^2 >= ||y||_2^4 >= max|y|^4
-    total = _exact_sum(np.square(c, out=c))
-    abs_err = 2.0 * delta * l1 + (2 * m - 1) * delta * delta + 2.0 * u * total
-    return total, 4 * e, abs_err / total * (1.0 + 2.0 ** -40)
+    e = _pow2_exponent(f.values)
+    y = np.ldexp(f.values, -e)
+    size = 1 << (2 * m - 2).bit_length()
+    parts = np.fft.rfft(y, size).view(np.float64)  # re, im of each bin
+    np.square(parts, out=parts)
+    p = parts[0::2] + parts[1::2]
+    np.square(p, out=p)
+    p[1:-1] *= 2.0
+    total = _exact_sum(p) / size
+    levels = size.bit_length() - 1
+    big_r = levels * (u + 4.0 * u + math.sqrt(5.0) * u)
+    big_d = big_r * (1.0 + big_r) * math.sqrt(size * _norm2_upper(y))
+    low = math.sqrt(math.sqrt(size * total * (1.0 - 6.0 * u)))
+    s = 4.0 * big_d / (low - big_d) + 6.0 * u
+    return total, 4 * e, s * (1.0 + s) * (1.0 + 2.0 ** -40)
 
 
 def fourier_l4_pow4(f: DiscreteFunction):
@@ -373,10 +430,12 @@ def _norm_pair(f: DiscreteFunction, q: float):
     a = sqrt(sqrt(t)): t's bound rel4 becomes (1 + rel4)^(1/4) - 1 <=
     rel4 / (4 (1 - rel4)), and the two correctly rounded square roots add
     u/2 + u.  rel_a adds a further u/2 for the products of these terms and
-    the float64 evaluation of the bound, enough while rel4 < 1/8 (it is
-    about 2 m times the bracket S of _autoconvolve, so at any m < 2^40).
-    rel_b is lq_norm_with_error's bound.  A norm beyond float64 range is an
-    error; neither can underflow to zero, as a, b >= 1 - 8u for nonzero f.
+    the float64 evaluation of the bound, enough while rel4 < 1/8: rel4 is
+    about 4 r + 6u with r <= rho_L N^(1/4) (fourier_l4_pow4_with_error),
+    below 2^-20 at any transform length N <= 2^64.  rel_b is
+    lq_norm_with_error's bound.  A norm beyond float64 range is an error;
+    neither can underflow to zero, as a >= 1 - rel4 and b >= 1 - 8u for
+    nonzero f.
     """
     t, _, rel4 = fourier_l4_pow4_with_error(f)
     b, e, rel_b = lq_norm_with_error(f, q)

@@ -301,6 +301,31 @@ class TestSerialization:
         with pytest.raises(ValueError, match=match):
             certificate_from_dict(d)
 
+    @pytest.mark.parametrize("field, bad", [
+        ("valid", "false"),  # bool("false") is True
+        ("valid", 1),
+        ("n", 5.9),  # int(5.9) is 5
+        ("n", True),
+        ("lhs", "1e999"),  # float("1e999") is inf
+        ("q", "nan"),
+        ("rhs", math.inf),
+        ("margin", 10 ** 400),
+        ("err", None),
+        ("implied_t_bound", False)])
+    def test_from_dict_rejects_mistyped_fields(self, field, bad):
+        # each field must have its JSON type; none is converted on trust
+        d = certificate_to_dict(build_perturbation_certificate(5))
+        assert certificate_from_dict(d).valid
+        d[field] = bad
+        with pytest.raises(ValueError, match=f"'{field}'"):
+            certificate_from_dict(d)
+
+    def test_from_dict_reads_integer_numbers(self):
+        # a JSON integer is a number, as 1.0 is
+        d = certificate_to_dict(build_perturbation_certificate(5))
+        d["margin"] = 1
+        assert certificate_from_dict(d).margin == 1.0
+
     @pytest.mark.parametrize("bad_at", [1, 2])
     def test_palindrome_reports_first_bad_index(self, bad_at):
         # a palindrome reads its first half only: the bad value is reported at

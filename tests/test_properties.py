@@ -1,6 +1,7 @@
 """Property tests: the FFT ||f^||_4^4 within its own bound of the
 quadruple-sum oracle and of the per-value, per-slot loop kernel kept here
-as the exact reference, the integer kernel equal to both (value and type),
+as the exact reference, that bound against a 200-bit evaluation of its
+formula, the integer kernel equal to both (value and type),
 the certified ratio against the exact reference, the exact vectorized sum
 against math.fsum bit for bit, the float64 lq norm against a 300-bit
 oracle, FFT lattice energies against the sorted pair-sum count and both
@@ -431,6 +432,71 @@ def test_fft_pow4_fixed_cases(m, kind):
 def test_fft_pow4_gaussian_witness():
     f = _sampled_gaussian(GaussianScheduleParams.from_n_eps(20001, 0.51))
     assert_within_own_bound(f)
+
+
+# The inputs where an l2 bound on the spectrum is weakest relative to
+# sum (f*f)^2: spikes (a flat spectrum), a spike on a tiny floor, and
+# alternating signs (the mass near the Nyquist bin, which has weight 1)
+def spikes(m, at, heights=(1.0, 1.0), floor=0.0):
+    x = np.full(m, floor)
+    x[list(at)] = heights[:len(at)]
+    return x
+
+
+@pytest.mark.parametrize("values", [
+    spikes(3001, (0, 3000)), spikes(3001, (0, 3000), (1.5, -0.75)),
+    spikes(2 ** 15, (0, 2 ** 15 - 1)), spikes(2 ** 15, (0, 2 ** 15 - 1), (1.0, -1e-3)),
+    spikes(4000, (1234,), floor=1e-8), spikes(4000, (0, 3999), floor=-1e-8),
+    np.resize([1.0, -1.0], 5000), np.resize([1.0, -1.0], 5001),
+    np.resize([3.0, -1.0, 2.0, -0.5], 4099)],
+    ids=["spikes3000", "spikes3000-signed", "spikes32767", "spikes32767-signed",
+         "floor", "floor-signed", "alternating-even", "alternating-odd", "alternating-4"])
+def test_fft_pow4_weak_cases(values):
+    assert_within_own_bound(DiscreteFunction(0, values))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 5000), bits=st.integers(0, 40),
+       signed=st.booleans())
+def test_fft_pow4_integer_arrays(seed, m, bits, signed):
+    # integer values, where the exact oracle is cheap at thousands of entries
+    rng = np.random.default_rng(seed)
+    values = rng.integers(-(2 ** bits) if signed else 0, 2 ** bits, m, endpoint=True)
+    assume(values.any())
+    assert_within_own_bound(DiscreteFunction(0, values.astype(np.float64)))
+
+
+def parseval_rel(y, t) -> mp.mpf:
+    """(1 + r)^4 (1 + u)^6 - 1 with r = D / (low - D), D = rho_L sqrt(N) ||y||_2,
+    rho_L = (1+u)^L (1+sqrt5 u)^L (1+4u)^L - 1 and low = (N t (1+u)^-6)^(1/4):
+    the bound of the Parseval pow4 of y that returned t, N = 2^L."""
+    levels = (2 * len(y) - 2).bit_length()
+    with mp.workprec(200):
+        u = mp.mpf(2) ** -53
+        size = mp.mpf(2) ** levels
+        rho = (1 + u) ** levels * (1 + mp.sqrt(5) * u) ** levels * (1 + 4 * u) ** levels - 1
+        big_d = rho * mp.sqrt(size * mp.fsum(mp.mpf(float(v)) ** 2 for v in y))
+        low = mp.root(size * mp.mpf(t) / (1 + u) ** 6, 4)
+        r = big_d / (low - big_d)
+        return (1 + r) ** 4 * (1 + u) ** 6 - 1
+
+
+def assert_parseval_constant(f):
+    # rel is the formula's value, rounded up by at most a part in 10^9
+    t, k, rel = fourier_l4_pow4_with_error(f)
+    pr = parseval_rel(np.ldexp(f.values, -(k // 4)), t)
+    assert pr <= rel <= pr * (1 + 1e-9)
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=values_of(FLOATS).filter(lambda v: any(v)))
+def test_fft_pow4_bound_constant(values):
+    assert_parseval_constant(DiscreteFunction(0, values))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 2049, 16384])
+def test_fft_pow4_bound_constant_fixed_cases(m):
+    assert_parseval_constant(DiscreteFunction(0, np.random.default_rng(m).standard_normal(m)))
 
 
 def test_float_path_matches_extended_precision():
