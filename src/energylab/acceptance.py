@@ -241,7 +241,7 @@ def criterion_9(seed: int = DEFAULT_SEED) -> CriterionResult:
     for _ in range(100):
         m = int(rng.integers(2, 17))
         x = rng.standard_normal(m)
-        analytic = optimizer._pow4_rows(x[None, :])[1][0]
+        analytic = 4.0 * optimizer._pow4_corr_rows(x[None, :])[1][0]
         fd = np.zeros(m)
         for i in range(m):
             xp, xm = x.copy(), x.copy()

@@ -156,30 +156,31 @@ class GaussianScheduleParams:
 
     eps: float
     n: int
-    k: int
-    a_param: float
-    m_trunc: int
-    q: float
 
     def __post_init__(self):
+        if self.n < 3:
+            raise ValueError("n must be >= 3")
         _check_eps(self.eps)
-        if self.k < 1:
-            raise ValueError("k must be >= 1 (n >= 3)")
-        if self.m_trunc > self.k:
-            raise ValueError("truncation M must not exceed k")
-        if not self.q > 4.0 / 3.0:
-            raise ValueError(f"schedule q must exceed 4/3, got {self.q}")
 
     @classmethod
     def from_n_eps(cls, n: int, eps: float) -> "GaussianScheduleParams":
-        if n < 3:
-            raise ValueError("n must be >= 3")
-        _check_eps(eps)  # before the schedule: NaN must not reach math.floor
-        k = (n - 1) // 2  # schedule assumes n = 2k+1 odd; even n floors k
-        a_param = float(k) ** (2.0 - eps / 10.0)
-        m_trunc = min(int(math.floor(float(k) ** (1.0 - eps / 100.0))), k)
-        q = 4.0 / (3.0 - (1.0 + eps) * math.log(ASYMPTOTIC_LOG_BASE) / math.log(n))
-        return cls(eps=float(eps), n=n, k=k, a_param=a_param, m_trunc=m_trunc, q=q)
+        return cls(eps=float(eps), n=n)
+
+    @property
+    def k(self) -> int:
+        return (self.n - 1) // 2  # schedule assumes n = 2k+1 odd; even n floors k
+
+    @property
+    def a_param(self) -> float:
+        return float(self.k) ** (2.0 - self.eps / 10.0)
+
+    @property
+    def m_trunc(self) -> int:
+        return min(int(math.floor(float(self.k) ** (1.0 - self.eps / 100.0))), self.k)
+
+    @property
+    def q(self) -> float:
+        return 4.0 / (3.0 - (1.0 + self.eps) * math.log(ASYMPTOTIC_LOG_BASE) / math.log(self.n))
 
 
 def _sampled_gaussian(params: GaussianScheduleParams) -> DiscreteFunction:
@@ -616,6 +617,10 @@ def _exact_floats(strs: list) -> list[float]:
 
 
 def certificate_from_dict(d: dict) -> Certificate:
+    for name in ("kind", "n", "q", "offset", "values", "lhs", "rhs", "margin", "err",
+                 "implied_t_bound", "valid"):
+        if name not in d:
+            raise ValueError(f"certificate field {name!r} is missing")
     strs = d["values"]
     if not isinstance(strs, list):
         raise ValueError(f"certificate values must be a list, got {type(strs).__name__}")

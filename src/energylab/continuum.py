@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discrete_core import InvalidExponentError, _autoconvolve
+from .discrete_core import InvalidExponentError
 
 # Sharp constant of the L4 Fourier-norm inequality on R, attained by Gaussians.
 BECKNER_L4_POW4 = 4.0 * math.sqrt(3.0) / 9.0
@@ -73,10 +73,13 @@ def _simpson_weights(npoints: int) -> np.ndarray:
 
 
 def _autoconvolution(x: np.ndarray) -> np.ndarray:
-    """x*x by FFT, rescaled from _autoconvolve's prescale; its bound is not
-    needed here, the refinement checks judge the quadrature."""
-    c, e, _ = _autoconvolve(x)
-    return np.ldexp(c, 2 * e)
+    """x*x by FFT at N, the least power of two >= 2m-1, where the cyclic
+    convolution does not wrap; the refinement checks judge the quadrature,
+    so no rounding bound is taken."""
+    size = 1 << (2 * len(x) - 2).bit_length()
+    spec = np.fft.rfft(x, size)
+    spec *= spec
+    return np.fft.irfft(spec, size)[:2 * len(x) - 1]
 
 
 def _l4hat_pow4_simpson(a_param: float, truncation: float, step: float) -> float:

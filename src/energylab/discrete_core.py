@@ -133,54 +133,6 @@ def _norm2_upper(y) -> float:
     return float(np.sum(y * y)) * (1.0 + (len(y) + 1) * FLOAT64_EPS / 2.0)
 
 
-def _autoconvolve(x):
-    """FFT autoconvolution with a proved rounding bound: (c, e, delta).
-
-    Its users need c entry by entry: _energy_fft rounds every count to an
-    integer, and continuum's Simpson quadrature weights each entry of two
-    autoconvolutions combined by polarization.  The certified sum of c^2
-    needs no c and takes one forward transform instead
-    (fourier_l4_pow4_with_error).
-
-    y = x * 2^-e is an exact power-of-two prescale with max|y| in [1, 2), so
-    no product or sum below overflows or loses a normal value to underflow.
-    c = irfft(rfft(y, N)^2, N)[:2m-1] with N the least power of two >= 2m-1,
-    so c approximates y*y and x*x ~ c * 2^(2e).  delta >= max_s |c(s) - (y*y)(s)|.
-
-    The bound is C. Percival's (Math. Comp. 72 (2003), Theorem 5.1; cf.
-    Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 24.1)
-    for a cyclic convolution of length N = 2^L by two forward transforms, a
-    pointwise product and an inverse transform in arithmetic with unit
-    roundoff u = 2^-53:
-
-        ||c - y*y||_inf <= ||y||_2^2 ((1+u)^(3L) (1+sqrt5 u)^(3L+1) (1+beta)^(3L) - 1).
-
-    Assumptions: N is a power of two, so the 1/N of the inverse is exact and
-    the transform has L levels; numpy's pocketfft computes the same real
-    transforms with radix-4/radix-2 passes, treated here as L radix-2
-    levels; beta, the error of its precomputed twiddle factors, is taken
-    generously as 4u.  With S = 3L(u + beta) + (3L+1) sqrt5 u, the bracket is
-    at most e^S - 1 <= S(1 + S), as 1 + a <= e^a and S <= 1.  The
-    factor 1 + 2^-40 covers the float64 evaluation of the bound itself and
-    the absolute 2^-1074-sized errors of values flushed by the prescale or by
-    underflow inside the transforms (||y||_2^2 >= 1, so those are below
-    2^-1000 delta for any feasible m).  x is taken as exact: it is the
-    function's own float64 values (or a 0/1 indicator).
-    """
-    m = len(x)
-    e = _pow2_exponent(x)
-    y = np.ldexp(x, -e)
-    size = 1 << (2 * m - 2).bit_length()
-    spec = np.fft.rfft(y, size)
-    spec *= spec
-    c = np.fft.irfft(spec, size)[:2 * m - 1]
-    u = FLOAT64_EPS / 2.0
-    levels = size.bit_length() - 1
-    big_s = 3 * levels * (u + 4.0 * u) + (3 * levels + 1) * math.sqrt(5.0) * u
-    delta = big_s * (1.0 + big_s) * _norm2_upper(y) * (1.0 + 2.0 ** -40)
-    return c, e, delta
-
-
 def _exact_sum(r) -> float:
     """math.fsum(r), bit for bit, for a float64 array r of nonnegative finite
     terms: their exact sum rounded once.  r is overwritten.
@@ -315,7 +267,7 @@ def fourier_l4_pow4_with_error(f: DiscreteFunction):
     the weights w and 1/N are exact powers of two.  The bound, with
     u = 2^-53 the unit roundoff:
 
-    - transform: Percival's Theorem 5.1 (stated in _autoconvolve) composes
+    - transform: Percival's Theorem 5.1 (stated in _energy_fft) composes
       one bound per length-N transform, and one forward transform alone
       obeys it under the same assumptions (pocketfft treated as L radix-2
       levels, twiddle error beta = 4u): the computed spectrum Yc, the
@@ -613,13 +565,40 @@ def _lattice_keys(A: LatticeSet):
 def _energy_fft(keys):
     """E(A) from r = 1_K * 1_K, K the increasing keys of A (int64 or Python ints), or None.
 
-    The rounded FFT counts are exact when the bound delta < 1/2, and they
-    must add up to |A|^2.
+    With m the key span and N = 2^L the least power of two >= 2m - 1, c =
+    irfft(rfft(1_K, N)^2, N)[:2m-1] approximates r, and the rounded counts
+    are exact when delta < 1/2 for delta >= max_s |c(s) - r(s)|.  The bound
+    is C. Percival's (Math. Comp. 72 (2003), Theorem 5.1; cf. Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., 24.1) for a
+    cyclic convolution of length N by two forward transforms, a pointwise
+    product and an inverse transform in arithmetic with unit roundoff
+    u = 2^-53, here of y = 1_K with ||y||_2^2 = |A| exactly:
+
+        ||c - y*y||_inf <= ||y||_2^2 ((1+u)^(3L) (1+sqrt5 u)^(3L+1) (1+beta)^(3L) - 1).
+
+    Assumptions: N is a power of two, so the 1/N of the inverse is exact and
+    the transform has L levels; numpy's pocketfft computes the same real
+    transforms with radix-4/radix-2 passes, treated here as L radix-2
+    levels; beta, the error of its precomputed twiddle factors, is taken
+    generously as 4u.  With S = 3L(u + beta) + (3L+1) sqrt5 u, the bracket is
+    at most e^S - 1 <= S(1 + S), as 1 + a <= e^a and S <= 1.  The factor
+    1 + 2^-40 covers the float64 evaluation of the bound itself and the
+    absolute 2^-1074-sized errors of underflow inside the transforms
+    (|A| >= 1, so those are below 2^-1000 delta for any feasible m).  The
+    rounded counts must also add up to |A|^2.
     """
     offsets = (keys - keys[0]).astype(np.int64, copy=False)
-    indicator = np.zeros(int(offsets[-1]) + 1)
+    m = int(offsets[-1]) + 1
+    indicator = np.zeros(m)
     indicator[offsets] = 1.0
-    c, _, delta = _autoconvolve(indicator)  # max 1, so the prescale is 2^0
+    size = 1 << (2 * m - 2).bit_length()
+    spec = np.fft.rfft(indicator, size)
+    spec *= spec
+    c = np.fft.irfft(spec, size)[:2 * m - 1]
+    u = FLOAT64_EPS / 2.0
+    levels = size.bit_length() - 1
+    big_s = 3 * levels * (u + 4.0 * u) + (3 * levels + 1) * math.sqrt(5.0) * u
+    delta = big_s * (1.0 + big_s) * len(keys) * (1.0 + 2.0 ** -40)
     r = np.rint(c, out=c).astype(np.int64)
     if not (delta < 0.5 and int(r.sum()) == len(keys) ** 2):
         return None

@@ -63,12 +63,6 @@ class OptimizerResult:
     steps: np.ndarray = field(compare=False, repr=False)
 
 
-def _pow4_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """sum (x*x)^2 of each row x of X and its gradient 4 sum_b x(b) (x*x)(i+b)."""
-    e4, corr = _pow4_corr_rows(X)
-    return e4, 4.0 * corr
-
-
 def _pow4_corr_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """sum (x*x)^2 of each row x of X and the correlation sum_b x(b) (x*x)(i+b),
     a quarter of its gradient, from one rfft and one irfft along the rows.

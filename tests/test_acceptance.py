@@ -7,6 +7,7 @@ measured numbers.  Everything else must pass.
 """
 
 import functools
+import hashlib
 import os
 import subprocess
 import sys
@@ -16,6 +17,8 @@ import energylab
 from energylab import acceptance
 
 SEED = 7
+# sha256 of selftest_results.json for --seed 7; no criterion records a time
+SELFTEST_SHA256 = "c5dc18a881fc2cc37059304eb440a944c1fd0fb9694d70702fe08f3936bde466"
 
 
 def _line(result):
@@ -130,4 +133,7 @@ def test_criterion_11_selftest_determinism(tmp_path):
     bytes2 = (run2 / name).read_bytes()
     assert bytes1 == bytes2, "selftest result files differ between identical runs"
     assert first.stdout == second.stdout
+    # pins every criterion's numbers, the quadrature and discretization
+    # figures of criteria 6 and 7 included, as GOLDEN_STDOUT pins the CLI's
+    assert hashlib.sha256(bytes1).hexdigest() == SELFTEST_SHA256
     print("criterion 11: PASS - selftest determinism (byte-identical result files)")

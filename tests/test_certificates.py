@@ -320,6 +320,15 @@ class TestSerialization:
         with pytest.raises(ValueError, match=f"'{field}'"):
             certificate_from_dict(d)
 
+    @pytest.mark.parametrize("field", ["kind", "n", "q", "offset", "values", "lhs", "rhs",
+                                       "margin", "err", "implied_t_bound", "valid"])
+    def test_from_dict_rejects_missing_fields(self, field):
+        # a missing field is a ValueError that names it, not a bare KeyError
+        d = certificate_to_dict(build_perturbation_certificate(5))
+        del d[field]
+        with pytest.raises(ValueError, match=f"'{field}' is missing"):
+            certificate_from_dict(d)
+
     def test_from_dict_reads_integer_numbers(self):
         # a JSON integer is a number, as 1.0 is
         d = certificate_to_dict(build_perturbation_certificate(5))

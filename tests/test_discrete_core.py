@@ -189,21 +189,20 @@ class TestRatioReport:
     def test_one_forward_transform_per_certified_pow4(self, monkeypatch):
         # a ratio and a certificate each take one rfft and no irfft; the
         # lattice energies, which need every count, still autoconvolve
-        calls = dict.fromkeys(("rfft", "irfft", "_autoconvolve"), 0)
-        for module, name in ((np.fft, "rfft"), (np.fft, "irfft"),
-                             (discrete_core, "_autoconvolve")):
-            def counting(*args, _inner=getattr(module, name), _name=name, **kwargs):
+        calls = dict.fromkeys(("rfft", "irfft"), 0)
+        for name in calls:
+            def counting(*args, _inner=getattr(np.fft, name), _name=name, **kwargs):
                 calls[_name] += 1
                 return _inner(*args, **kwargs)
 
-            monkeypatch.setattr(module, name, counting)
+            monkeypatch.setattr(np.fft, name, counting)
         f = DiscreteFunction(0, np.random.default_rng(3).standard_normal(3000))
         ratio_report(f, 1.5)
-        assert calls == {"rfft": 1, "irfft": 0, "_autoconvolve": 0}
+        assert calls == {"rfft": 1, "irfft": 0}
         evaluate_certificate("explicit", 3000, 1.5, f)
-        assert calls == {"rfft": 2, "irfft": 0, "_autoconvolve": 0}
+        assert calls == {"rfft": 2, "irfft": 0}
         assert energy_of_set(LatticeSet.from_range(200)) == energy_interval_formula(200)
-        assert calls == {"rfft": 3, "irfft": 1, "_autoconvolve": 1}
+        assert calls == {"rfft": 3, "irfft": 1}
 
     def test_abs_monotonicity(self):
         rng = np.random.default_rng(5)

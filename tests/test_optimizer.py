@@ -10,7 +10,7 @@ from energylab.certificates import revalidate_certificate
 from energylab.discrete_core import DiscreteFunction, ratio_report
 from energylab.optimizer import (ASCENT_TOL, MAX_ITERS, STEP_INIT, OptimizerConfig, estimate_qn,
                                  maximize_ratio, _ascend_rows, _initial_rows, _objective_rows,
-                                 _pow4_rows)
+                                 _pow4_corr_rows)
 
 
 # (q, ratio, err, fired, start_id, agreeing, iterations, rounds) of each probe
@@ -76,11 +76,12 @@ def _one_row(kernel, x, *args):
 
 class TestGradient:
     def test_delta(self):
-        e4, g = _one_row(_pow4_rows, np.array([1.0]))
-        assert e4 == 1.0 and g.tolist() == [4.0]
+        e4, corr = _one_row(_pow4_corr_rows, np.array([1.0]))
+        assert e4 == 1.0 and (4.0 * corr).tolist() == [4.0]
 
     def test_pair_indicator(self):
-        e4, g = _one_row(_pow4_rows, np.array([1.0, 1.0]))
+        e4, corr = _one_row(_pow4_corr_rows, np.array([1.0, 1.0]))
+        g = 4.0 * corr
         assert e4 == 6.0
         assert g[0] == pytest.approx(12.0, rel=1e-13)
         assert g[1] == pytest.approx(12.0, rel=1e-13)
@@ -91,7 +92,8 @@ class TestGradient:
         rng = np.random.default_rng(0)
         for _ in range(30):
             x = rng.standard_normal(int(rng.integers(2, 17)))
-            e4, got = _one_row(_pow4_rows, x)
+            e4, corr = _one_row(_pow4_corr_rows, x)
+            got = 4.0 * corr
             assert e4 == pytest.approx(_pow4_convolve(x), rel=1e-12)
             fd = _finite_differences(_pow4_convolve, x, 1e-5)
             assert np.max(np.abs(got - fd)) <= 1e-6 * max(np.max(np.abs(fd)), 1e-30)

@@ -4,8 +4,9 @@ as the exact reference, that bound against a 200-bit evaluation of its
 formula, the integer kernel equal to both (value and type),
 the certified ratio against the exact reference, the exact vectorized sum
 against math.fsum bit for bit, the float64 lq norm against a 300-bit
-oracle, FFT lattice energies against the sorted pair-sum count and both
-against the brute-force oracle, the one-call set parser against the
+oracle, the FFT energy counts within their Percival bound, FFT lattice
+energies against the sorted pair-sum count and both against the
+brute-force oracle, the one-call set parser against the
 per-token one, the canonical point array of lattice sets,
 scale invariance of the ratio report, certificate JSON round trips, the
 numpy repr kernel against float.__repr__, and
@@ -14,6 +15,7 @@ finite differences."""
 
 import json
 import math
+import sys
 import tempfile
 from contextlib import nullcontext
 from fractions import Fraction
@@ -27,14 +29,14 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from energylab import certificates, cli, discrete_core
-from energylab.optimizer import _pow4_rows
+from energylab.optimizer import _pow4_corr_rows
 from energylab.certificates import (_REPR_BLOCK_MIN, Certificate, GaussianScheduleParams,
                                     _sampled_gaussian, build_gaussian_certificate,
                                     build_perturbation_certificate, certificate_from_dict,
                                     certificate_json, certificate_to_dict, revalidate_certificate)
-from energylab.discrete_core import (DiscreteFunction, LatticeSet, _autoconvolve,
-                                     _energy_fft, _energy_sorted, _lattice_keys, _pow4_int,
-                                     energy_bruteforce, energy_interval_formula, energy_of_set,
+from energylab.discrete_core import (DiscreteFunction, LatticeSet, _energy_fft, _energy_sorted,
+                                     _lattice_keys, _pow4_int, energy_bruteforce,
+                                     energy_interval_formula, energy_of_set,
                                      fourier_l4_pow4, fourier_l4_pow4_quadruple,
                                      fourier_l4_pow4_with_error, lq_norm_with_error,
                                      ratio_report)
@@ -523,21 +525,48 @@ def percival_delta(y) -> mp.mpf:
         return mp.fsum(mp.mpf(float(v)) ** 2 for v in y) * bracket
 
 
+def fft_counts_and_delta(keys):
+    """_energy_fft(keys), its unrounded counts c (copied from its one irfft)
+    and its bound delta (read from its frame as it returns)."""
+    seen = {}
+    irfft = np.fft.irfft
+
+    def copying_irfft(*args, **kwargs):
+        out = irfft(*args, **kwargs)
+        seen["c"] = out.copy()
+        return out
+
+    def profile(frame, event, arg):
+        if event == "return" and frame.f_code is _energy_fft.__code__:
+            seen["delta"] = frame.f_locals["delta"]
+
+    previous = sys.getprofile()
+    with mock.patch.object(np.fft, "irfft", copying_irfft):
+        sys.setprofile(profile)
+        try:
+            energy = _energy_fft(keys)
+        finally:
+            sys.setprofile(previous)
+    span = int(keys[-1] - keys[0]) + 1
+    return energy, seen["c"][:2 * span - 1], seen["delta"]
+
+
 @settings(max_examples=100, deadline=None)
-@given(values=values_of(FLOATS).filter(lambda v: any(v)))
-def test_autoconvolve_bound(values):
-    x = np.array(values)
-    c, e, delta = _autoconvolve(x)
-    y = np.ldexp(x, -e)
-    assert 1.0 <= np.max(np.abs(y)) < 2.0
-    # delta is Percival's bound, and the FFT error lies within it
+@given(points=st.one_of(st.sets(st.integers(0, 300), min_size=1, max_size=80),
+                        st.integers(1, 400).map(range)))  # full intervals
+def test_energy_fft_bound(points):
+    keys = np.array(sorted(points), dtype=np.int64)
+    energy, c, delta = fft_counts_and_delta(keys)
+    y = np.zeros(int(keys[-1] - keys[0]) + 1)
+    y[keys - keys[0]] = 1.0
+    # delta is Percival's bound at ||1_K||_2^2 = |A|, and every FFT count lies within it
     pd = percival_delta(y)
     assert pd <= delta <= pd * (1 + 1e-9)
-    yf = [Fraction(float(v)) for v in y]
-    m = len(yf)
-    for s, cs in enumerate(c):
-        exact = sum(yf[i] * yf[s - i] for i in range(max(0, s - m + 1), min(s, m - 1) + 1))
-        assert abs(Fraction(float(cs)) - exact) <= Fraction(delta)
+    r = np.convolve(y.astype(np.int64), y.astype(np.int64))
+    assert len(c) == len(r)
+    for cs, rs in zip(c.tolist(), r.tolist()):
+        assert abs(Fraction(cs) - rs) <= Fraction(delta)
+    assert energy == int(np.dot(r, r))
 
 
 def random_set(rng, d, n, size):
@@ -710,7 +739,8 @@ def test_row_kernel_matches_convolve(data, m, rows):
     top = np.max(np.abs(X), axis=1)
     assume(np.all(top > 0))
     X /= top[:, None]
-    e4, grad = _pow4_rows(X)
+    e4, corr = _pow4_corr_rows(X)
+    grad = 4.0 * corr
 
     def pow4(x):
         c = np.convolve(x, x)
