@@ -27,17 +27,22 @@ from .discrete_core import (FLOAT64_EPS, CapExceededError, DiscreteFunction, _no
 
 CERTIFICATE_KINDS = ("gaussian", "perturbation", "explicit")
 
-GAUSSIAN_SUPPORT_CAP = 1 << 22
+# Longest support of a witness either construction builds: 2^23 + 1 values.
+SUPPORT_CAP = (1 << 23) + 1
 
 
 @dataclass(frozen=True)
 class Certificate:
-    """Witness record: lhs = ||f^||_4, rhs = ||f||_q, margin = lhs - rhs.
+    """Witness record: lhs = ||f^||_4, rhs = ||f||_q, margin = lhs - rhs,
+    and err, a bound on the rounding error of margin.
 
-    valid means margin > err > 0 was established in float64 on the common
-    prescale of both norms (see evaluate_certificate), in which case
-    t_n > implied_t_bound = 4/q holds strictly; the stored margin and err
-    then satisfy margin > err > 0 too, with err a normal float.
+    valid and implied_t_bound are computed from these numbers, never
+    stored: valid is margin > err > 0 with err a normal float, in which case
+    t_n > implied_t_bound = 4/q holds strictly.  For a certificate built by
+    evaluate_certificate this is proved; for one read from JSON it states
+    what the stored numbers claim, and revalidate_certificate proves it
+    again from the stored function.  q lies in [1, 512], the range of
+    lq_norm_with_error, so every certificate can be re-evaluated.
     """
 
     kind: str
@@ -48,21 +53,29 @@ class Certificate:
     rhs: float
     margin: float
     err: float
-    implied_t_bound: float
-    valid: bool
 
     def __post_init__(self):
         if self.kind not in CERTIFICATE_KINDS:
             raise ValueError(f"unknown certificate kind {self.kind!r}")
         if self.n < 2:
             raise ValueError("n must be >= 2")
+        if not 1 <= self.q <= 512:
+            raise ValueError(f"certificate field 'q' must lie in [1, 512], got {self.q!r}")
         if len(self.f.values) > self.n:
             raise ValueError(
                 f"support length {len(self.f.values)} does not fit an interval of length {self.n}")
 
+    @property
+    def implied_t_bound(self) -> float:
+        return 4.0 / self.q
+
+    @property
+    def valid(self) -> bool:
+        return self.margin > self.err >= sys.float_info.min
+
 
 def evaluate_certificate(kind: str, n: int, q: float, f: DiscreteFunction) -> Certificate:
-    """Evaluate both norms of a candidate witness and decide validity.
+    """Evaluate both norms of a candidate witness.
 
     _norm_pair gives ||f^||_4 ~ a 2^e and ||f||_q ~ b 2^e with relative
     bounds rel_a, rel_b on the true scaled values A, B.  Since
@@ -72,12 +85,18 @@ def evaluate_certificate(kind: str, n: int, q: float, f: DiscreteFunction) -> Ce
         |gap - (A - B)| <= rel_a a/(1 - rel_a) + rel_b b/(1 - rel_b) + u |gap|,
 
     times 1 + 2^-40 for the second-order terms and the float64 evaluation
-    of err.  gap > err > 0 proves A > B.  lhs, rhs, margin and err are
+    of err, so gap > err > 0 proves A > B.  lhs, rhs, margin and err are
     a, b, gap and err times 2^e: exact in the normal float64 range, so they
-    need no storage term, and rounded once if they leave it.  valid also
-    asks that the stored err be normal and below the stored margin, so a
-    reader who checks margin > err > 0 on the stored fields agrees with it;
-    an err rounded below the normal range makes the certificate not valid.
+    need no storage term, and rounded once if they leave it.
+
+    Certificate.valid, margin > err >= 2^-1022 on the stored fields, implies
+    gap > err > 0.  ldexp rounds only below the normal range, to at most
+    2^-1022, and never overflows here (_norm_pair keeps max(a, b) 2^e below
+    2^1024), so the stored margin, above 2^-1022, is gap 2^e exactly.  The
+    stored err is err 2^e exactly if that is normal, or 2^-1022 rounded up
+    from just below it, so gap 2^e = margin > stored err >= err 2^e, and
+    err > 0 as its stored value is.  An err rounded below the normal range
+    makes the certificate not valid.
     """
     a, b, e, rel_a, rel_b = _norm_pair(f, q)
     u = FLOAT64_EPS / 2.0
@@ -85,10 +104,8 @@ def evaluate_certificate(kind: str, n: int, q: float, f: DiscreteFunction) -> Ce
     err = (rel_a * a / (1.0 - rel_a) + rel_b * b / (1.0 - rel_b) + u * abs(gap)) \
         * (1.0 + 2.0 ** -40)
     lhs, rhs, margin, err_f = np.ldexp([a, b, gap, err], e).tolist()
-    valid = gap > err > 0.0 and margin > err_f >= sys.float_info.min
     return Certificate(kind=kind, n=n, q=float(q), f=f, lhs=lhs, rhs=rhs,
-                       margin=margin, err=err_f, implied_t_bound=4.0 / float(q),
-                       valid=bool(valid))
+                       margin=margin, err=err_f)
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +149,8 @@ def build_perturbation_certificate(n: int, eps=0.5) -> Certificate:
                          "(the gap 3n^2 - (4/3)(2n^2+1) closes below that)")
     if not (math.isfinite(eps) and 0 <= eps <= 1):
         raise ValueError(f"eps must lie in [0, 1], got {eps}")
+    if n > SUPPORT_CAP:
+        raise CapExceededError(f"support {n} exceeds support cap {SUPPORT_CAP}")
     lo, _ = _centered_interval(n)
     values = [1.0] * n
     values[-lo] = 1.0 + float(eps)
@@ -196,9 +215,9 @@ def build_gaussian_certificate(params: GaussianScheduleParams) -> Certificate:
     Validity is not guaranteed at small n; the certificate records margin and
     err either way.
     """
-    if params.m_trunc > GAUSSIAN_SUPPORT_CAP:
-        raise CapExceededError(
-            f"truncation {params.m_trunc} exceeds support cap {GAUSSIAN_SUPPORT_CAP}")
+    support = 2 * params.m_trunc + 1
+    if support > SUPPORT_CAP:
+        raise CapExceededError(f"support {support} exceeds support cap {SUPPORT_CAP}")
     f = _sampled_gaussian(params)
     return evaluate_certificate("gaussian", params.n, params.q, f)
 
@@ -632,14 +651,20 @@ def certificate_from_dict(d: dict) -> Certificate:
     head = _exact_floats(strs[:(m + 1) // 2] if symmetric else strs)
     vals = _mirror(head, m) if symmetric else head
     f = DiscreteFunction(d["offset"], vals)
-    n, valid = d["n"], d["valid"]
+    n = d["n"]
     if type(n) is not int:
         raise ValueError(f"certificate field 'n' must be an integer, got {n!r}")
-    if type(valid) is not bool:
-        raise ValueError(f"certificate field 'valid' must be true or false, got {valid!r}")
     number = {name: _finite_number(name, d[name])
-              for name in ("q", "lhs", "rhs", "margin", "err", "implied_t_bound")}
-    return Certificate(kind=d["kind"], n=n, f=f, valid=valid, **number)
+              for name in ("q", "lhs", "rhs", "margin", "err")}
+    cert = Certificate(kind=d["kind"], n=n, f=f, **number)
+    # the verdict follows from the numbers: a stored one must be that value,
+    # of that JSON type (true/false, a float)
+    for name in ("implied_t_bound", "valid"):
+        stored, derived = d[name], getattr(cert, name)
+        if type(stored) is not type(derived) or stored != derived:
+            raise ValueError(f"certificate field {name!r} is {stored!r}, "
+                             f"but the stored numbers give {derived!r}")
+    return cert
 
 
 def _finite_number(name: str, v) -> float:

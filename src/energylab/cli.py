@@ -60,19 +60,13 @@ def parse_inline_set(text: str) -> discrete_core.LatticeSet:
     if ";" not in text:
         arr = _plain_points([text], ";")
         if arr is None:
-            arr = _token_points(_parse_int_list(text, "inline set"), {1}, "inline set")
+            arr = _token_points([("inline set", text)], "inline set")
         return _points_to_set(arr.reshape(-1, 1))
     points = [t for t in text.split(";") if t.strip() != ""]
     arr = _plain_points(points, ";")
     if arr is None:
-        values, dims = [], set()
-        for i, tok in enumerate(points):
-            coords = _parse_int_list(tok, f"inline set, point {i + 1}")
-            if not coords:
-                raise InputError(f"inline set, point {i + 1}: empty point")
-            values += coords
-            dims.add(len(coords))
-        arr = _token_points(values, dims, "inline set")
+        arr = _token_points([(f"inline set, point {i + 1}", tok)
+                             for i, tok in enumerate(points)], "inline set")
     return _points_to_set(arr)
 
 
@@ -92,22 +86,21 @@ def read_set_file(path: str) -> discrete_core.LatticeSet:
     rows = list(filter(_point_line, lines)) if "#" in text or "" in lines else lines
     arr = _plain_points(rows, "\n")
     if arr is None:
-        values, dims = [], set()
-        for lineno, line in enumerate(lines, start=1):
-            if not _point_line(line):
-                continue
-            coords = _parse_int_list(line, f"{path}, line {lineno}")
-            values += coords
-            dims.add(len(coords))
-        if not dims:
-            raise InputError(f"{path}: no points found")
-        arr = _token_points(values, dims, path)
+        arr = _token_points([(f"{path}, line {lineno}", line)
+                             for lineno, line in enumerate(lines, start=1)
+                             if _point_line(line)], path)
     return _points_to_set(arr)
 
 
-def _token_points(values: list[int], dims: set[int], where: str) -> np.ndarray:
-    """The per-token path's values as a (k, d) array: int64, or Python ints
-    past int64."""
+def _token_points(rows, where: str) -> np.ndarray:
+    """The points of (label, row) pairs, each row comma-separated integers
+    read token by token (an error names its row's label), as a (k, d)
+    array: int64, or Python ints past int64."""
+    values, dims = [], set()
+    for label, row in rows:
+        coords = _parse_int_list(row, label)
+        values += coords
+        dims.add(len(coords))
     if not values:
         raise InputError(f"{where}: no points given")
     if len(dims) != 1:

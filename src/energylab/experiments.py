@@ -71,12 +71,11 @@ def bounds_row(n: int, eps: float = 0.5, with_optimizer: bool = False,
     if n >= 3:
         cert = build_perturbation_certificate(n)
         pert, strict = cert.implied_t_bound, cert.valid
-        try:
-            gcert = build_gaussian_certificate(GaussianScheduleParams.from_n_eps(n, eps))
-            if gcert.valid:
-                gaussian_lower = 4.0 / gcert.q
-        except CapExceededError:  # support beyond GAUSSIAN_SUPPORT_CAP at large n
-            pass
+        # the Gaussian support 2M + 1 <= n fits SUPPORT_CAP, as the
+        # perturbation's n did
+        gcert = build_gaussian_certificate(GaussianScheduleParams.from_n_eps(n, eps))
+        if gcert.valid:
+            gaussian_lower = gcert.implied_t_bound
     empirical = estimate_qn(n, tol=tol, seed=seed).t_hat if with_optimizer else None
     row = BoundsRow(n=n, trivial_lower=trivial, perturbation_lower=pert,
                     perturbation_strict=strict, gaussian_lower=gaussian_lower,
@@ -181,8 +180,6 @@ def ball_energy_experiment(d_values, radius_schedule, center=None) -> list[BallE
 def _fmt(v) -> str:
     if v is None:
         return ""
-    if isinstance(v, bool):
-        return str(v).lower()
     if isinstance(v, float):
         return "%.12g" % v  # 12 significant digits in CSV; JSON keeps full precision
     if isinstance(v, tuple):

@@ -1,18 +1,20 @@
+import dataclasses
 import json
 import math
 import sys
 from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from energylab import certificates
-from energylab.certificates import (GaussianScheduleParams,
+from energylab.certificates import (Certificate, GaussianScheduleParams,
                                     build_gaussian_certificate, build_perturbation_certificate,
                                     certificate_from_dict, certificate_to_dict, continuum_discretization_report,
                                     evaluate_certificate, interval_overlap_sum,
                                     revalidate_certificate)
-from energylab.discrete_core import (DiscreteFunction, fourier_l4_pow4,
+from energylab.discrete_core import (FLOAT64_EPS, DiscreteFunction, _norm_pair, fourier_l4_pow4,
                                      fourier_l4_pow4_quadruple, lq_norm)
 
 
@@ -185,7 +187,46 @@ class TestDiscretizationReport:
         assert r2.lq_deviation < r1.lq_deviation
 
 
+def _two_clause_verdict(f, q):
+    """The verdict evaluate_certificate once stored beside the numbers: the
+    scaled comparison gap > err > 0 on _norm_pair's prescale and the
+    stored-field one, margin > err >= 2^-1022."""
+    a, b, e, rel_a, rel_b = _norm_pair(f, q)
+    u = FLOAT64_EPS / 2.0
+    gap = a - b
+    err = (rel_a * a / (1.0 - rel_a) + rel_b * b / (1.0 - rel_b) + u * abs(gap)) \
+        * (1.0 + 2.0 ** -40)
+    _, _, margin, err_f = np.ldexp([a, b, gap, err], e).tolist()
+    return gap > err > 0.0 and margin > err_f >= sys.float_info.min
+
+
 class TestValidityRules:
+    def test_certificate_stores_numbers_only(self):
+        assert [f.name for f in dataclasses.fields(Certificate)] == [
+            "kind", "n", "q", "f", "lhs", "rhs", "margin", "err"]
+        cert = build_perturbation_certificate(5)
+        assert cert.implied_t_bound == 4.0 / cert.q
+
+    def test_derived_verdict_matches_two_clause_rule(self):
+        # the stored-field clause alone decides as both clauses did: at the
+        # eps -> 0 equality boundary of the perturbation, on Gaussians, and
+        # on random functions at scales 10^-300 .. 10^300, where err can be
+        # stored as a subnormal while the scaled comparison holds
+        certs = [build_perturbation_certificate(n) for n in range(3, 200)]
+        certs += [build_perturbation_certificate(n, eps) for n in range(3, 200, 4)
+                  for eps in (0.0, 1e-16, 1e-15, 1e-14, 1e-13, 1e-12)]
+        certs += [build_gaussian_certificate(GaussianScheduleParams.from_n_eps(n, eps))
+                  for n in (3, 5, 9, 41, 401) for eps in (0.05, 0.5, 1.0)]
+        rng = np.random.default_rng(29)
+        for _ in range(3000):
+            values = rng.random(int(rng.integers(1, 9))) * 10.0 ** rng.uniform(-300, 300)
+            certs.append(evaluate_certificate("explicit", 8, rng.uniform(4 / 3, 2.0),
+                                              DiscreteFunction(0, values)))
+        verdicts = [cert.valid for cert in certs]
+        assert verdicts == [_two_clause_verdict(cert.f, cert.q) for cert in certs]
+        assert len(certs) > 3500 and 0 < sum(verdicts) < len(certs)
+        assert any(c.margin > c.err and c.err < sys.float_info.min for c in certs)
+
     def test_never_valid_at_four_thirds(self):
         import numpy as np
         rng = np.random.default_rng(2)
@@ -327,6 +368,34 @@ class TestSerialization:
         d = certificate_to_dict(build_perturbation_certificate(5))
         del d[field]
         with pytest.raises(ValueError, match=f"'{field}' is missing"):
+            certificate_from_dict(d)
+
+    @pytest.mark.parametrize("edit, field", [
+        ({"valid": False}, "valid"),
+        ({"margin": -1.0}, "valid"),  # valid left true
+        ({"err": 1.0}, "valid"),
+        ({"implied_t_bound": 2.999}, "implied_t_bound"),
+        ({"q": 0.0}, "q"),
+        ({"q": 0.5, "implied_t_bound": 8.0}, "q"),
+        ({"q": 513.0, "implied_t_bound": 4.0 / 513.0}, "q")])
+    def test_from_dict_refuses_a_contradicted_verdict(self, edit, field):
+        # valid and implied_t_bound are what the stored numbers give, or the
+        # certificate is refused
+        d = certificate_to_dict(build_perturbation_certificate(5))
+        assert d["valid"] is True and d["err"] < 1.0
+        d.update(edit)
+        with pytest.raises(ValueError, match=f"'{field}'"):
+            certificate_from_dict(json.loads(json.dumps(d)))
+
+    def test_from_dict_reads_the_derived_verdict(self):
+        # a stored verdict equal to the derived one reads back, false too;
+        # an integral float written as a JSON integer is another type
+        d = certificate_to_dict(build_perturbation_certificate(5, 0))
+        assert d["valid"] is False and certificate_from_dict(d).valid is False
+        d.update(q=2.0, implied_t_bound=2.0)
+        assert certificate_from_dict(d).implied_t_bound == 2.0
+        d["implied_t_bound"] = 2
+        with pytest.raises(ValueError, match="'implied_t_bound' is 2, "):
             certificate_from_dict(d)
 
     def test_from_dict_reads_integer_numbers(self):

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -107,6 +108,17 @@ class TestEnergyCommand:
         code, out, err = run(capsys, "energy", "--inline", inline)
         assert (code, out) == (2, "")
         assert err == "error: inline set: no points given\n"
+
+    def test_empty_point_is_another_dimension(self, capsys):
+        code, out, err = run(capsys, "energy", "--inline", "0,1; , ;2,3")
+        assert (code, out) == (2, "")
+        assert err == "error: inline set: inconsistent point dimensions [0, 2]\n"
+
+    def test_set_file_without_points(self, capsys, tmp_path):
+        path = tmp_path / "empty.txt"
+        path.write_text("# nothing\n\n")
+        code, out, err = run(capsys, "energy", "--set", str(path))
+        assert (code, out, err) == (2, "", f"error: {path}: no points given\n")
 
     @pytest.mark.parametrize("form", ["interval", "points", "tensor-file"])
     def test_plain_input_skips_token_path(self, capsys, monkeypatch, tmp_path, form):
@@ -316,6 +328,10 @@ def test_golden_stdout(capsys, tmp_path, command):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[command]
+    if argv[0] == "certify":  # it reads back, its verdict the one its numbers give
+        cert = certificates.certificate_from_dict(json.loads(out))
+        assert certificates.revalidate_certificate(cert) == cert
+        assert certificates.certificate_json(cert) + "\n" == out
 
 
 def test_certified_norms_never_use_integer_kernel(capsys, monkeypatch):
@@ -468,6 +484,50 @@ def test_bad_input_exits_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("energy", "--set", "{absent}"), "cannot read set file {absent}: "),
+    (("norms", "--f", "{absent}", "--q", "1.5"), "cannot read function file {absent}: "),
+    (("norms", "--f", "{list}", "--q", "1.5"),
+     "{list}: expected an object with 'offset' and 'values'"),
+    (("norms", "--f", "{no_values}", "--q", "1.5"),
+     "{no_values}: expected an object with 'offset' and 'values'"),
+    (("ball", "--d", "2", "--radius", "1", "--center", "1,x"),
+     "--center: could not convert string to float: 'x'"),
+], ids=["set-absent", "function-absent", "function-list", "function-no-values", "center-x"])
+def test_input_errors_exit_2(capsys, tmp_path, argv, message):
+    paths = {"absent": tmp_path / "absent", "list": tmp_path / "list.json",
+             "no_values": tmp_path / "no_values.json"}
+    paths["list"].write_text("[0, [1.0]]")
+    paths["no_values"].write_text('{"offset": 0}')
+    code, out, err = run(capsys, *(a.format(**paths) for a in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: " + message.format(**paths))
+
+
+@pytest.mark.parametrize("argv", [
+    ("certify", "perturbation", "--n", str(certificates.SUPPORT_CAP + 1)),
+    ("certify", "gaussian", "--n", "9056697", "--eps", "0.5"),
+    ("bounds-table", "--n-min", str(certificates.SUPPORT_CAP + 1),
+     "--n-max", str(certificates.SUPPORT_CAP + 1)),
+], ids=["perturbation", "gaussian", "bounds-table"])
+def test_support_cap_exits_2_before_building(capsys, argv):
+    # Gaussian supports are odd: M = 2^22 + 1 at n = 9056697 is the first
+    # past the cap, and n - 2 reaches it exactly.  Refusing takes well under
+    # the 64 MiB that 2^23 + 2 float64 values would.
+    params = certificates.GaussianScheduleParams.from_n_eps
+    assert 2 * params(9056697, 0.5).m_trunc + 1 == certificates.SUPPORT_CAP + 2
+    assert 2 * params(9056695, 0.5).m_trunc + 1 == certificates.SUPPORT_CAP
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert re.fullmatch(r"error: support 838861[01] exceeds support cap 8388609\n", err)
+    assert peak < 1 << 20
 
 
 def test_selftest_times_only_on_stderr(capsys, monkeypatch, tmp_path):

@@ -314,6 +314,23 @@ class TestEnergies:
         assert ran == ["_energy_fft"]
         assert energy == energy_interval_formula(2000) * energy_interval_formula(2)
 
+    def test_fft_fault_falls_back_to_sorting(self, monkeypatch):
+        # a count the transform got 0.75 wrong rounds to the wrong integer,
+        # the counts no longer add up to |A|^2, and the sorted path answers
+        irfft = np.fft.irfft
+
+        def faulty_irfft(*args, **kwargs):
+            c = irfft(*args, **kwargs)
+            c[1] += 0.75
+            return c
+
+        monkeypatch.setattr(np.fft, "irfft", faulty_irfft)
+        A = LatticeSet.from_range(150)
+        assert _energy_fft(_lattice_keys(A)) is None
+        energy, ran = self._kernels_run(monkeypatch, A)
+        assert ran == ["_energy_fft", "_energy_sorted"]
+        assert energy == energy_interval_formula(150)
+
     def test_sparse_interval_subset_sorts(self, monkeypatch):
         # span ~5e5 > 1024^2/16: the sorted path is the faster one here
         values = np.random.default_rng(23).choice(500_000, size=1024, replace=False)

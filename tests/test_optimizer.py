@@ -386,7 +386,7 @@ class TestEstimate:
 
         def invalid_maximize(config, previous=None):
             res = maximize(config, previous)
-            cert = dataclasses.replace(res.certificate, valid=False)
+            cert = dataclasses.replace(res.certificate, err=res.certificate.margin + 1.0)
             return dataclasses.replace(res, certificate=cert)
 
         monkeypatch.setattr(optimizer, "maximize_ratio", invalid_maximize)

@@ -336,21 +336,21 @@ def witness_values(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@example(values=[1.0, 0.0, -0.0, 1.0], fields=[1.0] * 5, valid=True)
-@example(values=[1.0, -0.0, 1.0], fields=[1.0] * 5, valid=False)
-@example(values=[0.0], fields=[1.0] * 5, valid=False)
-@example(values=[0.1, -0.0, 5e-324] * _REPR_BLOCK_MIN, fields=[1.0] * 5, valid=True)
-@given(values=witness_values(), fields=st.lists(FLOATS, min_size=5, max_size=5),
-       valid=st.booleans())
-def test_certificate_json_is_json_dumps(values, fields, valid):
+@example(values=[1.0, 0.0, -0.0, 1.0], fields=[1.0, 1.0, 2.0, 1.0], q=1.0)  # valid
+@example(values=[1.0, -0.0, 1.0], fields=[1.0] * 4, q=512.0)
+@example(values=[0.0], fields=[1.0] * 4, q=1.5)
+@example(values=[0.1, -0.0, 5e-324] * _REPR_BLOCK_MIN, fields=[1.0, 1.0, 2.0, 1.0], q=3.0)
+@given(values=witness_values(), fields=st.lists(FLOATS, min_size=4, max_size=4),
+       q=st.floats(1.0, 512.0))
+def test_certificate_json_is_json_dumps(values, fields, q):
     f = DiscreteFunction(-len(values) // 2, values)
-    lhs, rhs, margin, err, q = fields
+    lhs, rhs, margin, err = fields
     cert = Certificate(kind="explicit", n=max(2, len(values)), q=q, f=f, lhs=lhs, rhs=rhs,
-                       margin=margin, err=err, implied_t_bound=q, valid=valid)
+                       margin=margin, err=err)
     reprs = [repr(v) for v in f.values.tolist()]
     oracle = {"kind": "explicit", "n": cert.n, "q": q, "offset": f.offset, "values": reprs,
-              "lhs": lhs, "rhs": rhs, "margin": margin, "err": err, "implied_t_bound": q,
-              "valid": valid}
+              "lhs": lhs, "rhs": rhs, "margin": margin, "err": err, "implied_t_bound": 4.0 / q,
+              "valid": margin > err >= sys.float_info.min}
     assert certificate_to_dict(cert) == oracle
     text = certificate_json(cert)
     assert text == json.dumps(oracle, indent=2)
