@@ -157,14 +157,11 @@ def _truncated_pow4_trapezoid(a_param: float, m_trunc: int, j: int) -> float:
     h = m_trunc / j
     x = np.arange(-j, j + 1) * h
     g = np.exp(-(x * x) / a_param)
-    npts = g.size
-    conv = _autoconvolution(g)
-    idx = np.arange(conv.size)
-    lo = np.maximum(0, idx - (npts - 1))
-    hi = np.minimum(idx, npts - 1)
-    first = g[lo] * g[idx - lo]
-    last = g[hi] * g[idx - hi]
-    c = h * (conv - 0.5 * (first + last))  # (g_M * g_M)(z), z on the doubled grid
+    # the endpoint correction of (g_M * g_M)(z_k) is half its first and last
+    # trapezoid terms, g_lo g_(k-lo) and g_hi g_(k-hi): equal products, so
+    # together g_0 g_k for k <= 2j and g_k' g_2j (k' = k - 2j) past it
+    ends = np.concatenate((g[0] * g, g[-1] * g[1:]))
+    c = h * (_autoconvolution(g) - ends)  # (g_M * g_M)(z), z on the doubled grid
     s = c * c
     return float(h * (s.sum() - 0.5 * (s[0] + s[-1])))
 

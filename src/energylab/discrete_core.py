@@ -13,8 +13,12 @@ done; sharing e, the two sides of a norm comparison are compared without
 leaving float64 range (_norm_pair).
 Only fourier_l4_pow4 on integer-valued f, which no certificate uses,
 returns the exact integer instead.
-Energies of lattice sets are counted exactly in arbitrary precision via the
-representation function r(s) = #{(a,b) in A^2 : a+b = s}.
+Energies of lattice sets are exact integers: E(A) = sum_s r(s)^2 for the
+representation function r(s) = #{(a,b) in A^2 : a+b = s}.  A dense set
+rounds the same one-transform Parseval sum, ||1_A^||_4^4, wherever its
+bound pins the integer, and takes the rounded counts of r from a second,
+inverse transform past that; a sparse one sorts its pair sums in
+arbitrary precision.
 """
 
 from __future__ import annotations
@@ -30,10 +34,12 @@ FLOAT64_EPS = 2.0 ** -52
 
 # The FFT energy path takes key spans up to _FFT_SPAN_CAP (transforms of at
 # most 2^22 entries, 32 MiB each) and |A|^2/_FFT_SPAN_DENSITY: on random 1-D
-# sets of 32 to 3000 points it took 0.49-1.19 of the sorted path's time at
-# span |A|^2/16 (0.18-0.58 at /32, 0.82-2.87 at /8; 2-vCPU Xeon).  Other sets
-# sort their pair sums one range of sum values at a time, each range holding
-# at most _SORT_BLOCK pairs (32 MiB of int64) or |A| if that is more.
+# sets of 32 to 3000 points its one-transform route took 0.25-1.5 of the
+# sorted path's time at span |A|^2/16 (0.22-0.49 at /32, 0.29-3.1 at /8;
+# 2-vCPU Xeon), the two crossing between /9 (300 points) and /20 (3000).
+# Other sets sort their pair sums one range of sum values at a time, each
+# range holding at most _SORT_BLOCK pairs (32 MiB of int64) or |A| if that
+# is more.
 _FFT_SPAN_CAP = 1 << 21
 _FFT_SPAN_DENSITY = 16
 _SORT_BLOCK = 1 << 22
@@ -302,23 +308,44 @@ def fourier_l4_pow4_with_error(f: DiscreteFunction):
     """
     if f.is_zero:
         return 0.0, 0, 0.0
-    m = len(f.values)
-    u = FLOAT64_EPS / 2.0
     e = _pow2_exponent(f.values)
     y = np.ldexp(f.values, -e)
-    size = 1 << (2 * m - 2).bit_length()
+    size = 1 << (2 * len(y) - 2).bit_length()
+    total = _parseval_sum(_spectrum_power(y, size), size)
+    rel, _ = _pow4_bound(size, _norm2_upper(y), total)
+    return total, 4 * e, rel
+
+
+def _spectrum_power(y, size):
+    """p_k = fl(fl(re^2) + fl(im^2)), the computed |Y_k|^2 of the bins
+    k <= N/2 of Y = rfft(y, N), N = size."""
     parts = np.fft.rfft(y, size).view(np.float64)  # re, im of each bin
     np.square(parts, out=parts)
-    p = parts[0::2] + parts[1::2]
+    return parts[0::2] + parts[1::2]
+
+
+def _parseval_sum(p, size):
+    """t = _exact_sum(w p^2) / N for the p of _spectrum_power, with the
+    weight w_k = 2 on the interior bins, which stand for Y_(N-k) = conj(Y_k)
+    too, and 1 on the others.  p is squared in place: a fresh array of the
+    squares took a quarter more time at support 32768 (2-vCPU Xeon)."""
     np.square(p, out=p)
     p[1:-1] *= 2.0
-    total = _exact_sum(p) / size
+    return _exact_sum(p) / size
+
+
+def _pow4_bound(size, norm2, total):
+    """(rel, D) of fourier_l4_pow4_with_error for the Parseval sum t = total
+    of a length-N (N = size) transform of y with ||y||_2^2 <= norm2: D
+    bounds ||Yc - Y||_2 over the full computed spectrum, and |t/T - 1| <= rel
+    for T = ||y*y||_2^2."""
+    u = FLOAT64_EPS / 2.0
     levels = size.bit_length() - 1
     big_r = levels * (u + 4.0 * u + math.sqrt(5.0) * u)
-    big_d = big_r * (1.0 + big_r) * math.sqrt(size * _norm2_upper(y))
+    big_d = big_r * (1.0 + big_r) * math.sqrt(size * norm2)
     low = math.sqrt(math.sqrt(size * total * (1.0 - 6.0 * u)))
     s = 4.0 * big_d / (low - big_d) + 6.0 * u
-    return total, 4 * e, s * (1.0 + s) * (1.0 + 2.0 ** -40)
+    return s * (1.0 + s) * (1.0 + 2.0 ** -40), big_d
 
 
 def fourier_l4_pow4(f: DiscreteFunction):
@@ -458,8 +485,9 @@ class LatticeSet:
     colexicographic order (the last coordinate most significant): int64, or
     Python ints in an object array when some coordinate does not fit.  For
     any base b > n - 1 the keys sum_i p_i b^i are then strictly increasing,
-    so _lattice_keys needs no sort.  Equal when dim, side and points are;
-    not hashable."""
+    so _lattice_keys needs no sort; the constructor sorts and drops repeats
+    by the keys at b = n, and skips the sort when they already increase.
+    Equal when dim, side and points are; not hashable."""
 
     dim: int
     side: int
@@ -484,14 +512,15 @@ class LatticeSet:
             if wrong is not None:
                 raise ValueError(f"point {tuple(wrong)} has wrong dimension (expected {self.dim})")
             arr = _int_array([v for p in rows for v in p]).reshape(len(rows), self.dim)
-        outside = np.flatnonzero((arr < 0).any(axis=1) | (arr >= self.side).any(axis=1))
-        if outside.size:
+        if arr.size and (arr.min() < 0 or arr.max() >= self.side):
+            outside = np.flatnonzero((arr < 0).any(axis=1) | (arr >= self.side).any(axis=1))
             raise ValueError(f"point {tuple(arr[outside[0]].tolist())} outside "
                              f"[0, {self.side - 1}]^{self.dim}")
-        arr = arr[np.lexsort(arr.T)]  # a copy of any input array
-        keep = np.ones(len(arr), dtype=bool)
-        keep[1:] = (arr[1:] != arr[:-1]).any(axis=1)
-        arr = arr[keep]
+        keys = _kronecker_keys(arr, self.side)  # colex order is key order
+        if not np.all(keys[1:] > keys[:-1]):
+            arr = arr[np.unique(keys, return_index=True)[1]]
+        elif arr is self.points:
+            arr = arr.copy()  # later changes to the input do not reach the set
         arr.flags.writeable = False
         object.__setattr__(self, "points", arr)
 
@@ -533,11 +562,14 @@ def energy_interval_formula(n: int) -> int:
 def energy_of_set(A: LatticeSet) -> int:
     """Exact E(A) = sum_s r(s)^2 over the sumset, arbitrary precision.
 
-    Both paths count the pair sums of the keys sum_i p_i (2n-1)^i: no
+    Both paths take the pair sums of the keys sum_i p_i (2n-1)^i: no
     coordinate sum reaches 2n-1, so adding keys never carries, and r(s)
     counts the pairs with each sum vector.  A set whose key span is at most
-    _FFT_SPAN_CAP and |A|^2/_FFT_SPAN_DENSITY goes through one FFT
-    autoconvolution of the indicator of its keys; the others sort and count
+    _FFT_SPAN_CAP and |A|^2/_FFT_SPAN_DENSITY goes to _energy_fft, which
+    rounds the Parseval sum of one forward transform of the indicator of its
+    keys while its bound pins E (up to 11.7k points at the span cap, 19.2k
+    for an interval) and counts r by a forward and an inverse transform past
+    that; the others, and a transform that fails its check, sort and count
     the pair sums one range of sum values at a time.
     """
     if not A.size:
@@ -556,23 +588,53 @@ def _lattice_keys(A: LatticeSet):
     since the points are in colex order, as an int64 array when every pair
     sum fits (keys < (2n-1)^d / 2 <= 2^61), else as Python ints in an object
     array."""
-    base, d = 2 * A.side - 1, A.dim
+    return _kronecker_keys(A.points, 2 * A.side - 1)
+
+
+def _kronecker_keys(points, base):
+    """sum_i p_i base^i for each row p of the (k, d) array points: int64
+    while base^d <= 2^62, else Python ints in an object array."""
+    d = points.shape[1]
     dtype = np.int64 if base ** d <= 1 << 62 else object
     radix = np.array([base ** i for i in range(d)], dtype=dtype)
-    return A.points.astype(dtype, copy=False) @ radix
+    return points.astype(dtype, copy=False) @ radix
 
 
 def _energy_fft(keys):
-    """E(A) from r = 1_K * 1_K, K the increasing keys of A (int64 or Python ints), or None.
+    """E(A) = ||1_K * 1_K||_2^2 from one or two transforms of y = 1_K, K the
+    increasing keys of A (int64 or Python ints), or None.
 
-    With m the key span and N = 2^L the least power of two >= 2m - 1, c =
-    irfft(rfft(1_K, N)^2, N)[:2m-1] approximates r, and the rounded counts
+    With m the key span and N = 2^L the least power of two >= 2m - 1, the
+    cyclic autoconvolution of length N is r = y*y itself, and ||y||_2^2 =
+    |A| exactly.  Two routes, picked before any transform:
+
+    Parseval.  E = ||Y||_4^4 / N for Y = DFT_N(y), so E is the T of
+    fourier_l4_pow4_with_error (prescale 2^0), and its Parseval sum t from
+    one rfft has |t/T - 1| <= rel (_pow4_bound at norm2 = |A|).  As t >=
+    E (1 - rel), |t - E| <= t rel / (1 - rel), and round(t) = E once that
+    is below 1/2; rel's factor 1 + 2^-40 also covers the three roundings of
+    this product.  The route is taken when the same bound holds at the
+    largest energy a set can have, |A|^3 (r(s) <= |A| and sum_s r(s) =
+    |A|^2): with rel_3 the bound at t = |A|^3, t <= E (1 + rel(t)) and rel
+    falling as t grows give t <= t_3 = |A|^3 (1 + rel_3), and t rel / (1 -
+    rel) grows with t, so t_3 rel_3 / (1 - rel_3) < 1/2 makes every set of
+    |A| points pass.  In place of a count check the result is used only when
+    the computed spectrum is plausible, the computed ||Yc||_2 = (sum_k w_k
+    p_k)^(1/2) being within D of ||Y||_2 = (N |A|)^(1/2) (plus its own
+    rounding, (N/2 + 8) u relative: two for each p_k, N/2 + 1 for the two
+    np.sum in any order and their sum, one for the root and slack for the
+    products), and when the
+    integer does what every energy does: |A|^2 <= E <= |A|^3 and E = sum_s
+    r(s)^2 = sum_s r(s) = |A|^2 = |A| (mod 2).
+
+    Counted.  Past that reach (intervals above about 19.2k points),
+    c = irfft(rfft(y, N)^2, N)[:2m-1] approximates r, and the rounded counts
     are exact when delta < 1/2 for delta >= max_s |c(s) - r(s)|.  The bound
     is C. Percival's (Math. Comp. 72 (2003), Theorem 5.1; cf. Higham,
     Accuracy and Stability of Numerical Algorithms, 2nd ed., 24.1) for a
     cyclic convolution of length N by two forward transforms, a pointwise
     product and an inverse transform in arithmetic with unit roundoff
-    u = 2^-53, here of y = 1_K with ||y||_2^2 = |A| exactly:
+    u = 2^-53:
 
         ||c - y*y||_inf <= ||y||_2^2 ((1+u)^(3L) (1+sqrt5 u)^(3L+1) (1+beta)^(3L) - 1).
 
@@ -589,18 +651,34 @@ def _energy_fft(keys):
     """
     offsets = (keys - keys[0]).astype(np.int64, copy=False)
     m = int(offsets[-1]) + 1
+    count = len(keys)
     indicator = np.zeros(m)
     indicator[offsets] = 1.0
     size = 1 << (2 * m - 2).bit_length()
+    u = FLOAT64_EPS / 2.0
+    top = float(count) ** 3
+    rel, big_d = _pow4_bound(size, count, top)
+    if top * (1.0 + rel) * rel / (1.0 - rel) < 0.5:
+        p = _spectrum_power(indicator, size)
+        norm = math.sqrt(float(np.sum(p)) + float(np.sum(p[1:-1])))
+        slack = (big_d + (len(p) + 7) * u * norm) * (1.0 + 2.0 ** -40)
+        if not abs(norm - math.sqrt(size * count)) <= slack:
+            return None  # a NaN or infinite spectrum included
+        total = _parseval_sum(p, size)
+        rel, _ = _pow4_bound(size, count, total)
+        energy = round(total)
+        pinned = total * rel / (1.0 - rel) < 0.5
+        if pinned and count * count <= energy <= count ** 3 and (energy - count) % 2 == 0:
+            return energy
+        return None
     spec = np.fft.rfft(indicator, size)
     spec *= spec
     c = np.fft.irfft(spec, size)[:2 * m - 1]
-    u = FLOAT64_EPS / 2.0
     levels = size.bit_length() - 1
     big_s = 3 * levels * (u + 4.0 * u) + (3 * levels + 1) * math.sqrt(5.0) * u
-    delta = big_s * (1.0 + big_s) * len(keys) * (1.0 + 2.0 ** -40)
+    delta = big_s * (1.0 + big_s) * count * (1.0 + 2.0 ** -40)
     r = np.rint(c, out=c).astype(np.int64)
-    if not (delta < 0.5 and int(r.sum()) == len(keys) ** 2):
+    if not (delta < 0.5 and int(r.sum()) == count ** 2):
         return None
     # sum r^2 < |A|^3 <= _FFT_SPAN_CAP^3 = 2^63: int64 holds it
     return int(np.dot(r, r))

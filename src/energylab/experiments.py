@@ -121,7 +121,8 @@ def ball_lattice_set(d: int, radius: float, center=None) -> LatticeSet:
         width = math.floor(c + radius) - math.ceil(c - radius) + 1
         if width > BALL_SIDE_CAP:
             raise CapExceededError(f"bounding side {width} exceeds cap {BALL_SIDE_CAP}")
-    # build coordinates one dimension at a time, pruning on partial distance
+    # build coordinates one dimension at a time, pruning on partial distance;
+    # the new coordinate varies slowest, so the points arrive in colex order
     pts = np.zeros((1, 0), dtype=np.int64)
     sq = np.zeros(1)
     for i in range(d):
@@ -129,12 +130,12 @@ def ball_lattice_set(d: int, radius: float, center=None) -> LatticeSet:
         hi = math.floor(center[i] + radius)
         coords = np.arange(lo, hi + 1, dtype=np.int64)
         dd = (coords.astype(np.float64) - center[i]) ** 2
-        total = sq[:, None] + dd[None, :]
-        keep_row, keep_col = np.nonzero(total <= r2)
-        if keep_row.size > BALL_POINT_CAP * 4:
-            raise CapExceededError(f"intermediate point count {keep_row.size} exceeds cap")
-        pts = np.hstack([pts[keep_row], coords[keep_col, None]])
-        sq = total[keep_row, keep_col]
+        total = dd[:, None] + sq[None, :]
+        keep_new, keep_old = np.nonzero(total <= r2)
+        if keep_new.size > BALL_POINT_CAP * 4:
+            raise CapExceededError(f"intermediate point count {keep_new.size} exceeds cap")
+        pts = np.hstack([pts[keep_old], coords[keep_new, None]])
+        sq = total[keep_new, keep_old]
     if pts.shape[0] > BALL_POINT_CAP:
         raise CapExceededError(f"{pts.shape[0]} points exceed cap {BALL_POINT_CAP}")
     if pts.shape[0] == 0:

@@ -19,6 +19,51 @@ def indicator(*pts):
     return DiscreteFunction.indicator(pts)
 
 
+def count_transforms(monkeypatch):
+    """The numbers of np.fft.rfft and np.fft.irfft calls from now on."""
+    calls = dict.fromkeys(("rfft", "irfft"), 0)
+    for name in calls:
+        def counting(*args, _inner=getattr(np.fft, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counting)
+    return calls
+
+
+def faulty_rfft(fault):
+    """np.fft.rfft with its output passed through fault(spectrum, N)."""
+    rfft = np.fft.rfft
+
+    def wrapped(a, n, *args, **kwargs):
+        return fault(rfft(a, n, *args, **kwargs), n)
+    return wrapped
+
+
+def scaled(spec, size):
+    # every bin times ((E + 2)/E)^(1/4): the Parseval sum reads E + 2, of the
+    # right parity and in range, but ||Y||_2 is off by far more than D
+    e = energy_interval_formula(150)
+    return spec * ((e + 2) / e) ** 0.25
+
+
+def moved(spec, size):
+    # |Y_1|^2 + delta and |Y_2|^2 - delta keep ||Y||_2 and put the Parseval
+    # sum at E + 1: 4 delta (a - b + delta) / N = 1
+    a, b = np.abs(spec[1:3]) ** 2
+    delta = (size / 2) / ((a - b) + math.sqrt((a - b) ** 2 + size))
+    spec[1] *= math.sqrt((a + delta) / a)
+    spec[2] *= math.sqrt((b - delta) / b)
+    return spec
+
+
+def concentrated(spec, size):
+    # all of ||Y||_2^2 = N |A| in the zero bin: the sum reads N |A|^2 > |A|^3
+    out = np.zeros_like(spec)
+    out[0] = math.sqrt(size * 150)
+    return out
+
+
 class TestDiscreteFunction:
     def test_canonical_trimming(self):
         f = DiscreteFunction(3, (0, 0, 1.0, 2.0, 0))
@@ -187,22 +232,16 @@ class TestRatioReport:
             ratio_report(DiscreteFunction(0, (1.7e308, 1.7e308)), 1.5)
 
     def test_one_forward_transform_per_certified_pow4(self, monkeypatch):
-        # a ratio and a certificate each take one rfft and no irfft; the
-        # lattice energies, which need every count, still autoconvolve
-        calls = dict.fromkeys(("rfft", "irfft"), 0)
-        for name in calls:
-            def counting(*args, _inner=getattr(np.fft, name), _name=name, **kwargs):
-                calls[_name] += 1
-                return _inner(*args, **kwargs)
-
-            monkeypatch.setattr(np.fft, name, counting)
+        # a ratio, a certificate and a lattice energy inside the Parseval
+        # reach each take one rfft and no irfft
+        calls = count_transforms(monkeypatch)
         f = DiscreteFunction(0, np.random.default_rng(3).standard_normal(3000))
         ratio_report(f, 1.5)
         assert calls == {"rfft": 1, "irfft": 0}
         evaluate_certificate("explicit", 3000, 1.5, f)
         assert calls == {"rfft": 2, "irfft": 0}
         assert energy_of_set(LatticeSet.from_range(200)) == energy_interval_formula(200)
-        assert calls == {"rfft": 3, "irfft": 1}
+        assert calls == {"rfft": 3, "irfft": 0}
 
     def test_abs_monotonicity(self):
         rng = np.random.default_rng(5)
@@ -239,6 +278,11 @@ class TestRatioReport:
             supp = sum(1 for v in f.values if v != 0)
             assert lq <= l43 * (1 + 1e-12)
             assert l43 <= supp ** (0.75 - 1 / q) * lq * (1 + 1e-12)
+
+
+# the largest interval on the Parseval route: N = 2^16, and the bound at
+# |A|^3 first reaches 1/2 at 19209 points
+PARSEVAL_REACH = 19208
 
 
 class TestEnergies:
@@ -315,8 +359,21 @@ class TestEnergies:
         assert energy == energy_interval_formula(2000) * energy_interval_formula(2)
 
     def test_fft_fault_falls_back_to_sorting(self, monkeypatch):
-        # a count the transform got 0.75 wrong rounds to the wrong integer,
-        # the counts no longer add up to |A|^2, and the sorted path answers
+        # on the Parseval route each fault passes every check but one, in
+        # turn the ||Y||_2 check, the parity of E and E <= |A|^3; the sorted
+        # path answers
+        A = LatticeSet.from_range(150)
+        for fault in (scaled, moved, concentrated):
+            with monkeypatch.context() as patch:
+                patch.setattr(np.fft, "rfft", faulty_rfft(fault))
+                assert _energy_fft(_lattice_keys(A)) is None, fault.__name__
+                energy, ran = self._kernels_run(patch, A)
+                assert ran == ["_energy_fft", "_energy_sorted"]
+                assert energy == energy_interval_formula(150)
+
+    def test_counted_fault_returns_none(self, monkeypatch):
+        # past the Parseval reach a count the transform got 0.75 wrong rounds
+        # to the wrong integer and the counts no longer add up to |A|^2
         irfft = np.fft.irfft
 
         def faulty_irfft(*args, **kwargs):
@@ -325,11 +382,19 @@ class TestEnergies:
             return c
 
         monkeypatch.setattr(np.fft, "irfft", faulty_irfft)
-        A = LatticeSet.from_range(150)
-        assert _energy_fft(_lattice_keys(A)) is None
-        energy, ran = self._kernels_run(monkeypatch, A)
-        assert ran == ["_energy_fft", "_energy_sorted"]
-        assert energy == energy_interval_formula(150)
+        assert _energy_fft(_lattice_keys(LatticeSet.from_range(PARSEVAL_REACH + 1))) is None
+
+    @pytest.mark.parametrize("n,want", [(PARSEVAL_REACH, {"rfft": 1, "irfft": 0}),
+                                        (PARSEVAL_REACH + 1, {"rfft": 1, "irfft": 1})],
+                             ids=["parseval", "counted"])
+    def test_route_boundary(self, monkeypatch, n, want):
+        # the largest interval whose bound at |A|^3 pins E takes one forward
+        # transform; the next one counts r by a forward and an inverse one
+        calls = count_transforms(monkeypatch)
+        energy, ran = self._kernels_run(monkeypatch, LatticeSet.from_range(n))
+        assert ran == ["_energy_fft"]
+        assert energy == energy_interval_formula(n)
+        assert calls == want
 
     def test_sparse_interval_subset_sorts(self, monkeypatch):
         # span ~5e5 > 1024^2/16: the sorted path is the faster one here
@@ -544,6 +609,18 @@ class TestEnergies:
             LatticeSet(3, 3, arr)
         with pytest.raises(ValueError, match="wrong dimension"):
             LatticeSet(1, 3, np.arange(3))
+
+    def test_lattice_sorted_input_skips_the_sort(self):
+        # colex-ordered distinct rows, as a non-contiguous column pair: stored
+        # as a C-contiguous copy with the same rows
+        arr = np.array([[1, 0, 9], [0, 1, 9], [1, 1, 9]])[:, :2]
+        A = LatticeSet(2, 2, arr)
+        assert A.points.tolist() == [[1, 0], [0, 1], [1, 1]] and A.points.flags.c_contiguous
+        arr[0, 0] = 0
+        assert A.points.tolist() == [[1, 0], [0, 1], [1, 1]]
+        # the first point outside the cube is named, whichever check finds it
+        with pytest.raises(ValueError, match=r"point \(0, 3\) outside \[0, 2\]\^2"):
+            LatticeSet(2, 3, [(0, 1), (0, 3), (4, 0), (-1, 0)])
 
     def test_lattice_points_beyond_int64(self):
         big = 2 ** 70

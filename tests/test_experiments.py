@@ -2,10 +2,12 @@ import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
 from energylab import experiments
-from energylab.discrete_core import CapExceededError, energy_bruteforce, energy_of_set
+from energylab.discrete_core import (CapExceededError, LatticeSet, energy_bruteforce,
+                                     energy_of_set)
 from energylab.experiments import (BALL_CSV_COLUMNS, BOUNDS_CSV_COLUMNS,
                                    ball_energy_experiment, ball_lattice_set, bounds_row,
                                    bounds_table, manifest_document, results_document)
@@ -91,6 +93,28 @@ class TestBallSets:
     def test_half_integer_center(self):
         ball = ball_lattice_set(2, 1.0, (0.5, 0.5))
         assert ball.size == 4  # the four corners around the center
+
+    def test_points_arrive_in_colex_order(self, monkeypatch):
+        # the set receives its points already sorted (the last coordinate most
+        # significant), and they are those of the full grid summed axis by axis
+        center, radius = (0.37, 0.81, 0.12), 4.5
+        given = []
+
+        def recording(d, side, points):
+            given.append(points.tolist())
+            return LatticeSet(d, side, points)
+        monkeypatch.setattr(experiments, "LatticeSet", recording)
+        ball = ball_lattice_set(3, radius, center)
+        colex = [p[::-1] for p in given[0]]
+        assert colex == sorted(colex) and len(set(map(tuple, colex))) == len(colex)
+        sq = np.zeros(())
+        for c in center:
+            coords = np.arange(math.ceil(c - radius), math.floor(c + radius) + 1)
+            sq = sq[..., None] + (coords.astype(np.float64) - c) ** 2
+        inside = np.argwhere(sq <= radius * radius)
+        inside -= inside.min(axis=0)
+        assert sorted(p[::-1] for p in inside.tolist()) == colex
+        assert ball.points.tolist() == given[0]
 
     def test_coordinates_normalized(self):
         ball = ball_lattice_set(3, 2.0, (10.0, -4.0, 0.5))

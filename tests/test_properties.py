@@ -4,7 +4,8 @@ as the exact reference, that bound against a 200-bit evaluation of its
 formula, the integer kernel equal to both (value and type),
 the certified ratio against the exact reference, the exact vectorized sum
 against math.fsum bit for bit, the float64 lq norm against a 300-bit
-oracle, the FFT energy counts within their Percival bound, FFT lattice
+oracle, the FFT energy counts within their Percival bound and the
+Parseval energy sum within its own, FFT lattice
 energies against the sorted pair-sum count and both against the
 brute-force oracle, the one-call set parser against the
 per-token one, the canonical point array of lattice sets,
@@ -525,9 +526,28 @@ def percival_delta(y) -> mp.mpf:
         return mp.fsum(mp.mpf(float(v)) ** 2 for v in y) * bracket
 
 
+def returning_locals(code, names, call):
+    """call() and the named locals of the frame of code as it returns."""
+    seen = {}
+
+    def profile(frame, event, arg):
+        if event == "return" and frame.f_code is code:
+            seen.update((name, frame.f_locals[name]) for name in names)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        result = call()
+    finally:
+        sys.setprofile(previous)
+    return result, seen
+
+
 def fft_counts_and_delta(keys):
-    """_energy_fft(keys), its unrounded counts c (copied from its one irfft)
-    and its bound delta (read from its frame as it returns)."""
+    """_energy_fft(keys) on its counted route, its unrounded counts c (copied
+    from its one irfft) and its bound delta (read from its frame as it
+    returns).  A Parseval bound of 1/2 fails the route's gate, so these
+    small sets are counted too."""
     seen = {}
     irfft = np.fft.irfft
 
@@ -536,37 +556,57 @@ def fft_counts_and_delta(keys):
         seen["c"] = out.copy()
         return out
 
-    def profile(frame, event, arg):
-        if event == "return" and frame.f_code is _energy_fft.__code__:
-            seen["delta"] = frame.f_locals["delta"]
-
-    previous = sys.getprofile()
-    with mock.patch.object(np.fft, "irfft", copying_irfft):
-        sys.setprofile(profile)
-        try:
-            energy = _energy_fft(keys)
-        finally:
-            sys.setprofile(previous)
+    with (mock.patch.object(np.fft, "irfft", copying_irfft),
+          mock.patch.object(discrete_core, "_pow4_bound", lambda size, norm2, total: (0.5, 0.0))):
+        energy, frame = returning_locals(_energy_fft.__code__, ["delta"], lambda: _energy_fft(keys))
     span = int(keys[-1] - keys[0]) + 1
-    return energy, seen["c"][:2 * span - 1], seen["delta"]
+    return energy, seen["c"][:2 * span - 1], frame["delta"]
+
+
+ENERGY_SETS = st.one_of(st.sets(st.integers(0, 300), min_size=1, max_size=80),
+                        st.integers(1, 400).map(range))  # full intervals
+
+
+def indicator_and_counts(keys):
+    """The indicator y of the keys' offsets and its exact counts r = y*y."""
+    y = np.zeros(int(keys[-1] - keys[0]) + 1)
+    y[keys - keys[0]] = 1.0
+    r = np.convolve(y.astype(np.int64), y.astype(np.int64))
+    return y, r
 
 
 @settings(max_examples=100, deadline=None)
-@given(points=st.one_of(st.sets(st.integers(0, 300), min_size=1, max_size=80),
-                        st.integers(1, 400).map(range)))  # full intervals
+@given(points=ENERGY_SETS)
 def test_energy_fft_bound(points):
     keys = np.array(sorted(points), dtype=np.int64)
     energy, c, delta = fft_counts_and_delta(keys)
-    y = np.zeros(int(keys[-1] - keys[0]) + 1)
-    y[keys - keys[0]] = 1.0
+    y, r = indicator_and_counts(keys)
     # delta is Percival's bound at ||1_K||_2^2 = |A|, and every FFT count lies within it
     pd = percival_delta(y)
     assert pd <= delta <= pd * (1 + 1e-9)
-    r = np.convolve(y.astype(np.int64), y.astype(np.int64))
     assert len(c) == len(r)
     for cs, rs in zip(c.tolist(), r.tolist()):
         assert abs(Fraction(cs) - rs) <= Fraction(delta)
     assert energy == int(np.dot(r, r))
+
+
+@settings(max_examples=100, deadline=None)
+@given(points=ENERGY_SETS)
+def test_energy_parseval_bound(points):
+    keys = np.array(sorted(points), dtype=np.int64)
+    energy, frame = returning_locals(_energy_fft.__code__, ["total", "rel"],
+                                     lambda: _energy_fft(keys))
+    y, r = indicator_and_counts(keys)
+    exact = int(np.dot(r, r))
+    # rel is the Parseval pow4 bound at ||1_K||_2^2 = |A|, the sum lies
+    # within it of E, and t rel / (1 - rel) bounds that distance below 1/2
+    t, rel = frame["total"], frame["rel"]
+    pr = parseval_rel(y, t)
+    assert pr <= rel <= pr * (1 + 1e-9)
+    distance = abs(Fraction(t) - exact)
+    assert distance <= Fraction(rel) * exact
+    assert distance <= Fraction(t) * Fraction(rel) / (1 - Fraction(rel)) < Fraction(1, 2)
+    assert energy == exact
 
 
 def random_set(rng, d, n, size):
