@@ -486,7 +486,7 @@ class LatticeSet:
     Python ints in an object array when some coordinate does not fit.  For
     any base b > n - 1 the keys sum_i p_i b^i are then strictly increasing,
     so _lattice_keys needs no sort; the constructor sorts and drops repeats
-    by the keys at b = n, and skips the sort when they already increase.
+    by the keys at b = n.
     Equal when dim, side and points are; not hashable."""
 
     dim: int
@@ -517,10 +517,8 @@ class LatticeSet:
             raise ValueError(f"point {tuple(arr[outside[0]].tolist())} outside "
                              f"[0, {self.side - 1}]^{self.dim}")
         keys = _kronecker_keys(arr, self.side)  # colex order is key order
-        if not np.all(keys[1:] > keys[:-1]):
-            arr = arr[np.unique(keys, return_index=True)[1]]
-        elif arr is self.points:
-            arr = arr.copy()  # later changes to the input do not reach the set
+        # a gathered copy: later changes to the input do not reach the set
+        arr = arr[np.unique(keys, return_index=True)[1]]
         arr.flags.writeable = False
         object.__setattr__(self, "points", arr)
 

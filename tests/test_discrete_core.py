@@ -610,7 +610,7 @@ class TestEnergies:
         with pytest.raises(ValueError, match="wrong dimension"):
             LatticeSet(1, 3, np.arange(3))
 
-    def test_lattice_sorted_input_skips_the_sort(self):
+    def test_lattice_sorted_input_is_copied(self):
         # colex-ordered distinct rows, as a non-contiguous column pair: stored
         # as a C-contiguous copy with the same rows
         arr = np.array([[1, 0, 9], [0, 1, 9], [1, 1, 9]])[:, :2]
