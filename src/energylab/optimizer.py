@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .certificates import Certificate, GaussianScheduleParams, evaluate_certificate
-from .discrete_core import DiscreteFunction
+from .certificates import SUPPORT_CAP, Certificate, GaussianScheduleParams, evaluate_certificate
+from .discrete_core import CapExceededError, DiscreteFunction
 
 ARMIJO_C = 1e-4
 ASCENT_TOL = 1e-12  # relative objective gain below which a chain stops
@@ -42,6 +42,9 @@ class OptimizerConfig:
             raise ValueError(f"q must lie in (1, 512], got {self.q}")
         if self.starts < 4:
             raise ValueError("starts must be >= 4 (the canonical starts)")
+        if self.starts * self.n > SUPPORT_CAP:  # the batch holds starts x n floats
+            raise CapExceededError(f"starts x n = {self.starts * self.n} exceeds support cap "
+                                   f"{SUPPORT_CAP}")
 
 
 @dataclass(frozen=True)
@@ -67,22 +70,36 @@ def _pow4_corr_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """sum (x*x)^2 of each row x of X and the correlation sum_b x(b) (x*x)(i+b),
     a quarter of its gradient, from one rfft and one irfft along the rows.
 
-    With F = rfft(x, N), c = irfft(F^2) is x*x and irfft(F^2 conj F) is the
-    correlation of c with x; both come from one irfft over the stacked rows
-    (F^2, F^2 conj F).  At N, the least power of two >= 2n-1, neither wraps
-    around.  Rows never mix, but a row's last bits may depend on the batch:
-    numpy's complex multiply may round the product F^2 conj F differently for
-    a (k, N/2+1) array than for one row (seen at n >= 1000 on an AVX-512
-    build, never at n <= 256).  The correlation is a view into the irfft
-    output, which the caller owns.
+    With F = rfft(x, N) at N, the least power of two >= 2n-1, the cyclic
+    autoconvolution of length N is x*x itself, so F^2 = DFT_N(x*x) and
+    Parseval gives, with p_k = |F_k|^2,
+
+        sum (x*x)^2 = (1/N) sum_k |F_k|^4 = (1/N) sum_k w_k p_k^2,
+
+    the sum running over the bins k <= N/2 that rfft holds: w_k = 2 on the
+    interior bins, which stand for F_(N-k) = conj(F_k) too, and 1 on bin 0
+    and bin N/2 (at N = 1 the one bin is both, and takes weight 1).  The
+    correlation is irfft(F^2 conj F)[:n] = irfft(F p)[:n], which does not
+    wrap around at N either.  p_k = fl(fl(re^2) + fl(im^2)) is taken from
+    the float64 view of F, and F p is formed there in place, re and im each
+    times the real p_k; so every product is a real one, rounded once,
+    whatever the shape of X, and a row's results do not depend on the rows
+    beside it.  The correlation is a view into the irfft output, which the
+    caller owns.
     """
     k, n = X.shape
     N = 1 << (2 * n - 2).bit_length()
     F = np.fft.rfft(X, N, axis=1)
-    F2 = F * F
-    out = np.fft.irfft(np.concatenate((F2, F2 * F.conj())), N, axis=1)
-    c = out[:k, :2 * n - 1]
-    return (c * c).sum(axis=1), out[k:, :n]
+    parts = F.view(np.float64)  # re, im of each bin side by side
+    re, im = parts[:, 0::2], parts[:, 1::2]
+    p = np.square(re)
+    p += np.square(im)
+    re *= p
+    im *= p
+    corr = np.fft.irfft(F, N, axis=1)[:, :n]
+    np.square(p, out=p)
+    p[:, 1:-1] *= 2.0
+    return p.sum(axis=1) / N, corr
 
 
 def _objective_rows(X: np.ndarray, q: float) -> tuple[np.ndarray, np.ndarray]:

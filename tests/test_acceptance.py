@@ -18,7 +18,7 @@ from energylab import acceptance
 
 SEED = 7
 # sha256 of selftest_results.json for --seed 7; no criterion records a time
-SELFTEST_SHA256 = "c5dc18a881fc2cc37059304eb440a944c1fd0fb9694d70702fe08f3936bde466"
+SELFTEST_SHA256 = "95e03a0d353c66c6c19ae52904bf445b07332adbf7157b695b08e1e6a67d8e8c"
 
 
 def _line(result):

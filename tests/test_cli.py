@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import energylab
-from energylab import acceptance, certificates, cli, discrete_core, experiments
+from energylab import acceptance, certificates, cli, discrete_core, experiments, optimizer
 from energylab.cli import (build_parser, main, parse_inline_set, read_function_file,
                            read_set_file)
 from energylab.discrete_core import energy_of_set
@@ -294,7 +294,10 @@ class TestCertifyCommand:
 # values the numpy repr kernel writes, while they were still written by
 # float.__repr__.  All seven were re-taken when the certified ||f^||_4^4
 # became a Parseval sum over one forward FFT, which moved only the digits
-# derived from it (lhs, margin and err; l4hat, ratio and err).
+# derived from it (lhs, margin and err; l4hat, ratio and err).  The estimate
+# was re-taken again when the optimizer's own energy and gradient became a
+# Parseval sum: q_hat and t_hat stayed, the witness values moved in their
+# last digits, and lhs, rhs, margin and err with them.
 GOLDEN_STDOUT = {
     "certify perturbation --n 300":
         "1bbae6b5101b951855ea9f5fc962fa65803252bd552d27a1070caca83efcafa8",
@@ -307,7 +310,7 @@ GOLDEN_STDOUT = {
     "norms --q 1.3333333333333333 --format json":
         "5f6e76231964211a25812ff43632825b6ba398bc5bea70fdb6e47ac17f0a787b",
     "estimate --n 8 --seed 0":
-        "b99bde580989a9caaac5f38a6ebf62bb26258c2d1fac9bee21e2d429d0e88329",
+        "b33c066ca1894d2c41d999f625aa48bc8104166ea5e2a4b2900056611708c9b1",
     "certify gaussian --n 30001 --eps 0.5":
         "b2a99e1a2ac1d4c544571f492a1b5d521b0640412136d24d2e751909e5e09de6",
 }
@@ -528,6 +531,21 @@ def test_support_cap_exits_2_before_building(capsys, argv):
     assert (code, out) == (2, "")
     assert re.fullmatch(r"error: support 838861[01] exceeds support cap 8388609\n", err)
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("argv, batch", [
+    (("estimate", "--n", "600000"), 9600000),
+    (("estimate", "--n", "8", "--starts", "2000000"), 16000000),
+], ids=["n", "starts"])
+def test_optimizer_batch_cap_exits_2_before_building(capsys, monkeypatch, argv, batch):
+    # the (starts x n) batch is refused before any start row is drawn
+    def no_rows(config):
+        raise AssertionError("start rows drawn")
+
+    monkeypatch.setattr(optimizer, "_initial_rows", no_rows)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: starts x n = {batch} exceeds support cap 8388609\n"
 
 
 def test_selftest_times_only_on_stderr(capsys, monkeypatch, tmp_path):

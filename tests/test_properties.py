@@ -12,7 +12,8 @@ per-token one, the canonical point array of lattice sets,
 scale invariance of the ratio report, certificate JSON round trips, the
 numpy repr kernel against float.__repr__, and
 the optimizer's row-wise FFT energy and gradient against np.convolve and
-finite differences."""
+finite differences, and each of its rows bit for bit the same alone as in a
+batch."""
 
 import json
 import math
@@ -768,6 +769,23 @@ def test_lattice_canonical_form(case, seed):
 @pytest.mark.parametrize("n", [64, 1000, 8191, 8192, 30000])
 def test_fft_interval_energy(n):
     assert energy_of_set(LatticeSet.from_range(n)) == energy_interval_formula(n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 2048), rows=st.integers(1, 16),
+       zeros=st.floats(0.0, 1.0))
+@example(seed=0, m=1024, rows=16, zeros=0.0)
+def test_row_kernel_batch_independent(seed, m, rows, zeros):
+    # every product in the kernel is a real one, rounded once: each row of a
+    # batch gets, bit for bit, what it gets alone.  A complex product rounded
+    # differently here once the batch spectrum held some 16k bins (8 rows
+    # at m = 2048, 16 at m = 1024), so batches of up to 16 rows are drawn
+    rng = np.random.default_rng(seed)
+    X = rng.random((rows, m)) * (rng.random((rows, m)) >= zeros)
+    e4, corr = _pow4_corr_rows(X)
+    for i in range(rows):
+        e_alone, corr_alone = _pow4_corr_rows(X[i:i + 1])
+        assert e_alone[0] == e4[i] and np.array_equal(corr_alone[0], corr[i])
 
 
 @settings(max_examples=60, deadline=None)
