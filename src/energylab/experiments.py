@@ -104,7 +104,8 @@ def bounds_table(n_values, eps: float = 0.5, with_optimizer: bool = False,
 def ball_lattice_set(d: int, radius: float, center=None) -> LatticeSet:
     """Integer points within Euclidean distance radius of center, translated
     so all coordinates lie in [0, n-1] with n the minimal enclosing side.
-    Raises CapExceededError past BALL_SIDE_CAP or BALL_POINT_CAP."""
+    Raises ValueError if the bounding box leaves int64, and CapExceededError
+    past BALL_SIDE_CAP or BALL_POINT_CAP."""
     if d < 1:
         raise ValueError("d must be >= 1")
     if not 0 < radius < math.inf:
@@ -118,6 +119,9 @@ def ball_lattice_set(d: int, radius: float, center=None) -> LatticeSet:
         raise ValueError(f"center must be finite, got {center}")
     r2 = radius * radius
     for c in center:
+        # inf fails this too; a float below 2^63 is at most 2^63 - 1024
+        if not (-2.0 ** 63 <= c - radius and c + radius < 2.0 ** 63):
+            raise ValueError(f"bounding box of center {c} ± radius {radius} leaves int64")
         width = math.floor(c + radius) - math.ceil(c - radius) + 1
         if width > BALL_SIDE_CAP:
             raise CapExceededError(f"bounding side {width} exceeds cap {BALL_SIDE_CAP}")

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -378,6 +379,132 @@ def test_small_runs_never_import_numpy_ma():
     assert done.stdout.strip() == "False"
 
 
+class TestReuseFreedPages:
+    """cli._reuse_freed_pages: glibc keeps freed arrays below 4 MiB for the
+    next call, and nothing else changes."""
+
+    COMMANDS = [("energy", "--inline", "0,1,3,7"), ("ball", "--d", "2", "--radius", "2.5"),
+                ("ball", "--d", "1", "--radius", "inf")]
+
+    @pytest.fixture(autouse=True)
+    def fresh_policy(self):
+        cli._reuse_freed_pages.cache_clear()
+        yield
+        cli._reuse_freed_pages.cache_clear()
+
+    @staticmethod
+    def stub_libc(monkeypatch, libc=None, error=None, version="glibc 2.36"):
+        """Give cli a CDLL that returns libc or raises error, and a confstr
+        that reports version; returns the list of CDLL arguments."""
+        opened = []
+
+        def cdll(name):
+            opened.append(name)
+            if error is not None:
+                raise error
+            return libc
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+        monkeypatch.setattr(cli.os, "confstr", lambda name: version)
+        cli._reuse_freed_pages.cache_clear()
+        return opened
+
+    def outputs(self, capsys):
+        return [run(capsys, *argv)[:2] for argv in self.COMMANDS]
+
+    def test_two_calls_apply_it_once(self, capsys, monkeypatch):
+        calls = []
+
+        class Libc:
+            @staticmethod
+            def mallopt(param, value):
+                calls.append((param, value))
+                return 1
+
+        opened = self.stub_libc(monkeypatch, Libc)
+        for _ in range(2):
+            assert run(capsys, "energy", "--inline", "0,1,3")[:2] == (0, "15\n")
+        assert opened == [None]
+        assert calls == [(-3, 4 << 20), (-1, 16 << 20)]
+        assert cli._reuse_freed_pages() is True
+
+    @pytest.mark.parametrize("case", ["no-libc", "no-mallopt", "mallopt-refuses", "not-glibc"])
+    def test_declined_policy_changes_nothing(self, capsys, monkeypatch, case):
+        expected = self.outputs(capsys)
+
+        class Refusing:
+            @staticmethod
+            def mallopt(param, value):
+                return 0
+
+        stub = {"no-libc": dict(error=OSError("no libc")),
+                "no-mallopt": dict(libc=object()),
+                "mallopt-refuses": dict(libc=Refusing),
+                "not-glibc": dict(libc=Refusing, version=None)}[case]
+        opened = self.stub_libc(monkeypatch, **stub)
+        assert self.outputs(capsys) == expected
+        assert cli._reuse_freed_pages() is False
+        assert opened == ([] if case == "not-glibc" else [None])
+
+    def test_library_never_applies_it(self):
+        # only cli.main asks the allocator: the library's kernels leave it be
+        src = Path(energylab.__file__).resolve().parent.parent
+        probe = ("import ctypes\n"
+                 "opened = []\n"
+                 "real = ctypes.CDLL\n"
+                 "def recording(name, *args, **kwargs):\n"
+                 "    opened.append(name)\n"
+                 "    return real(name, *args, **kwargs)\n"
+                 "ctypes.CDLL = recording\n"
+                 "import sys, energylab\n"
+                 "energylab.energy_of_set(energylab.LatticeSet.from_values(range(0, 3000, 7)))\n"
+                 "energylab.build_gaussian_certificate("
+                 "energylab.GaussianScheduleParams.from_n_eps(30001, 0.5))\n"
+                 "print(opened, 'energylab.cli' in sys.modules)")
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              cwd=src, timeout=300, check=True)
+        assert done.stdout.split() == ["[]", "False"]
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="needs glibc's mallopt")
+    def test_warm_call_faults_no_pages_back_in(self):
+        # without the policy the third call faults in about 980 pages that
+        # glibc gave back to the kernel after the second
+        src = Path(energylab.__file__).resolve().parent.parent
+        probe = ("import contextlib, io, resource\n"
+                 "from energylab.cli import main\n"
+                 "argv = ['ball', '--d', '3', '--radius', '10.5', '--center', '0.3,0.7,0.2']\n"
+                 "for _ in range(3):\n"
+                 "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+                 "    with contextlib.redirect_stdout(io.StringIO()):\n"
+                 "        assert main(argv) == 0\n"
+                 "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)")
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              cwd=src, timeout=300, check=True)
+        assert int(done.stdout) < 64
+
+    def test_outputs_independent_of_policy(self):
+        src = Path(energylab.__file__).resolve().parent.parent
+        probe = ("import contextlib, io, json, sys\n"
+                 "from energylab import cli\n"
+                 "if sys.argv[1] == 'off':\n"
+                 "    cli._reuse_freed_pages = lambda: False\n"
+                 "outs = []\n"
+                 "for argv in json.loads(sys.argv[2]):\n"
+                 "    with contextlib.redirect_stdout(io.StringIO()) as out, "
+                 "contextlib.redirect_stderr(io.StringIO()):\n"
+                 "        outs.append([cli.main(argv), out.getvalue()])\n"
+                 "print(json.dumps(outs))")
+        commands = json.dumps([
+            ["certify", "gaussian", "--n", "30001", "--eps", "0.5"],
+            ["estimate", "--n", "8", "--seed", "0"],
+            ["ball", "--d", "3", "--radius", "10.5", "--center", "0.3,0.7,0.2"]])
+        on, off = (subprocess.run([sys.executable, "-c", probe, mode, commands],
+                                  capture_output=True, text=True, cwd=src, timeout=300,
+                                  check=True).stdout for mode in ("on", "off"))
+        assert on == off
+        assert [code for code, _ in json.loads(on)] == [0, 0, 0]
+
+
 class TestBallCommand:
     def test_unit_cross(self, capsys):
         code, out, _ = run(capsys, "ball", "--d", "2", "--radius", "1", "--center", "0,0")
@@ -478,10 +605,13 @@ class TestEstimateCommand:
     ("certify", "gaussian", "--n", "9", "--eps", "nan"),
     ("ball", "--d", "2", "--radius", "inf"),
     ("ball", "--d", "2", "--radius", "2", "--center", "inf,0"),
+    ("ball", "--d", "2", "--radius", "2.5", "--center", "1e19,0"),
+    ("ball", "--d", "1", "--radius", "1e308", "--center", "1e308"),
     ("estimate", "--n", "2", "--tol", "nan"),
     ("estimate", "--n", "2", "--tol", "inf"),
     ("estimate", "--n", "1"),
-], ids=["eps-inf", "eps-1e400", "eps-nan", "radius-inf", "center-inf", "tol-nan", "tol-inf", "n-1"])
+], ids=["eps-inf", "eps-1e400", "eps-nan", "radius-inf", "center-inf", "center-past-int64",
+        "box-inf", "tol-nan", "tol-inf", "n-1"])
 def test_bad_input_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2

@@ -136,6 +136,29 @@ class TestBallSets:
             ball_lattice_set(2, 5.0, (0.0, 0.0))
         assert ball_lattice_set(2, 4.5, (0.0, 0.0)).side == 9
 
+    @pytest.mark.parametrize("d, radius, center", [
+        (2, 2.5, (1e19, 0.0)),  # np.arange would run past int64
+        (1, 1e308, (1e308,)),  # c + radius is inf, which math.floor refuses
+        (1, 1e308, (-1e308,)),
+        (1, 0.5, (2.0 ** 63,)),
+        (1, 0.5, (-2.0 ** 63 - 2048,)),
+        (1, 1e300, (0.0,)),
+    ])
+    def test_box_past_int64_refused_before_any_array(self, monkeypatch, d, radius, center):
+        def no_arrays(*args, **kwargs):
+            raise AssertionError("array built")
+
+        monkeypatch.setattr(experiments.np, "arange", no_arrays)
+        monkeypatch.setattr(experiments.np, "zeros", no_arrays)
+        with pytest.raises(ValueError, match=r"bounding box of center \S+ ± radius \S+ "
+                                             r"leaves int64"):
+            ball_lattice_set(d, radius, center)
+
+    def test_box_at_int64_ends(self):
+        # the lowest int64 and the last float below 2^63 are still boxed
+        assert ball_lattice_set(1, 0.5, (-2.0 ** 63,)).points.tolist() == [[0]]
+        assert ball_lattice_set(1, 0.5, (2.0 ** 63 - 1024,)).size == 1
+
 
 class TestBallExperiment:
     def test_rows_and_bounds(self):
