@@ -306,18 +306,10 @@ _REPR_CHUNK = 4096  # rows per kernel pass
 
 
 def _mirror(head: list, m: int) -> list:
-    """The palindrome of length m whose first ceil(m/2) entries are head."""
-    return head + head[:m // 2][::-1]
-
-
-def _value_reprs(values: np.ndarray) -> list[str]:
-    """[repr(v) for v in values], reading only the first half of a bitwise
-    palindrome (-0.0 and 0.0 differ).  Every Gaussian witness is one, since
-    f(-k) and f(k) come from the same float operations."""
-    m = len(values)
-    if values.tobytes() != values[::-1].tobytes():
-        return list(map(repr, values.tolist()))
-    return _mirror(list(map(repr, values[:(m + 1) // 2].tolist())), m)
+    """head, then its first m - len(head) entries in reverse order: the
+    palindrome of length m whose first ceil(m/2) entries are head, or head
+    itself if it has m entries."""
+    return head + head[:m - len(head)][::-1]
 
 
 def _u(x) -> np.uint64:
@@ -530,31 +522,28 @@ def _repr_rows(bits) -> np.ndarray:
     return out
 
 
-def _repr_block(values: np.ndarray) -> str:
-    """Exactly '",\n    "'.join(map(repr, values)) for finite float64
-    values, with no Python object per value.
+def _repr_block(bits: np.ndarray, m: int) -> str:
+    """The reprs of the finite doubles of raw bits, then those of the
+    first m - len(bits) of them again in reverse order, joined by _SEP,
+    for 1 <= len(bits) <= m <= 2 len(bits), with no Python object per
+    value.
 
     Each pass formats up to _REPR_CHUNK values as fixed rows of four words
-    (_repr_rows), whose NUL padding one bytes.translate drops; a bitwise
-    palindrome formats its first half and emits those rows again in
+    (_repr_rows), whose NUL padding one bytes.translate drops; the rows
+    that come back mirrored are emitted again from the same pass in
     reverse order.  Digits come from _shortest on uint64 arrays,
     except for subnormals, which take repr's digits one at a time.  The
     kernel never mixes uint64 with signed arrays: numpy >= 1.24 (which
     pyproject allows) promotes uint64 with int64 to float64 and would drop
     bits silently, so every constant is an np.uint64 and every signed
     array is cast explicitly first."""
-    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
-    m = len(bits)
-    if not m:
-        return ""
-    palindrome = np.array_equal(bits, bits[::-1])
-    head = (m + 1) // 2 if palindrome else m
+    head = len(bits)
     forward, mirrored = [], []
     for a in range(0, head, _REPR_CHUNK):
-        rows = _repr_rows(bits[a:min(a + _REPR_CHUNK, head)])
+        rows = _repr_rows(bits[a:a + _REPR_CHUNK])
         forward.append(rows.tobytes().translate(None, b"\0").decode("ascii"))
-        r = min(a + _REPR_CHUNK, m // 2) - a  # rows that come back mirrored
-        if palindrome and r > 0:
+        r = min(a + _REPR_CHUNK, m - head) - a  # rows that come back mirrored
+        if r > 0:
             mirrored.append(rows[r - 1::-1].tobytes().translate(None, b"\0").decode("ascii"))
     pieces = forward + mirrored[::-1]
     pieces[-1] = pieces[-1][:-len(_SEP)]  # no separator after the last value
@@ -562,11 +551,18 @@ def _repr_block(values: np.ndarray) -> str:
 
 
 def _values_block(values: np.ndarray) -> str:
-    """'",\n    "'.join(map(repr, values)): the kernel from _REPR_BLOCK_MIN
-    values on, map(repr) below."""
-    if len(values) < _REPR_BLOCK_MIN:
-        return _SEP.join(_value_reprs(values))
-    return _repr_block(values)
+    """'",\n    "'.join(map(repr, values)) for finite float64 values,
+    formatting only the first half of a bitwise palindrome (-0.0 and 0.0
+    differ) and mirroring it.  Every Gaussian witness is one, since f(-k)
+    and f(k) come from the same float operations.  The kernel formats from
+    _REPR_BLOCK_MIN values on, map(repr) below."""
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    bits = values.view(np.uint64)
+    m = len(bits)
+    head = (m + 1) // 2 if np.array_equal(bits, bits[::-1]) else m
+    if m < _REPR_BLOCK_MIN:
+        return _SEP.join(_mirror(list(map(repr, values[:head].tolist())), m))
+    return _repr_block(bits[:head], m)
 
 
 def _certificate_fields(cert: Certificate, values: list) -> dict:
@@ -649,7 +645,7 @@ def certificate_from_dict(d: dict) -> Certificate:
     # second half reversed, so no reversed copy of the whole list is made.
     symmetric = strs[:m // 2] == strs[:(m - 1) // 2:-1]
     head = _exact_floats(strs[:(m + 1) // 2] if symmetric else strs)
-    vals = _mirror(head, m) if symmetric else head
+    vals = _mirror(head, m)
     f = DiscreteFunction(d["offset"], vals)
     n = d["n"]
     if type(n) is not int:

@@ -26,11 +26,12 @@ class InputError(Exception):
     """Malformed user input; maps to exit code 2."""
 
 
-# The glibc mallopt settings of the CLI: M_MMAP_THRESHOLD (-3) at 4 MiB,
-# numpy's own hugepage threshold, so smaller arrays come from the heap and
-# larger ones are still unmapped when freed; M_TRIM_THRESHOLD (-1) at 16 MiB,
-# so up to that much freed heap stays with the process.
-_MALLOPT_SETTINGS = ((-3, 4 << 20), (-1, 16 << 20))
+# The glibc mallopt settings of the CLI: M_MMAP_THRESHOLD (-3) at 32 MiB,
+# glibc's 64-bit ceiling for it, so arrays below that come from the heap and
+# larger ones are still unmapped when freed; M_TRIM_THRESHOLD (-1) at 64 MiB,
+# twice that, as glibc's own dynamic rule would set it, so up to that much
+# freed heap stays with the process.
+_MALLOPT_SETTINGS = ((-3, 32 << 20), (-1, 64 << 20))
 
 
 @functools.cache

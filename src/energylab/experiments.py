@@ -6,7 +6,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -118,27 +117,31 @@ def ball_lattice_set(d: int, radius: float, center=None) -> LatticeSet:
     if not all(math.isfinite(c) for c in center):
         raise ValueError(f"center must be finite, got {center}")
     r2 = radius * radius
+    axes = []
     for c in center:
         # inf fails this too; a float below 2^63 is at most 2^63 - 1024
         if not (-2.0 ** 63 <= c - radius and c + radius < 2.0 ** 63):
             raise ValueError(f"bounding box of center {c} ± radius {radius} leaves int64")
-        width = math.floor(c + radius) - math.ceil(c - radius) + 1
-        if width > BALL_SIDE_CAP:
-            raise CapExceededError(f"bounding side {width} exceeds cap {BALL_SIDE_CAP}")
-    # build coordinates one dimension at a time, pruning on partial distance;
+        # integer offsets from trunc(c), so a coordinate past 2^53 is never
+        # rounded; frac = c - trunc(c) is exact (c itself when |c| < 1, by
+        # Sterbenz otherwise), so off - frac is one rounding of x - c
+        frac = c - math.trunc(c)
+        lo, hi = math.ceil(frac - radius), math.floor(frac + radius)
+        if hi - lo + 1 > BALL_SIDE_CAP:
+            raise CapExceededError(f"bounding side {hi - lo + 1} exceeds cap {BALL_SIDE_CAP}")
+        axes.append((lo, hi, frac))
+    # build the offsets one dimension at a time, pruning on partial distance;
     # the new coordinate varies slowest, so the points arrive in colex order
     pts = np.zeros((1, 0), dtype=np.int64)
     sq = np.zeros(1)
-    for i in range(d):
-        lo = math.ceil(center[i] - radius)
-        hi = math.floor(center[i] + radius)
-        coords = np.arange(lo, hi + 1, dtype=np.int64)
-        dd = (coords.astype(np.float64) - center[i]) ** 2
+    for lo, hi, frac in axes:
+        off = np.arange(lo, hi + 1, dtype=np.int64)
+        dd = (off.astype(np.float64) - frac) ** 2
         total = dd[:, None] + sq[None, :]
         keep_new, keep_old = np.nonzero(total <= r2)
         if keep_new.size > BALL_POINT_CAP * 4:
             raise CapExceededError(f"intermediate point count {keep_new.size} exceeds cap")
-        pts = np.hstack([pts[keep_old], coords[keep_new, None]])
+        pts = np.hstack([pts[keep_old], off[keep_new, None]])
         sq = total[keep_new, keep_old]
     if pts.shape[0] > BALL_POINT_CAP:
         raise CapExceededError(f"{pts.shape[0]} points exceed cap {BALL_POINT_CAP}")
@@ -173,7 +176,7 @@ def ball_energy_experiment(d_values, radius_schedule, center=None) -> list[BallE
                     raise ArithmeticError(f"E = {energy} outside [|B|^2, |B|^3] for |B| = {size}")
                 rows.append(BallExperimentRow(
                     d=d, radius=float(radius), center=c, set_size=size,
-                    energy=energy, energy_ratio=float(Fraction(energy, size ** 3)),
+                    energy=energy, energy_ratio=energy / size ** 3,
                     reference_ratio=BECKNER_L4_POW4 ** d))
     return rows
 

@@ -200,23 +200,11 @@ def _canonical_starts(n: int) -> list[np.ndarray]:
 
 def _initial_rows(config: OptimizerConfig) -> np.ndarray:
     """The (starts x n) array of chain starts: the canonical starts, then
-    seeded draws, each clipped at 0.  A degenerate start (no positive or a
-    non-finite entry) is redrawn from its own stream [seed, start_id,
-    attempt]."""
-    n = config.n
+    seeded draws in [0, 1).  Each row is finite and nonnegative with a
+    positive maximum: a canonical one by construction, a drawn one unless
+    all n draws are 0, which has probability 2^(-53 n)."""
     rng = np.random.default_rng(config.seed)
-    starts = _canonical_starts(n)
-    while len(starts) < config.starts:
-        starts.append(rng.random(n))
-    rows = []
-    for sid, x0 in enumerate(starts):
-        x = np.maximum(np.asarray(x0, dtype=np.float64), 0.0)
-        attempt = 0
-        while x.max() <= 0 or not np.all(np.isfinite(x)):
-            attempt += 1
-            x = np.random.default_rng([config.seed, sid, attempt]).random(n) + 1e-6
-        rows.append(x)
-    return np.array(rows)
+    return np.vstack([*_canonical_starts(config.n), rng.random((config.starts - 4, config.n))])
 
 
 def maximize_ratio(config: OptimizerConfig,

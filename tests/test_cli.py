@@ -425,7 +425,7 @@ class TestReuseFreedPages:
         for _ in range(2):
             assert run(capsys, "energy", "--inline", "0,1,3")[:2] == (0, "15\n")
         assert opened == [None]
-        assert calls == [(-3, 4 << 20), (-1, 16 << 20)]
+        assert calls == [(-3, 32 << 20), (-1, 64 << 20)]
         assert cli._reuse_freed_pages() is True
 
     @pytest.mark.parametrize("case", ["no-libc", "no-mallopt", "mallopt-refuses", "not-glibc"])
@@ -524,6 +524,18 @@ class TestBallCommand:
         code, out, _ = run(capsys, "ball", "--d", "2", "--radius", "1", "--center", "0,0")
         assert code == 0 and calls == [5]
         assert [r["set_size"] for r in strict_json(out)["rows"]] == [5]
+
+    @pytest.mark.parametrize("center", ["9007199254740992", "9.2e18"])
+    def test_center_past_2_53_counts_every_point(self, capsys, center):
+        code, out, _ = run(capsys, "ball", "--d", "1", "--radius", "1", "--center", center)
+        row, = strict_json(out)["rows"]
+        assert code == 0 and (row["set_size"], row["energy"]) == (3, 19)
+
+    def test_small_negative_center_keeps_its_boundary(self, capsys):
+        # the lattice point 0 lies just outside this radius of -0.1
+        code, out, _ = run(capsys, "ball", "--d", "1", "--radius", "0.09999999999999998",
+                           "--center", "-0.1")
+        assert code == 0 and strict_json(out)["rows"] == []
 
     def test_both_centers_by_default(self, capsys):
         code, out, _ = run(capsys, "ball", "--d", "2", "--radius", "1.5")

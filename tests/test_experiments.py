@@ -154,6 +154,30 @@ class TestBallSets:
                                              r"leaves int64"):
             ball_lattice_set(d, radius, center)
 
+    @pytest.mark.parametrize("base", [2.0 ** 53, 2.0 ** 60, 9.2e18, -2.0 ** 53, -9.2e18])
+    @pytest.mark.parametrize("d, radius", [(1, 1.0), (2, 2.5), (3, 1.5)])
+    def test_integer_center_far_out_translates(self, base, d, radius):
+        # each axis counts integer offsets from floor(c), so a centre whose
+        # neighbours are no longer floats keeps every point of the ball
+        near = ball_lattice_set(d, radius, (0.0,) * d)
+        far = ball_lattice_set(d, radius, (base,) + (0.0,) * (d - 1))
+        assert far.side == near.side and far.points.tolist() == near.points.tolist()
+
+    @pytest.mark.parametrize("c", [-0.1, -0.3, -0.49, -0.7, 0.1, 0.45, -1.1, -2.6, 3.3])
+    def test_boundary_points_match_direct_difference(self, c):
+        # below 2^53 the offsets must keep the points of float coordinates,
+        # where fl(x - c) is one rounding of the exact difference: at radii
+        # one ulp either side of each distance, both give the same points
+        # (-0.1 at 0.09999999999999998 is empty: 0 lies just outside)
+        assert ball_lattice_set(1, 0.09999999999999998, (-0.1,)).size == 0
+        for k in range(math.floor(c) - 2, math.ceil(c) + 3):
+            dist = abs(k - c)
+            for radius in (math.nextafter(dist, 0), dist, math.nextafter(dist, math.inf)):
+                box = range(math.ceil(c - radius), math.floor(c + radius) + 1)
+                want = [x for x in box if (x - c) ** 2 <= radius * radius]
+                got = ball_lattice_set(1, radius, (c,)).points[:, 0].tolist()
+                assert got == [x - want[0] for x in want]
+
     def test_box_at_int64_ends(self):
         # the lowest int64 and the last float below 2^63 are still boxed
         assert ball_lattice_set(1, 0.5, (-2.0 ** 63,)).points.tolist() == [[0]]
