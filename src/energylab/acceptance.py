@@ -38,11 +38,8 @@ class CriterionResult:
 
 
 def _random_function(rng, max_support: int, offset_range: int = 40):
-    while True:
-        m = int(rng.integers(1, max_support + 1))
-        vals = rng.standard_normal(m)
-        if np.any(vals != 0.0):
-            break
+    m = int(rng.integers(1, max_support + 1))
+    vals = rng.standard_normal(m)
     offset = int(rng.integers(-offset_range, offset_range + 1))
     return discrete_core.DiscreteFunction(offset, vals)
 

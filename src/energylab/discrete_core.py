@@ -551,10 +551,7 @@ def energy_interval_formula(n: int) -> int:
     """E({0..n-1}) = (2n^3 + n)/3, exactly."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    num = 2 * n ** 3 + n
-    if num % 3:
-        raise ArithmeticError(f"2n^3 + n = {num} is not divisible by 3 at n={n}")
-    return num // 3
+    return (2 * n ** 3 + n) // 3
 
 
 def energy_of_set(A: LatticeSet) -> int:

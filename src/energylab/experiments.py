@@ -76,18 +76,11 @@ def bounds_row(n: int, eps: float = 0.5, with_optimizer: bool = False,
         if gcert.valid:
             gaussian_lower = gcert.implied_t_bound
     empirical = estimate_qn(n, tol=tol, seed=seed).t_hat if with_optimizer else None
-    row = BoundsRow(n=n, trivial_lower=trivial, perturbation_lower=pert,
-                    perturbation_strict=strict, gaussian_lower=gaussian_lower,
-                    asymptotic_target=asymptotic_target(n),
-                    conjecture_target=conjecture_target(n, eps), conjecture_eps=eps,
-                    empirical_t=empirical, reference=REFERENCE_T.get(n))
-    if n >= 3 and not row.trivial_lower <= row.perturbation_lower + 1e-12 < 3.0:
-        raise ArithmeticError(f"perturbation bound {row.perturbation_lower!r} is not in "
-                              f"[trivial bound {row.trivial_lower!r}, 3) at n={n}")
-    for bound in (row.trivial_lower, row.perturbation_lower, row.gaussian_lower):
-        if bound is not None and bound > 3.0:
-            raise ArithmeticError(f"lower bound {bound!r} exceeds 3 at n={n}")
-    return row
+    return BoundsRow(n=n, trivial_lower=trivial, perturbation_lower=pert,
+                     perturbation_strict=strict, gaussian_lower=gaussian_lower,
+                     asymptotic_target=asymptotic_target(n),
+                     conjecture_target=conjecture_target(n, eps), conjecture_eps=eps,
+                     empirical_t=empirical, reference=REFERENCE_T.get(n))
 
 
 def bounds_table(n_values, eps: float = 0.5, with_optimizer: bool = False,
@@ -103,8 +96,7 @@ def bounds_table(n_values, eps: float = 0.5, with_optimizer: bool = False,
 def ball_lattice_set(d: int, radius: float, center=None) -> LatticeSet:
     """Integer points within Euclidean distance radius of center, translated
     so all coordinates lie in [0, n-1] with n the minimal enclosing side.
-    Raises ValueError if the bounding box leaves int64, and CapExceededError
-    past BALL_SIDE_CAP or BALL_POINT_CAP."""
+    Raises CapExceededError past BALL_SIDE_CAP or BALL_POINT_CAP."""
     if d < 1:
         raise ValueError("d must be >= 1")
     if not 0 < radius < math.inf:
@@ -119,32 +111,42 @@ def ball_lattice_set(d: int, radius: float, center=None) -> LatticeSet:
     r2 = radius * radius
     axes = []
     for c in center:
-        # inf fails this too; a float below 2^63 is at most 2^63 - 1024
-        if not (-2.0 ** 63 <= c - radius and c + radius < 2.0 ** 63):
-            raise ValueError(f"bounding box of center {c} ± radius {radius} leaves int64")
         # integer offsets from trunc(c), so a coordinate past 2^53 is never
         # rounded; frac = c - trunc(c) is exact (c itself when |c| < 1, by
         # Sterbenz otherwise), so off - frac is one rounding of x - c
         frac = c - math.trunc(c)
         lo, hi = math.ceil(frac - radius), math.floor(frac + radius)
-        if hi - lo + 1 > BALL_SIDE_CAP:
-            raise CapExceededError(f"bounding side {hi - lo + 1} exceeds cap {BALL_SIDE_CAP}")
+        side = hi - lo + 1
+        if side > BALL_SIDE_CAP:
+            shown = side if side < 10 ** 12 else f"of {len(str(side))} digits"
+            raise CapExceededError(f"bounding side {shown} exceeds cap {BALL_SIDE_CAP}")
         axes.append((lo, hi, frac))
     # build the offsets one dimension at a time, pruning on partial distance;
-    # the new coordinate varies slowest, so the points arrive in colex order
+    # the new coordinate varies slowest, so the points arrive in colex order.
+    # The candidate sums are formed a block of at most 4 * BALL_POINT_CAP at
+    # a time, so a refused ball stops before its whole matrix is built; the
+    # last axis keeps at most BALL_POINT_CAP points, the others four times that
+    block = 4 * BALL_POINT_CAP
     pts = np.zeros((1, 0), dtype=np.int64)
     sq = np.zeros(1)
-    for lo, hi, frac in axes:
+    for axis, (lo, hi, frac) in enumerate(axes, 1):
         off = np.arange(lo, hi + 1, dtype=np.int64)
         dd = (off.astype(np.float64) - frac) ** 2
-        total = dd[:, None] + sq[None, :]
-        keep_new, keep_old = np.nonzero(total <= r2)
-        if keep_new.size > BALL_POINT_CAP * 4:
-            raise CapExceededError(f"intermediate point count {keep_new.size} exceeds cap")
+        rows = block // max(sq.size, 1)
+        new, old, kept = [], [], 0
+        for start in range(0, max(off.size, 1), rows):
+            keep_new, keep_old = np.nonzero(dd[start:start + rows, None] + sq <= r2)
+            kept += keep_new.size
+            if axis == d and kept > BALL_POINT_CAP:
+                raise CapExceededError(f"{kept} points exceed cap {BALL_POINT_CAP}")
+            if kept > block:
+                raise CapExceededError(f"intermediate point count {kept} exceeds cap")
+            keep_new += start
+            new.append(keep_new)
+            old.append(keep_old)
+        keep_new, keep_old = (k[0] if len(k) == 1 else np.concatenate(k) for k in (new, old))
         pts = np.hstack([pts[keep_old], off[keep_new, None]])
-        sq = total[keep_new, keep_old]
-    if pts.shape[0] > BALL_POINT_CAP:
-        raise CapExceededError(f"{pts.shape[0]} points exceed cap {BALL_POINT_CAP}")
+        sq = dd[keep_new] + sq[keep_old]
     if pts.shape[0] == 0:
         return LatticeSet(d, 1, pts)
     mins = pts.min(axis=0)

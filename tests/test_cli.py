@@ -525,11 +525,16 @@ class TestBallCommand:
         assert code == 0 and calls == [5]
         assert [r["set_size"] for r in strict_json(out)["rows"]] == [5]
 
-    @pytest.mark.parametrize("center", ["9007199254740992", "9.2e18"])
-    def test_center_past_2_53_counts_every_point(self, capsys, center):
-        code, out, _ = run(capsys, "ball", "--d", "1", "--radius", "1", "--center", center)
+    @pytest.mark.parametrize("d, radius, center, size, energy", [
+        pytest.param("1", "1", "9007199254740992", 3, 19, id="9007199254740992"),
+        pytest.param("1", "1", "9.2e18", 3, 19, id="9.2e18"),
+        pytest.param("2", "2.5", "1e19,0", 21, 4381, id="1e19,0"),  # past int64
+    ])
+    def test_center_past_2_53_counts_every_point(self, capsys, d, radius, center, size,
+                                                 energy):
+        code, out, _ = run(capsys, "ball", "--d", d, "--radius", radius, "--center", center)
         row, = strict_json(out)["rows"]
-        assert code == 0 and (row["set_size"], row["energy"]) == (3, 19)
+        assert code == 0 and (row["set_size"], row["energy"]) == (size, energy)
 
     def test_small_negative_center_keeps_its_boundary(self, capsys):
         # the lattice point 0 lies just outside this radius of -0.1
@@ -617,13 +622,12 @@ class TestEstimateCommand:
     ("certify", "gaussian", "--n", "9", "--eps", "nan"),
     ("ball", "--d", "2", "--radius", "inf"),
     ("ball", "--d", "2", "--radius", "2", "--center", "inf,0"),
-    ("ball", "--d", "2", "--radius", "2.5", "--center", "1e19,0"),
     ("ball", "--d", "1", "--radius", "1e308", "--center", "1e308"),
     ("estimate", "--n", "2", "--tol", "nan"),
     ("estimate", "--n", "2", "--tol", "inf"),
     ("estimate", "--n", "1"),
-], ids=["eps-inf", "eps-1e400", "eps-nan", "radius-inf", "center-inf", "center-past-int64",
-        "box-inf", "tol-nan", "tol-inf", "n-1"])
+], ids=["eps-inf", "eps-1e400", "eps-nan", "radius-inf", "center-inf", "box-inf", "tol-nan",
+        "tol-inf", "n-1"])
 def test_bad_input_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2

@@ -307,6 +307,11 @@ class TestEnergies:
         for n in (1, 7, 50, 200):
             assert energy_of_set(LatticeSet.from_range(n)) == energy_interval_formula(n)
 
+    def test_interval_formula_divides_exactly(self):
+        # 2n^3 + n = n(2n^2 + 1), and 2n^2 + 1 = 3 (mod 3) when 3 does not divide n
+        for n in [*range(1, 10 ** 4), 2 ** 64 + 1, 2 ** 64 + 2, 3 ** 41, 10 ** 30 + 7]:
+            assert 3 * energy_interval_formula(n) == 2 * n ** 3 + n
+
     def test_bruteforce_matches_fast(self):
         rng = np.random.default_rng(12)
         for _ in range(25):

@@ -39,11 +39,13 @@ class TestBoundsTable:
         assert bounds_row(9).gaussian_lower is not None
 
     def test_bounds_invariants(self):
-        rows = bounds_table(range(2, 40))
+        # perturbation_lower = 4/q with q = 4 ln n / ln E(I) is trivial_lower
+        # up to rounding, and every bound is 3 less a positive term
+        rows = bounds_table([*range(2, 301), 1000, 4097, 10 ** 4, 10 ** 5 + 1, 2 ** 20 + 1])
         for row in rows:
-            assert row.trivial_lower <= row.perturbation_lower + 1e-12 < 3
-            if row.gaussian_lower is not None:
-                assert row.gaussian_lower <= 3
+            assert abs(row.perturbation_lower - row.trivial_lower) <= 1e-12
+            bounds = (row.trivial_lower, row.perturbation_lower, row.gaussian_lower)
+            assert max(b for b in bounds if b is not None) < 3
         targets = [r.asymptotic_target for r in rows]
         assert all(a < b for a, b in zip(targets, targets[1:]))
         assert all(t < 3 for t in targets)
@@ -137,28 +139,29 @@ class TestBallSets:
         assert ball_lattice_set(2, 4.5, (0.0, 0.0)).side == 9
 
     @pytest.mark.parametrize("d, radius, center", [
-        (2, 2.5, (1e19, 0.0)),  # np.arange would run past int64
-        (1, 1e308, (1e308,)),  # c + radius is inf, which math.floor refuses
-        (1, 1e308, (-1e308,)),
-        (1, 0.5, (2.0 ** 63,)),
-        (1, 0.5, (-2.0 ** 63 - 2048,)),
         (1, 1e300, (0.0,)),
+        (1, 1e308, (1e308,)),  # c + radius rounds to inf in float
+        (1, 1e308, (-1e308,)),
     ])
     def test_box_past_int64_refused_before_any_array(self, monkeypatch, d, radius, center):
+        # only a radius past BALL_SIDE_CAP takes the box past int64; the side
+        # has over 300 digits, so the message gives their count
         def no_arrays(*args, **kwargs):
             raise AssertionError("array built")
 
         monkeypatch.setattr(experiments.np, "arange", no_arrays)
         monkeypatch.setattr(experiments.np, "zeros", no_arrays)
-        with pytest.raises(ValueError, match=r"bounding box of center \S+ ± radius \S+ "
-                                             r"leaves int64"):
+        with pytest.raises(CapExceededError,
+                           match=r"^bounding side of 30[19] digits exceeds cap 4096$"):
             ball_lattice_set(d, radius, center)
 
-    @pytest.mark.parametrize("base", [2.0 ** 53, 2.0 ** 60, 9.2e18, -2.0 ** 53, -9.2e18])
+    @pytest.mark.parametrize("base", [2.0 ** 53, 2.0 ** 60, 9.2e18, 1e19, 2.0 ** 63,
+                                      -2.0 ** 53, -9.2e18, -2.0 ** 63 - 2048])
     @pytest.mark.parametrize("d, radius", [(1, 1.0), (2, 2.5), (3, 1.5)])
     def test_integer_center_far_out_translates(self, base, d, radius):
-        # each axis counts integer offsets from floor(c), so a centre whose
-        # neighbours are no longer floats keeps every point of the ball
+        # each axis counts integer offsets from trunc(c), so a centre whose
+        # neighbours are no longer floats, or lie past int64, keeps every
+        # point of the ball
         near = ball_lattice_set(d, radius, (0.0,) * d)
         far = ball_lattice_set(d, radius, (base,) + (0.0,) * (d - 1))
         assert far.side == near.side and far.points.tolist() == near.points.tolist()
@@ -179,7 +182,7 @@ class TestBallSets:
                 assert got == [x - want[0] for x in want]
 
     def test_box_at_int64_ends(self):
-        # the lowest int64 and the last float below 2^63 are still boxed
+        # the lowest int64 and the last float below 2^63 are ordinary centres
         assert ball_lattice_set(1, 0.5, (-2.0 ** 63,)).points.tolist() == [[0]]
         assert ball_lattice_set(1, 0.5, (2.0 ** 63 - 1024,)).size == 1
 

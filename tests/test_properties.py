@@ -8,7 +8,8 @@ oracle, the FFT energy counts within their Percival bound and the
 Parseval energy sum within its own, FFT lattice
 energies against the sorted pair-sum count and both against the
 brute-force oracle, the one-call set parser against the
-per-token one, the canonical point array of lattice sets,
+per-token one, the canonical point array of lattice sets, the blocked
+ball builder against a scan of its whole bounding box,
 scale invariance of the ratio report, certificate JSON round trips, the
 numpy repr kernel against float.__repr__, and
 the optimizer's row-wise FFT energy and gradient against np.convolve and
@@ -30,18 +31,20 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from energylab import certificates, cli, discrete_core
+from energylab import certificates, cli, discrete_core, experiments
 from energylab.optimizer import _pow4_corr_rows
 from energylab.certificates import (_REPR_BLOCK_MIN, Certificate, GaussianScheduleParams,
                                     _sampled_gaussian, build_gaussian_certificate,
                                     build_perturbation_certificate, certificate_from_dict,
                                     certificate_json, certificate_to_dict, revalidate_certificate)
-from energylab.discrete_core import (DiscreteFunction, LatticeSet, _energy_fft, _energy_sorted,
+from energylab.discrete_core import (CapExceededError, DiscreteFunction, LatticeSet,
+                                     _energy_fft, _energy_sorted,
                                      _lattice_keys, _pow4_int, energy_bruteforce,
                                      energy_interval_formula, energy_of_set,
                                      fourier_l4_pow4, fourier_l4_pow4_quadruple,
                                      fourier_l4_pow4_with_error, lq_norm_with_error,
                                      ratio_report)
+from energylab.experiments import ball_lattice_set
 
 # every finite float, plus signed values spread across 1e-300 .. 1e300
 FLOATS = st.one_of(
@@ -763,6 +766,50 @@ def test_lattice_canonical_form(case, seed):
     keys = _lattice_keys(A).tolist()
     assert all(a < b for a, b in zip(keys, keys[1:]))
     assert energy_of_set(A) == energy_bruteforce(A)
+
+
+@settings(max_examples=150, deadline=None)
+@given(d=st.integers(1, 4), cap=st.integers(1, 40), radius=st.floats(0.1, 5.0),
+       center=st.lists(st.one_of(st.integers(-10, 10).map(lambda k: k / 2),
+                                 st.floats(-3.0, 3.0), st.floats(-1e19, 1e19),
+                                 st.sampled_from([2.0 ** 63, -2.0 ** 63 - 2048])),
+                       min_size=4, max_size=4))
+# several blocks on the last axes, and the ball kept (2 points)
+@example(d=3, cap=2, radius=1.0, center=[0.0, 0.0, 0.5, 0.0])
+@example(d=4, cap=2, radius=1.0, center=[1e19, -2.0 ** 63, 7.0, -4.5])
+def test_ball_blocks_match_box_scan(d, cap, radius, center):
+    # with BALL_POINT_CAP small the builder forms its candidate sums in
+    # several blocks of at most 4 * cap; its points, in order, or its refusal
+    # are those of a scan of the whole box that sums the squared offsets
+    # axis by axis as the builder does, each new axis's term added to the
+    # partial sum of the axes before it
+    center = tuple(center[:d])
+    sizes, nonzero = [], np.nonzero
+
+    def counted(a):
+        sizes.append(a.size)
+        return nonzero(a)
+    with mock.patch.object(experiments, "BALL_POINT_CAP", cap), \
+            mock.patch.object(experiments.np, "nonzero", counted):
+        try:
+            got = ball_lattice_set(d, radius, center).points.tolist()
+        except CapExceededError:
+            got = None
+    assert max(sizes) <= 4 * cap
+    sq, pts, counts = np.zeros(1), np.zeros((1, 0), dtype=np.int64), []
+    for c in center:
+        frac = c - math.trunc(c)
+        off = np.arange(math.ceil(frac - radius), math.floor(frac + radius) + 1)
+        sq = ((off - frac) ** 2 + sq[:, None]).T.ravel()
+        pts = np.hstack([np.tile(pts, (off.size, 1)), np.repeat(off, len(pts))[:, None]])
+        counts.append(np.count_nonzero(sq <= radius * radius))
+    if counts[-1] > cap or max(counts[:-1], default=0) > 4 * cap:
+        assert got is None
+    else:
+        inside = pts[sq <= radius * radius]
+        if inside.size:
+            inside -= inside.min(axis=0)
+        assert got == inside.tolist()
 
 
 @pytest.mark.parametrize("n", [64, 1000, 8191, 8192, 30000])
