@@ -88,13 +88,13 @@ def parse_inline_set(text: str) -> discrete_core.LatticeSet:
         arr = _plain_points([text], ";")
         if arr is None:
             arr = _token_points([("inline set", text)], "inline set")
-        return _points_to_set(arr.reshape(-1, 1))
+        return discrete_core._translated_set(arr.reshape(-1, 1))
     points = [t for t in text.split(";") if t.strip() != ""]
     arr = _plain_points(points, ";")
     if arr is None:
         arr = _token_points([(f"inline set, point {i + 1}", tok)
                              for i, tok in enumerate(points)], "inline set")
-    return _points_to_set(arr)
+    return discrete_core._translated_set(arr)
 
 
 def _point_line(line: str) -> bool:
@@ -116,7 +116,7 @@ def read_set_file(path: str) -> discrete_core.LatticeSet:
         arr = _token_points([(f"{path}, line {lineno}", line)
                              for lineno, line in enumerate(lines, start=1)
                              if _point_line(line)], path)
-    return _points_to_set(arr)
+    return discrete_core._translated_set(arr)
 
 
 def _token_points(rows, where: str) -> np.ndarray:
@@ -133,15 +133,6 @@ def _token_points(rows, where: str) -> np.ndarray:
     if len(dims) != 1:
         raise InputError(f"{where}: inconsistent point dimensions {sorted(dims)}")
     return discrete_core._int_array(values).reshape(-1, dims.pop())
-
-
-def _points_to_set(arr: np.ndarray) -> discrete_core.LatticeSet:
-    # energy is translation invariant; shift into [0, n-1]^d
-    lo = arr.min(axis=0)
-    span = max(h - l for h, l in zip(arr.max(axis=0).tolist(), lo.tolist()))
-    if span >= 1 << 63:  # the shifted coordinates would wrap in int64
-        arr, lo = arr.astype(object), lo.astype(object)
-    return discrete_core.LatticeSet(arr.shape[1], span + 1, arr - lo)
 
 
 def read_function_file(path: str) -> discrete_core.DiscreteFunction:

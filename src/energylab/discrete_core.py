@@ -66,7 +66,7 @@ QUADRUPLE_CAP = 64  # largest support of the O(m^3) quadruple-sum oracle
 # list is faster (measured crossover about 400-600 terms on a 2-vCPU Xeon).
 _EXACT_SUM_MIN = 512
 BRUTEFORCE_CAP = 300  # most points of the brute-force energy oracle
-TENSOR_CAP = 2_000_000  # most points |A|^d of a tensor power
+POINT_CAP = 2_000_000  # most points of a set the package builds: a tensor power or a ball
 
 
 @dataclass(frozen=True, eq=False)
@@ -483,10 +483,19 @@ class LatticeSet:
     are not) raises ValueError.  It is range-checked as one array and
     stored as a read-only C-contiguous (k, d) array of its distinct rows in
     colexicographic order (the last coordinate most significant): int64, or
-    Python ints in an object array when some coordinate does not fit.  For
-    any base b > n - 1 the keys sum_i p_i b^i are then strictly increasing,
-    so _lattice_keys needs no sort; the constructor sorts and drops repeats
-    by the keys at b = n.
+    Python ints in an object array when some coordinate does not fit.
+
+    Every row has one key, sum_i p_i (2n-1)^i: no coordinate sum of two
+    points reaches 2n - 1, so adding keys never carries, and the pair sums
+    of the keys count the pairs with each sum vector.  Any base above n - 1
+    orders the keys as colex orders the rows, so the constructor sorts and
+    drops repeats by these keys, and keeps them, less their minimum, as the
+    read-only _keys, strictly increasing from 0.  Energy is translation
+    invariant, so the energy routes count these offsets as they are.  They
+    are held in the narrowest of int32, int64 and Python ints (an object
+    array) that holds 2 max + 1, so every pair sum, bound and bisection
+    point of _energy_sorted fits that width.  _keys takes no part in
+    equality or repr.
     Equal when dim, side and points are; not hashable."""
 
     dim: int
@@ -516,11 +525,21 @@ class LatticeSet:
             outside = np.flatnonzero((arr < 0).any(axis=1) | (arr >= self.side).any(axis=1))
             raise ValueError(f"point {tuple(arr[outside[0]].tolist())} outside "
                              f"[0, {self.side - 1}]^{self.dim}")
-        keys = _kronecker_keys(arr, self.side)  # colex order is key order
+        base = 2 * self.side - 1
+        dtype = np.int64 if base ** self.dim <= 1 << 62 else object
+        radix = np.array([base ** i for i in range(self.dim)], dtype=dtype)
+        keys = arr.astype(dtype, copy=False) @ radix
+        if len(keys):
+            keys -= keys.min()
+            top = 2 * int(keys.max()) + 1
+            if top < 1 << 63:
+                keys = keys.astype(np.int32 if top < 1 << 31 else np.int64, copy=False)
+        keys, first = np.unique(keys, return_index=True)
         # a gathered copy: later changes to the input do not reach the set
-        arr = arr[np.unique(keys, return_index=True)[1]]
-        arr.flags.writeable = False
-        object.__setattr__(self, "points", arr)
+        arr = arr[first]
+        for name, value in (("points", arr), ("_keys", keys)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     def __eq__(self, other):
         if not isinstance(other, LatticeSet):
@@ -547,6 +566,19 @@ class LatticeSet:
         return len(self.points)
 
 
+def _translated_set(points: np.ndarray) -> LatticeSet:
+    """The set of the (k, d) integer array points (int64, or Python ints in
+    an object array) translated into its least enclosing cube [0, n-1]^d;
+    an empty array gives the empty set of side 1."""
+    if not len(points):
+        return LatticeSet(points.shape[1], 1, points)
+    lo = points.min(axis=0)
+    span = max(h - l for h, l in zip(points.max(axis=0).tolist(), lo.tolist()))
+    if span >= 1 << 63:  # the translated coordinates would wrap in int64
+        points, lo = points.astype(object), lo.astype(object)
+    return LatticeSet(points.shape[1], span + 1, points - lo)
+
+
 def energy_interval_formula(n: int) -> int:
     """E({0..n-1}) = (2n^3 + n)/3, exactly."""
     if n < 1:
@@ -557,47 +589,29 @@ def energy_interval_formula(n: int) -> int:
 def energy_of_set(A: LatticeSet) -> int:
     """Exact E(A) = sum_s r(s)^2 over the sumset, arbitrary precision.
 
-    Both paths take the pair sums of the keys sum_i p_i (2n-1)^i: no
-    coordinate sum reaches 2n-1, so adding keys never carries, and r(s)
-    counts the pairs with each sum vector.  A set whose key span is at most
-    _FFT_SPAN_CAP and |A|^2/_FFT_SPAN_DENSITY goes to _energy_fft, which
-    rounds the Parseval sum of one forward transform of the indicator of its
-    keys while its bound pins E (up to 11.7k points at the span cap, 19.2k
-    for an interval) and counts r by a forward and an inverse transform past
-    that; the others, and a transform that fails its check, sort and count
-    the pair sums one range of sum values at a time.
+    Both paths take the pair sums of the set's keys (LatticeSet).  A set
+    whose key span is at most _FFT_SPAN_CAP and |A|^2/_FFT_SPAN_DENSITY goes
+    to _energy_fft, which rounds the Parseval sum of one forward transform
+    of the indicator of its keys while its bound pins E (up to 11.7k points
+    at the span cap, 19.2k for an interval) and counts r by a forward and an
+    inverse transform past that; the others, and a transform that fails its
+    check, sort and count the pair sums one range of sum values at a time.
     """
     if not A.size:
         return 0
-    keys = _lattice_keys(A)
+    keys = A._keys
     m = len(keys)
-    if int(keys[-1] - keys[0]) + 1 <= min(_FFT_SPAN_CAP, m * m // _FFT_SPAN_DENSITY):
+    if int(keys[-1]) + 1 <= min(_FFT_SPAN_CAP, m * m // _FFT_SPAN_DENSITY):
         energy = _energy_fft(keys)
         if energy is not None:
             return energy
     return _energy_sorted(keys)
 
 
-def _lattice_keys(A: LatticeSet):
-    """The keys sum_i p_i (2n-1)^i of the points of A, strictly increasing
-    since the points are in colex order, as an int64 array when every pair
-    sum fits (keys < (2n-1)^d / 2 <= 2^61), else as Python ints in an object
-    array."""
-    return _kronecker_keys(A.points, 2 * A.side - 1)
-
-
-def _kronecker_keys(points, base):
-    """sum_i p_i base^i for each row p of the (k, d) array points: int64
-    while base^d <= 2^62, else Python ints in an object array."""
-    d = points.shape[1]
-    dtype = np.int64 if base ** d <= 1 << 62 else object
-    radix = np.array([base ** i for i in range(d)], dtype=dtype)
-    return points.astype(dtype, copy=False) @ radix
-
-
 def _energy_fft(keys):
     """E(A) = ||1_K * 1_K||_2^2 from one or two transforms of y = 1_K, K the
-    increasing keys of A (int64 or Python ints), or None.
+    keys of A (LatticeSet._keys, int32 at any span this route takes), or
+    None.
 
     With m the key span and N = 2^L the least power of two >= 2m - 1, the
     cyclic autoconvolution of length N is r = y*y itself, and ||y||_2^2 =
@@ -644,11 +658,10 @@ def _energy_fft(keys):
     (|A| >= 1, so those are below 2^-1000 delta for any feasible m).  The
     rounded counts must also add up to |A|^2.
     """
-    offsets = (keys - keys[0]).astype(np.int64, copy=False)
-    m = int(offsets[-1]) + 1
+    m = int(keys[-1]) + 1
     count = len(keys)
     indicator = np.zeros(m)
-    indicator[offsets] = 1.0
+    indicator[keys] = 1.0
     size = 1 << (2 * m - 2).bit_length()
     u = FLOAT64_EPS / 2.0
     top = float(count) ** 3
@@ -680,24 +693,17 @@ def _energy_fft(keys):
 
 
 def _energy_sorted(keys) -> int:
-    """E(A) = sum_s r(s)^2 from the increasing keys K of A, by sorting their
-    pair sums one range of sum values at a time.
+    """E(A) = sum_s r(s)^2 from the keys K of A (LatticeSet._keys), by
+    sorting their pair sums one range of sum values at a time.
 
     Each range [lo, hi) takes the largest hi that leaves at most
     max(_SORT_BLOCK, |A|) pairs i <= j with keys[i] + keys[j] in it, found by
     bisection on the sum value; no sum has more than |A| such pairs, so every
     range is nonempty.  Row i's partners in the range are the j >= i between
     two searchsorted bounds.  Ranges are disjoint, so their sums of r^2
-    simply add, and memory stays O(_SORT_BLOCK + |A|).  Energy is
-    translation invariant, so the code counts the offsets keys - keys[0],
-    in the narrowest of int32, int64 and Python ints (an object array) that
-    holds twice the largest one: every sum, bound and bisection point then
-    fits that width.
+    simply add, and memory stays O(_SORT_BLOCK + |A|).
     """
-    keys = keys - keys[0]
     top = 2 * int(keys[-1]) + 1
-    if top < 1 << 63:
-        keys = keys.astype(np.int32 if top < 1 << 31 else np.int64)
     m = len(keys)
     block = max(_SORT_BLOCK, m)
     doubled = 2 * keys
@@ -757,7 +763,7 @@ def _range_energy(keys, first, last, twice) -> int:
 
 def _pair_sums(keys, first, last) -> np.ndarray:
     """The sums keys[i] + keys[j], first[i] <= j < last[i], row by row.  They
-    are formed in the keys' own width, which _energy_sorted picks from the
+    are formed in the keys' own width, which LatticeSet picks from the
     set's span, a quarter of the pairs at a time (keys[j] taken by an int32
     index, plus keys[i] repeated), so the temporaries stay a fraction of the
     sums."""
@@ -809,8 +815,8 @@ def tensor_power(A: LatticeSet, d: int) -> LatticeSet:
         return A
     if A.dim != 1:
         raise ValueError("tensor_power needs a 1-dimensional base set")
-    if A.size ** d > TENSOR_CAP:
-        raise CapExceededError(f"|A|^d = {A.size ** d} exceeds cap {TENSOR_CAP}")
+    if A.size ** d > POINT_CAP:
+        raise CapExceededError(f"|A|^d = {A.size ** d} exceeds cap {POINT_CAP}")
     index = np.indices((A.size,) * d).reshape(d, -1).T  # every d-tuple of row indices
     return LatticeSet(d, A.side, A.points[:, 0][index])
 

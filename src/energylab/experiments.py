@@ -12,7 +12,8 @@ import numpy as np
 from .certificates import (GaussianScheduleParams, _check_eps, build_gaussian_certificate,
                            build_perturbation_certificate)
 from .continuum import ASYMPTOTIC_LOG_BASE, BECKNER_L4_POW4
-from .discrete_core import CapExceededError, LatticeSet, energy_of_set, trivial_lower_bound
+from .discrete_core import (POINT_CAP, CapExceededError, LatticeSet, _translated_set,
+                            energy_of_set, trivial_lower_bound)
 from .optimizer import estimate_qn
 
 # Known reference values: t_2 exactly.
@@ -22,8 +23,7 @@ BOUNDS_CSV_COLUMNS = ("n", "trivial_lower", "perturbation_lower", "gaussian_lowe
                       "asymptotic_target", "empirical_t", "reference")
 BALL_CSV_COLUMNS = ("d", "radius", "center", "set_size", "energy",
                     "energy_ratio", "reference_ratio")
-BALL_POINT_CAP = 2_000_000  # most points of a ball lattice set
-BALL_SIDE_CAP = 4096  # longest side of its bounding box
+BALL_SIDE_CAP = 4096  # longest side of a ball's bounding box
 
 
 @dataclass(frozen=True)
@@ -96,7 +96,7 @@ def bounds_table(n_values, eps: float = 0.5, with_optimizer: bool = False,
 def ball_lattice_set(d: int, radius: float, center=None) -> LatticeSet:
     """Integer points within Euclidean distance radius of center, translated
     so all coordinates lie in [0, n-1] with n the minimal enclosing side.
-    Raises CapExceededError past BALL_SIDE_CAP or BALL_POINT_CAP."""
+    Raises CapExceededError past BALL_SIDE_CAP or POINT_CAP."""
     if d < 1:
         raise ValueError("d must be >= 1")
     if not 0 < radius < math.inf:
@@ -123,10 +123,10 @@ def ball_lattice_set(d: int, radius: float, center=None) -> LatticeSet:
         axes.append((lo, hi, frac))
     # build the offsets one dimension at a time, pruning on partial distance;
     # the new coordinate varies slowest, so the points arrive in colex order.
-    # The candidate sums are formed a block of at most 4 * BALL_POINT_CAP at
+    # The candidate sums are formed a block of at most 4 * POINT_CAP at
     # a time, so a refused ball stops before its whole matrix is built; the
-    # last axis keeps at most BALL_POINT_CAP points, the others four times that
-    block = 4 * BALL_POINT_CAP
+    # last axis keeps at most POINT_CAP points, the others four times that
+    block = 4 * POINT_CAP
     pts = np.zeros((1, 0), dtype=np.int64)
     sq = np.zeros(1)
     for axis, (lo, hi, frac) in enumerate(axes, 1):
@@ -137,8 +137,8 @@ def ball_lattice_set(d: int, radius: float, center=None) -> LatticeSet:
         for start in range(0, max(off.size, 1), rows):
             keep_new, keep_old = np.nonzero(dd[start:start + rows, None] + sq <= r2)
             kept += keep_new.size
-            if axis == d and kept > BALL_POINT_CAP:
-                raise CapExceededError(f"{kept} points exceed cap {BALL_POINT_CAP}")
+            if axis == d and kept > POINT_CAP:
+                raise CapExceededError(f"{kept} points exceed cap {POINT_CAP}")
             if kept > block:
                 raise CapExceededError(f"intermediate point count {kept} exceeds cap")
             keep_new += start
@@ -147,12 +147,7 @@ def ball_lattice_set(d: int, radius: float, center=None) -> LatticeSet:
         keep_new, keep_old = (k[0] if len(k) == 1 else np.concatenate(k) for k in (new, old))
         pts = np.hstack([pts[keep_old], off[keep_new, None]])
         sq = dd[keep_new] + sq[keep_old]
-    if pts.shape[0] == 0:
-        return LatticeSet(d, 1, pts)
-    mins = pts.min(axis=0)
-    side = int((pts.max(axis=0) - mins).max()) + 1
-    shifted = pts - mins
-    return LatticeSet(d, side, shifted)
+    return _translated_set(pts)
 
 
 def ball_energy_experiment(d_values, radius_schedule, center=None) -> list[BallExperimentRow]:
@@ -174,8 +169,6 @@ def ball_energy_experiment(d_values, radius_schedule, center=None) -> list[BallE
                     continue
                 energy = energy_of_set(ball)
                 size = ball.size
-                if not size ** 2 <= energy <= size ** 3:
-                    raise ArithmeticError(f"E = {energy} outside [|B|^2, |B|^3] for |B| = {size}")
                 rows.append(BallExperimentRow(
                     d=d, radius=float(radius), center=c, set_size=size,
                     energy=energy, energy_ratio=energy / size ** 3,

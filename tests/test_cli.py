@@ -737,10 +737,12 @@ def test_read_set_comments_take_the_one_call_path(tmp_path, monkeypatch):
 
 
 def test_mpmath_not_a_runtime_dependency():
-    # mpmath is only a test oracle: importing the CLI must not load it
+    # mpmath is only a test oracle, and scipy and sympy are no dependency at
+    # all: importing the CLI must not load them, and no module names them
     src = Path(energylab.__file__).resolve().parent
-    probe = "import sys, energylab.cli; print('mpmath' in sys.modules)"
+    banned = ("mpmath", "scipy", "sympy")
+    probe = f"import sys, energylab.cli; print([m for m in {banned} if m in sys.modules])"
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           cwd=src.parent, timeout=120, check=True)
-    assert done.stdout.strip() == "False"
-    assert not [p.name for p in src.glob("*.py") if "mpmath" in p.read_text()]
+    assert done.stdout.strip() == "[]"
+    assert not [(p.name, m) for p in src.glob("*.py") for m in banned if m in p.read_text()]

@@ -9,7 +9,7 @@ from energylab import discrete_core
 from energylab.certificates import evaluate_certificate
 from energylab.discrete_core import (CapExceededError, DiscreteFunction, InvalidExponentError,
                                      LatticeSet, ZeroFunctionError, _energy_fft, _energy_sorted,
-                                     _lattice_keys, energy_bruteforce,
+                                     energy_bruteforce,
                                      energy_interval_formula, energy_of_set, fourier_l4_pow4,
                                      fourier_l4_pow4_quadruple, lq_norm, lq_norm_with_error,
                                      ratio_report, tensor_power, trivial_lower_bound)
@@ -327,13 +327,13 @@ class TestEnergies:
     def test_fft_path_matches_sorted(self):
         # side-n interval energies are large enough to hit the dense path
         A = LatticeSet.from_range(150)
-        keys = _lattice_keys(A)
+        keys = A._keys
         assert _energy_fft(keys) == _energy_sorted(keys) == energy_interval_formula(150)
 
     def test_object_keys(self):
         # 25^20 > 2^62, so the keys are Python ints in an object array
         diagonal = LatticeSet(20, 13, frozenset((a,) * 20 for a in range(13)))
-        assert _lattice_keys(diagonal).dtype == object
+        assert diagonal._keys.dtype == object
         assert energy_of_set(diagonal) == energy_interval_formula(13)
         # {0, 2, 3}^3 padded with constant coordinates: E = E({0, 2, 3})^3
         cube = tensor_power(LatticeSet.from_values([0, 2, 3]), 3)
@@ -371,7 +371,7 @@ class TestEnergies:
         for fault in (scaled, moved, concentrated):
             with monkeypatch.context() as patch:
                 patch.setattr(np.fft, "rfft", faulty_rfft(fault))
-                assert _energy_fft(_lattice_keys(A)) is None, fault.__name__
+                assert _energy_fft(A._keys) is None, fault.__name__
                 energy, ran = self._kernels_run(patch, A)
                 assert ran == ["_energy_fft", "_energy_sorted"]
                 assert energy == energy_interval_formula(150)
@@ -387,7 +387,7 @@ class TestEnergies:
             return c
 
         monkeypatch.setattr(np.fft, "irfft", faulty_irfft)
-        assert _energy_fft(_lattice_keys(LatticeSet.from_range(PARSEVAL_REACH + 1))) is None
+        assert _energy_fft(LatticeSet.from_range(PARSEVAL_REACH + 1)._keys) is None
 
     @pytest.mark.parametrize("n,want", [(PARSEVAL_REACH, {"rfft": 1, "irfft": 0}),
                                         (PARSEVAL_REACH + 1, {"rfft": 1, "irfft": 1})],
@@ -411,21 +411,28 @@ class TestEnergies:
         assert energy == int(np.dot(r, r))
 
     def test_object_keys_small_span_take_fft(self, monkeypatch):
-        # {0..12}^2 in the first two of 20 coordinates: object keys, span 313
+        # {0..12}^2 in the first two of 20 coordinates: keys formed as Python
+        # ints (25^20 > 2^62), whose offsets, of span 313, the set keeps in int32
         A = LatticeSet(20, 13, [(a, b) + (12,) * 18 for a in range(13) for b in range(13)])
-        assert _lattice_keys(A).dtype == object
+        assert 25 ** 20 > 2 ** 62 and A._keys.dtype == np.int32
         energy, ran = self._kernels_run(monkeypatch, A)
         assert ran == ["_energy_fft"]
         assert energy == energy_interval_formula(13) ** 2
 
-    @pytest.mark.parametrize("pad", [0, 16], ids=["int64", "object"])
-    def test_sorted_ranges(self, monkeypatch, pad):
-        # {0, 1, 3}^4, padded to 20 coordinates in a side-13 cube for object keys
+    @pytest.mark.parametrize("width", [np.int64, object], ids=["int64", "object"])
+    def test_sorted_ranges(self, monkeypatch, width):
+        # {0, 1, 3}^4 in two carry-free copies: in 1-D as the digits of base-7
+        # numbers 2^40 apart, whose offsets need int64, and in the last four
+        # of 20 coordinates of a side-13 cube, whose offsets need Python ints
         base = LatticeSet.from_values([0, 1, 3])
-        cube = tensor_power(base, 4)
-        A = LatticeSet(4 + pad, 13, [p + [0] * pad for p in cube.points.tolist()])
-        keys = _lattice_keys(A)
-        assert (keys.dtype == object) == (pad > 0)
+        cube = tensor_power(base, 4).points.tolist()
+        if width is object:
+            A = LatticeSet(20, 13, [[0] * 16 + p for p in cube])
+        else:
+            A = LatticeSet.from_values([sum(c * 7 ** i for i, c in enumerate(p)) << 40
+                                        for p in cube])
+        keys = A._keys
+        assert keys.dtype == width
         want = energy_of_set(base) ** 4
         assert _energy_sorted(keys) == want
         # at most 3|A|/2 of the 3321 pairs per range: dozens of ranges, each
@@ -457,24 +464,26 @@ class TestEnergies:
         (2 ** 31 - 4, np.int32), (2 ** 31 - 2, np.int32), (2 ** 31, np.int64),
     ], ids=["below", "edge", "past"])
     def test_sorted_width_boundaries(self, monkeypatch, twice_max, width, block):
-        # offsets up to twice_max / 2 from a first key of 2^40: the int32 sort
+        # offsets up to twice_max / 2 from a first point of 2^40: the int32 sort
         # holds every sum and bisection point only while 2 max + 1 < 2^31
         h = twice_max // 2
         A = LatticeSet.from_values([(1 << 40) + v for v in (0, 1, 2, 5, h // 2, h - 3, h - 2, h)])
         want = energy_bruteforce(A)
         if block is not None:
             monkeypatch.setattr(discrete_core, "_SORT_BLOCK", block)
+        assert A._keys.dtype == width
         widths = self._range_widths(monkeypatch)
-        assert _energy_sorted(_lattice_keys(A)) == want
+        assert _energy_sorted(A._keys) == want
         assert set(widths) == {np.dtype(width)}
 
     def test_object_keys_narrow_to_int64(self, monkeypatch):
-        # {0, 1, 2}^2 in coordinates 0 and 7 of 20, side 13: object keys whose
-        # span 2 (25^7 + 1) is past int32 but well inside int64
+        # {0, 1, 2}^2 in coordinates 0 and 7 of 20, side 13: keys formed as
+        # Python ints, whose span 2 (25^7 + 1) is past int32 but well inside
+        # int64, so the set keeps their offsets in int64
         A = LatticeSet(20, 13, [(a,) + (0,) * 6 + (b,) + (12,) * 12
                                 for a in range(3) for b in range(3)])
-        keys = _lattice_keys(A)
-        assert keys.dtype == object
+        keys = A._keys
+        assert 25 ** 20 > 2 ** 62 and keys.dtype == np.int64
         widths = self._range_widths(monkeypatch)
         assert _energy_sorted(keys) == energy_of_set(A) == energy_interval_formula(3) ** 2
         assert set(widths) == {np.dtype(np.int64)}
@@ -483,7 +492,7 @@ class TestEnergies:
         # 2 * 50 is the sum of 51 pairs i <= j of {0..100}, about |A|/2, while a
         # range holds at most |A| = 101 pairs
         monkeypatch.setattr(discrete_core, "_SORT_BLOCK", 1)
-        keys = _lattice_keys(LatticeSet.from_range(101))
+        keys = LatticeSet.from_range(101)._keys
         assert _energy_sorted(keys) == energy_interval_formula(101)
 
     def test_sorted_memory_is_per_range(self, monkeypatch):
@@ -494,7 +503,7 @@ class TestEnergies:
         block = 1 << 16
         monkeypatch.setattr(discrete_core, "_SORT_BLOCK", block)
         A = LatticeSet(10, 13, np.random.default_rng(5).integers(0, 13, (2000, 10)))
-        keys = _lattice_keys(A)
+        keys = A._keys
         tracemalloc.start()
         try:
             energy = _energy_sorted(keys)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from energylab import experiments
-from energylab.discrete_core import (CapExceededError, LatticeSet, energy_bruteforce,
+from energylab.discrete_core import (CapExceededError, _translated_set, energy_bruteforce,
                                      energy_of_set)
 from energylab.experiments import (BALL_CSV_COLUMNS, BOUNDS_CSV_COLUMNS,
                                    ball_energy_experiment, ball_lattice_set, bounds_row,
@@ -102,10 +102,10 @@ class TestBallSets:
         center, radius = (0.37, 0.81, 0.12), 4.5
         given = []
 
-        def recording(d, side, points):
-            given.append(points.tolist())
-            return LatticeSet(d, side, points)
-        monkeypatch.setattr(experiments, "LatticeSet", recording)
+        def recording(points):
+            given.append((points - points.min(axis=0)).tolist())
+            return _translated_set(points)
+        monkeypatch.setattr(experiments, "_translated_set", recording)
         ball = ball_lattice_set(3, radius, center)
         colex = [p[::-1] for p in given[0]]
         assert colex == sorted(colex) and len(set(map(tuple, colex))) == len(colex)
@@ -123,7 +123,7 @@ class TestBallSets:
         assert all(0 <= c < ball.side for p in ball.points for c in p)
 
     def test_point_cap(self, monkeypatch):
-        monkeypatch.setattr(experiments, "BALL_POINT_CAP", 1000)
+        monkeypatch.setattr(experiments, "POINT_CAP", 1000)
         with pytest.raises(CapExceededError, match="exceed"):
             ball_lattice_set(2, 300.0, (0.0, 0.0))
         with pytest.raises(CapExceededError, match="points exceed cap 1000"):

@@ -39,7 +39,7 @@ from energylab.certificates import (_REPR_BLOCK_MIN, Certificate, GaussianSchedu
                                     certificate_json, certificate_to_dict, revalidate_certificate)
 from energylab.discrete_core import (CapExceededError, DiscreteFunction, LatticeSet,
                                      _energy_fft, _energy_sorted,
-                                     _lattice_keys, _pow4_int, energy_bruteforce,
+                                     _pow4_int, energy_bruteforce,
                                      energy_interval_formula, energy_of_set,
                                      fourier_l4_pow4, fourier_l4_pow4_quadruple,
                                      fourier_l4_pow4_with_error, lq_norm_with_error,
@@ -581,7 +581,7 @@ def indicator_and_counts(keys):
 @settings(max_examples=100, deadline=None)
 @given(points=ENERGY_SETS)
 def test_energy_fft_bound(points):
-    keys = np.array(sorted(points), dtype=np.int64)
+    keys = LatticeSet.from_values(points)._keys
     energy, c, delta = fft_counts_and_delta(keys)
     y, r = indicator_and_counts(keys)
     # delta is Percival's bound at ||1_K||_2^2 = |A|, and every FFT count lies within it
@@ -596,7 +596,7 @@ def test_energy_fft_bound(points):
 @settings(max_examples=100, deadline=None)
 @given(points=ENERGY_SETS)
 def test_energy_parseval_bound(points):
-    keys = np.array(sorted(points), dtype=np.int64)
+    keys = LatticeSet.from_values(points)._keys
     energy, frame = returning_locals(_energy_fft.__code__, ["total", "rel"],
                                      lambda: _energy_fft(keys))
     y, r = indicator_and_counts(keys)
@@ -624,10 +624,14 @@ def test_fft_energy_matches_sorted(seed, d, data):
     n = data.draw(st.integers(5, {1: 400, 2: 20, 3: 7}[d]))
     size = data.draw(st.integers(1, min(n ** d, 300)))
     A = random_set(np.random.default_rng(seed), d, n, size)
-    keys = _lattice_keys(A)
+    keys = A._keys
     want = _energy_sorted(keys)
     assert _energy_fft(keys) == want
-    assert _energy_fft(keys.astype(object)) == want
+    # padded to 20 coordinates at n - 1, the keys are formed as Python ints
+    # ((2n-1)^20 > 2^62), and their offsets are the same
+    wide = LatticeSet(20, n, [p + [n - 1] * (20 - d) for p in A.points.tolist()])
+    assert np.array_equal(wide._keys, keys) and wide._keys.dtype == keys.dtype
+    assert _energy_fft(wide._keys) == want
     assert energy_of_set(A) == want
     if size <= 120:
         assert energy_bruteforce(A) == want
@@ -640,14 +644,15 @@ def test_sorted_energy_matches_bruteforce(seed, d, data):
     size = data.draw(st.integers(1, min(n ** d, 60)))
     A = random_set(np.random.default_rng(seed), d, n, size)
     want = energy_bruteforce(A)
-    keys = _lattice_keys(A)
-    # the same keys narrowed, and far from 0 (only their offsets are counted)
-    for k in (keys, keys.astype(object), keys.astype(np.int32), keys + (1 << 40),
-              keys.astype(object) + (1 << 70)):
-        assert _energy_sorted(k) == want
+    # the set itself and the set moved 2^40 and 2^70 along every axis into a
+    # cube that wide: in d >= 2 the wider base can take the keys' offsets to
+    # int64 or Python ints (only the offsets are counted)
+    for shift in (0, 1 << 40, 1 << 70):
+        moved = LatticeSet(d, n + shift, [[c + shift for c in p] for p in A.points.tolist()])
+        assert _energy_sorted(moved._keys) == want
         # at most |A| pairs per range: many ranges, each end found by bisection
         with mock.patch.object(discrete_core, "_SORT_BLOCK", 1):
-            assert _energy_sorted(k) == want
+            assert _energy_sorted(moved._keys) == want
 
 
 # tokens the per-token path reads (or refuses) and the one-call path must
@@ -763,9 +768,81 @@ def test_lattice_canonical_form(case, seed):
     reversed_rows = [row[::-1] for row in P.tolist()]
     assert all(a < b for a, b in zip(reversed_rows, reversed_rows[1:]))
     assert {tuple(row) for row in P.tolist()} == {tuple(p) for p in points}
-    keys = _lattice_keys(A).tolist()
+    keys = A._keys.tolist()
     assert all(a < b for a, b in zip(keys, keys[1:]))
     assert energy_of_set(A) == energy_bruteforce(A)
+
+
+@st.composite
+def keyed_sets(draw):
+    """(d, side, points) with d <= 6: small cubes, whose keys fit int64, and
+    sides up to 2^64, whose keys mostly do not."""
+    d = draw(st.integers(1, 6))
+    side = draw(st.one_of(st.integers(1, 12), st.integers(1, 2 ** 64)))
+    coords = st.lists(st.integers(0, side - 1), min_size=d, max_size=d)
+    return d, side, draw(st.lists(coords, max_size=120))
+
+
+def one_dim(values):
+    """The keyed_sets case of a 1-D set of nonnegative values."""
+    return 1, max(values) + 1, [[v] for v in values]
+
+
+def width_edge(h):
+    """1-D points 2^40 onwards whose largest offset h puts 2 h + 1 near 2^31."""
+    return one_dim([(1 << 40) + v for v in (0, 1, 2, 5, h // 2, h - 3, h - 2, h)])
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=keyed_sets())
+# 2 max + 1 just below 2^31, at 2^31 - 1 and past it; then at 2^63 - 1 and 2^63 + 1
+@example(case=width_edge((2 ** 31 - 4) // 2))
+@example(case=width_edge((2 ** 31 - 2) // 2))
+@example(case=width_edge(2 ** 31 // 2))
+@example(case=one_dim([0, 2 ** 62 - 1]))
+@example(case=one_dim([0, 2 ** 62]))
+def test_stored_keys(case):
+    # the set keeps sum_i p_i (2n-1)^i of its colex-ordered points, less
+    # their minimum, in the narrowest width that holds 2 max + 1
+    d, side, points = case
+    A = LatticeSet(d, side, points)
+    base = 2 * side - 1
+    want = [sum(c * base ** i for i, c in enumerate(p)) for p in A.points.tolist()]
+    want = [k - min(want, default=0) for k in want]
+    keys = A._keys
+    assert keys.tolist() == want
+    assert all(a < b for a, b in zip(want, want[1:]))
+    assert not keys.flags.writeable and "_keys" not in repr(A)
+    if want:
+        top = 2 * want[-1] + 1
+        assert keys.dtype == (np.int32 if top < 2 ** 31 else np.int64 if top < 2 ** 63
+                              else object)
+    assert energy_of_set(A) == energy_bruteforce(A)
+
+
+@st.composite
+def point_rows(draw):
+    """(d, rows): integer rows of d coordinates, some past int64."""
+    d = draw(st.integers(1, 4))
+    coord = st.one_of(st.integers(-50, 50), st.integers(-2 ** 64, 2 ** 64))
+    return d, draw(st.lists(st.lists(coord, min_size=d, max_size=d), max_size=20))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=point_rows())
+@example(case=(2, []))  # the empty set a ball can be
+@example(case=(3, [[5, -7, 2 ** 70]]))  # one point
+@example(case=(2, [[-3, -9], [-1, -4], [-3, -4]]))  # negative coordinates
+@example(case=(1, [[-2 ** 62], [2 ** 62]]))  # int64 points 2^63 apart
+def test_translated_set(case):
+    # the rows moved into their least enclosing cube [0, n-1]^d
+    d, rows = case
+    got = discrete_core._translated_set(
+        discrete_core._int_array([c for p in rows for c in p]).reshape(-1, d))
+    lo = [min(col) for col in zip(*rows)] or [0] * d
+    side = max((max(col) - m for col, m in zip(zip(*rows), lo)), default=0) + 1
+    want = LatticeSet(d, side, [[c - m for c, m in zip(p, lo)] for p in rows])
+    assert (got.dim, got.side) == (d, side) and got == want
 
 
 @settings(max_examples=150, deadline=None)
@@ -778,7 +855,7 @@ def test_lattice_canonical_form(case, seed):
 @example(d=3, cap=2, radius=1.0, center=[0.0, 0.0, 0.5, 0.0])
 @example(d=4, cap=2, radius=1.0, center=[1e19, -2.0 ** 63, 7.0, -4.5])
 def test_ball_blocks_match_box_scan(d, cap, radius, center):
-    # with BALL_POINT_CAP small the builder forms its candidate sums in
+    # with POINT_CAP small the builder forms its candidate sums in
     # several blocks of at most 4 * cap; its points, in order, or its refusal
     # are those of a scan of the whole box that sums the squared offsets
     # axis by axis as the builder does, each new axis's term added to the
@@ -789,7 +866,7 @@ def test_ball_blocks_match_box_scan(d, cap, radius, center):
     def counted(a):
         sizes.append(a.size)
         return nonzero(a)
-    with mock.patch.object(experiments, "BALL_POINT_CAP", cap), \
+    with mock.patch.object(experiments, "POINT_CAP", cap), \
             mock.patch.object(experiments.np, "nonzero", counted):
         try:
             got = ball_lattice_set(d, radius, center).points.tolist()
