@@ -123,13 +123,8 @@ def criterion_5(seed: int = DEFAULT_SEED) -> CriterionResult:
             invalid.append(n)
     t3 = certificates.build_perturbation_certificate(3).implied_t_bound
     ok_t3 = abs(t3 - 2.680144) < 1e-5
-    overlap_ok = True
-    for n in range(1, 501):
-        try:
-            certificates.interval_overlap_sum(n)
-        except ArithmeticError:
-            overlap_ok = False
-            break
+    overlap_ok = all(certificates.interval_overlap_sum(n) == -((-3 * n * n) // 4)
+                     for n in range(1, 501))
     passed = not invalid and ok_t3 and overlap_ok
     return CriterionResult(5, "perturbation certificates n in [3, 100] + overlap sums",
                            passed, {"invalid_n": invalid, "max_bound_drift": drift,

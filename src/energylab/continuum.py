@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discrete_core import InvalidExponentError
+from .discrete_core import InvalidExponentError, _autoconvolution
 
 # Sharp constant of the L4 Fourier-norm inequality on R, attained by Gaussians.
 BECKNER_L4_POW4 = 4.0 * math.sqrt(3.0) / 9.0
@@ -72,14 +72,12 @@ def _simpson_weights(npoints: int) -> np.ndarray:
     return w
 
 
-def _autoconvolution(x: np.ndarray) -> np.ndarray:
-    """x*x by FFT at N, the least power of two >= 2m-1, where the cyclic
-    convolution does not wrap; the refinement checks judge the quadrature,
-    so no rounding bound is taken."""
-    size = 1 << (2 * len(x) - 2).bit_length()
-    spec = np.fft.rfft(x, size)
-    spec *= spec
-    return np.fft.irfft(spec, size)[:2 * len(x) - 1]
+def _refined(what: str, coarse: float, fine: float, tol: float, where: str = "") -> float:
+    """fine, the result of the finer of two refinements, when coarse lies
+    within tol of it, relative; else QuadratureError."""
+    if abs(coarse - fine) > tol * abs(fine):
+        raise QuadratureError(f"{what} did not converge: {coarse!r} vs {fine!r}{where}")
+    return fine
 
 
 def _l4hat_pow4_simpson(a_param: float, truncation: float, step: float) -> float:
@@ -104,12 +102,9 @@ def quadrature_l4hat(spec: GaussianSpec) -> float:
     """
     a = spec.a_param
     truncation, step = math.sqrt(41.5 * a), math.sqrt(a) / 800.0
-    coarse = _l4hat_pow4_simpson(a, truncation, step)
-    fine = _l4hat_pow4_simpson(a, truncation, step / 2.0)
-    if abs(coarse - fine) > QUADRATURE_REL_TOL * abs(fine):
-        raise QuadratureError(
-            f"l4hat quadrature did not converge: {coarse!r} vs {fine!r} at step {step}")
-    return fine
+    return _refined("l4hat quadrature", _l4hat_pow4_simpson(a, truncation, step),
+                    _l4hat_pow4_simpson(a, truncation, step / 2.0), QUADRATURE_REL_TOL,
+                    f" at step {step}")
 
 
 def quadrature_lq_pow(spec: GaussianSpec, q: float) -> float:
@@ -128,11 +123,8 @@ def quadrature_lq_pow(spec: GaussianSpec, q: float) -> float:
         y = np.exp(-q * x * x / a)
         return float(np.sum(_simpson_weights(y.size) * y) * (h / 3.0))
 
-    coarse, fine = one(step), one(step / 2.0)
-    if abs(coarse - fine) > QUADRATURE_REL_TOL * abs(fine):
-        raise QuadratureError(
-            f"lq quadrature did not converge: {coarse!r} vs {fine!r} at step {step}")
-    return fine
+    return _refined("lq quadrature", one(step), one(step / 2.0), QUADRATURE_REL_TOL,
+                    f" at step {step}")
 
 
 def truncated_gaussian_l4hat_pow4(a_param: float, m_trunc: int) -> float:
@@ -145,12 +137,10 @@ def truncated_gaussian_l4hat_pow4(a_param: float, m_trunc: int) -> float:
     """
     if m_trunc < 1:
         raise ValueError("m_trunc must be >= 1")
-    coarse = _truncated_pow4_trapezoid(a_param, m_trunc, TRUNCATED_SAMPLES)
-    fine = _truncated_pow4_trapezoid(a_param, m_trunc, 2 * TRUNCATED_SAMPLES)
-    if abs(coarse - fine) > TRUNCATED_REL_TOL * abs(fine):
-        raise QuadratureError(
-            f"truncated l4hat quadrature did not converge: {coarse!r} vs {fine!r}")
-    return fine
+    return _refined("truncated l4hat quadrature",
+                    _truncated_pow4_trapezoid(a_param, m_trunc, TRUNCATED_SAMPLES),
+                    _truncated_pow4_trapezoid(a_param, m_trunc, 2 * TRUNCATED_SAMPLES),
+                    TRUNCATED_REL_TOL)
 
 
 def _truncated_pow4_trapezoid(a_param: float, m_trunc: int, j: int) -> float:

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .certificates import SUPPORT_CAP, Certificate, GaussianScheduleParams, evaluate_certificate
-from .discrete_core import CapExceededError, DiscreteFunction
+from .discrete_core import (CapExceededError, DiscreteFunction, _fft_size, _pow4_terms,
+                            _spectrum)
 
 ARMIJO_C = 1e-4
 ASCENT_TOL = 1e-12  # relative objective gain below which a chain stops
@@ -70,36 +71,24 @@ def _pow4_corr_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """sum (x*x)^2 of each row x of X and the correlation sum_b x(b) (x*x)(i+b),
     a quarter of its gradient, from one rfft and one irfft along the rows.
 
-    With F = rfft(x, N) at N, the least power of two >= 2n-1, the cyclic
-    autoconvolution of length N is x*x itself, so F^2 = DFT_N(x*x) and
-    Parseval gives, with p_k = |F_k|^2,
-
-        sum (x*x)^2 = (1/N) sum_k |F_k|^4 = (1/N) sum_k w_k p_k^2,
-
-    the sum running over the bins k <= N/2 that rfft holds: w_k = 2 on the
-    interior bins, which stand for F_(N-k) = conj(F_k) too, and 1 on bin 0
-    and bin N/2 (at N = 1 the one bin is both, and takes weight 1).  The
-    correlation is irfft(F^2 conj F)[:n] = irfft(F p)[:n], which does not
-    wrap around at N either.  p_k = fl(fl(re^2) + fl(im^2)) is taken from
-    the float64 view of F, and F p is formed there in place, re and im each
-    times the real p_k; so every product is a real one, rounded once,
-    whatever the shape of X, and a row's results do not depend on the rows
-    beside it.  The correlation is a view into the irfft output, which the
-    caller owns.
+    With F and p from _spectrum at N = _fft_size(n), the sum is the Parseval
+    sum (1/N) sum_k w_k p_k^2 of fourier_l4_pow4_with_error (_pow4_terms),
+    and the correlation is irfft(F^2 conj F)[:n] = irfft(F p)[:n], which
+    does not wrap around at N either.  F p is formed in the float64 view of
+    F, re and im each times the real p_k; so every product is a real one,
+    rounded once, whatever the shape of X, and a row's results do not
+    depend on the rows beside it.  The correlation is a view into the irfft
+    output, which the caller owns.
     """
-    k, n = X.shape
-    N = 1 << (2 * n - 2).bit_length()
-    F = np.fft.rfft(X, N, axis=1)
+    n = X.shape[1]
+    N = _fft_size(n)
+    F, p = _spectrum(X, N)
     parts = F.view(np.float64)  # re, im of each bin side by side
     re, im = parts[:, 0::2], parts[:, 1::2]
-    p = np.square(re)
-    p += np.square(im)
     re *= p
     im *= p
     corr = np.fft.irfft(F, N, axis=1)[:, :n]
-    np.square(p, out=p)
-    p[:, 1:-1] *= 2.0
-    return p.sum(axis=1) / N, corr
+    return _pow4_terms(p).sum(axis=1) / N, corr
 
 
 def _objective_rows(X: np.ndarray, q: float) -> tuple[np.ndarray, np.ndarray]:

@@ -626,10 +626,15 @@ class TestEstimateCommand:
     ("estimate", "--n", "2", "--tol", "nan"),
     ("estimate", "--n", "2", "--tol", "inf"),
     ("estimate", "--n", "1"),
+    ("norms", "--f", "{f}", "--q", "0.5"),
+    ("norms", "--f", "{f}", "--q", "600"),
+    ("norms", "--f", "{f}", "--q", "nan"),
 ], ids=["eps-inf", "eps-1e400", "eps-nan", "radius-inf", "center-inf", "box-inf", "tol-nan",
-        "tol-inf", "n-1"])
-def test_bad_input_exits_2(capsys, argv):
-    code, out, err = run(capsys, *argv)
+        "tol-inf", "n-1", "q-0.5", "q-600", "q-nan"])
+def test_bad_input_exits_2(capsys, tmp_path, argv):
+    f = tmp_path / "f.json"
+    f.write_text('{"offset": 0, "values": [1.0, 2.0]}')
+    code, out, err = run(capsys, *(a.format(f=f) for a in argv))
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "Traceback" not in err
@@ -746,3 +751,12 @@ def test_mpmath_not_a_runtime_dependency():
                           cwd=src.parent, timeout=120, check=True)
     assert done.stdout.strip() == "[]"
     assert not [(p.name, m) for p in src.glob("*.py") for m in banned if m in p.read_text()]
+
+
+def test_transforms_written_once():
+    # the spectral kernel lives in discrete_core: continuum names no FFT, and
+    # no other module takes a forward transform of its own
+    src = Path(energylab.__file__).resolve().parent
+    texts = {p.name: p.read_text() for p in src.glob("*.py")}
+    assert "np.fft" not in texts["continuum.py"]
+    assert [name for name, text in texts.items() if "np.fft.rfft" in text] == ["discrete_core.py"]

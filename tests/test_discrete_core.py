@@ -8,7 +8,8 @@ from mpmath import mp
 from energylab import discrete_core
 from energylab.certificates import evaluate_certificate
 from energylab.discrete_core import (CapExceededError, DiscreteFunction, InvalidExponentError,
-                                     LatticeSet, ZeroFunctionError, _energy_fft, _energy_sorted,
+                                     LatticeSet, ZeroFunctionError, _autoconvolution, _energy_fft,
+                                     _energy_sorted, _fft_size, _pow4_terms, _spectrum,
                                      energy_bruteforce,
                                      energy_interval_formula, energy_of_set, fourier_l4_pow4,
                                      fourier_l4_pow4_quadruple, lq_norm, lq_norm_with_error,
@@ -201,7 +202,45 @@ class TestNorms:
             fourier_l4_pow4_quadruple(f)
 
 
+class TestSpectralKernel:
+    def test_fft_size(self):
+        # the least power of two N >= 2m - 1, where y*y does not wrap
+        for m in range(1, 4098):
+            size = _fft_size(m)
+            assert size & (size - 1) == 0 and size // 2 < 2 * m - 1 <= size
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 8, 9, 16, 17, 1024, 1025])
+    def test_autoconvolution_is_plain(self, m):
+        # at m = 2^k + 1 a transform one power of two short would wrap
+        x = np.random.default_rng(m).integers(-3, 4, m)
+        assert np.array_equal(np.rint(_autoconvolution(x.astype(np.float64))),
+                              np.convolve(x, x))
+
+    @pytest.mark.parametrize("shape", [(37,), (5, 37)], ids=["one", "rows"])
+    def test_spectrum(self, shape):
+        # F is the transform itself, untouched, and each p_k is re^2 + im^2
+        # with every square and the sum rounded once
+        y = np.random.default_rng(3).standard_normal(shape)
+        size = _fft_size(shape[-1])
+        F, p = _spectrum(y, size)
+        assert F.tobytes() == np.fft.rfft(y, size).tobytes()
+        want = [c.real * c.real + c.imag * c.imag for c in F.ravel().tolist()]
+        assert p.shape == F.shape and p.tobytes() == np.array(want).tobytes()
+        # the Parseval weights: 1 on bin 0 and bin N/2, 2 between
+        w = np.full(F.shape, 2.0)
+        w[..., [0, -1]] = 1.0
+        terms = p * p * w
+        assert _pow4_terms(p) is p and p.tobytes() == terms.tobytes()
+
+
 class TestRatioReport:
+    def test_bad_exponent_refused_before_transform(self, monkeypatch):
+        calls = count_transforms(monkeypatch)
+        for q in (0.5, 600.0, math.nan):
+            with pytest.raises(InvalidExponentError, match="lq norm needs 1 <= q <= 512"):
+                ratio_report(indicator(0, 1), q)
+        assert calls == {"rfft": 0, "irfft": 0}
+
     def test_delta_ratio_one(self):
         for q in (4 / 3, 1.5, 2.0):
             rep = ratio_report(indicator(0), q)
